@@ -35,13 +35,11 @@ def _term(env: Env, name_or_term: str) -> Term:
 
 
 def _trace(text: str) -> tuple[Action, ...]:
-    out = []
-    for tok in text.replace(",", " ").split():
-        if tok.startswith("~"):
-            out.append(Action(tok[1:], co=True))
-        else:
-            out.append(Action(tok))
-    return tuple(out)
+    try:
+        return tuple(Action(tok[1:], co=True) if tok.startswith("~") else Action(tok)
+                     for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise SyntaxErr(f"--trace: {exc}") from None
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -51,11 +49,25 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _positive(text: str) -> int:
+    """A state cap: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"state cap must be a positive integer, got {text!r}")
+    return n
+
+
 def _state_cap(args) -> int:
     if args.state_cap is not None:
         return args.state_cap
     env_cap = os.environ.get("CCSWB_STATE_CAP")
-    return int(env_cap) if env_cap else DEFAULT_STATE_CAP
+    try:
+        return _positive(env_cap) if env_cap else DEFAULT_STATE_CAP
+    except argparse.ArgumentTypeError as exc:
+        raise SyntaxErr(f"CCSWB_STATE_CAP: {exc}") from None
 
 
 def cmd_parse(args) -> int:
@@ -170,21 +182,21 @@ def cmd_refines(args) -> int:
 def cmd_normalize(args) -> int:
     env, _ = _load(args.file)
     t = _term(env, args.process)
+    # the server form is the peer form of the success-free term and the client
+    # form is derived from the peer form, so the peer flag speaks for all three
+    pnf, exact = equations.normalize_pnf_info(
+        equations.erase_units(t) if args.theory == "svr" else t, env)
     if args.theory == "clt":
-        nf = equations.normalize_cnf(t, env)
+        nf = equations.pnf_to_cnf(pnf)
         term = equations.cnf_to_term(nf)
         errors = equations.check_cnf(nf)
-    elif args.theory == "svr":
-        nf = equations.normalize_snf(t, env)
-        term = equations.pnf_to_term(nf)
-        errors = []
     else:
-        nf, exact = equations.normalize_pnf_info(t, env)
-        term = equations.pnf_to_term(nf)
-        errors = equations.check_pnf(nf)
+        term = equations.pnf_to_term(pnf)
+        errors = equations.check_pnf(pnf) if args.theory == "p2p" else []
     payload = {"theory": args.theory, "input": pretty(t), "normal_form": pretty(term),
-               "valid": not errors}
-    _emit(args, payload, f"{pretty(t)}  --[{args.theory}]-->  {pretty(term)}")
+               "valid": not errors, "exact": exact}
+    _emit(args, payload, f"{pretty(t)}  --[{args.theory}]-->  {pretty(term)}"
+          + ("" if exact else "  (shielded: the normal form may sit above the input)"))
     return EXIT_OK
 
 
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Workbench for must-testing of servers, "
                                              "clients and peers")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--state-cap", type=int, default=None,
+    ap.add_argument("--state-cap", type=_positive, default=None,
                     help="max reachable states per graph (env CCSWB_STATE_CAP)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -336,6 +348,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_CAP
     except (preorders.ModeError, usability.VisibleCycle, equations.NotCCSf) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: term nested too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -171,37 +171,50 @@ def tau_single(n: Pnf) -> Pnf:
     raise TypeError(n)
 
 
-def _unify(a: Pnf, b: Pnf) -> Pnf:
-    """One continuation standing for two merged derivatives of an action."""
+def _unify(a: Pnf, b: Pnf) -> tuple[Pnf, bool]:
+    """One continuation standing for two merged derivatives of an action,
+    with the merge's exactness flag."""
     if a == b:
-        return a
-    merged = plus_pnf(tau_single(a), tau_single(b))
+        return a, True
+    merged, exact = plus_pnf(tau_single(a), tau_single(b))
     if pnf_can_ok(a) and pnf_can_ok(b):
-        return okify(merged)
-    return merged
+        return okify(merged), exact
+    return merged, exact
 
 
-def plus_pnf(n: Pnf, m: Pnf) -> Pnf:
-    """Normal form of the external choice of two normal forms."""
+def _merge_maps(n: dict[Action, Pnf], m: dict[Action, Pnf]) -> tuple[dict[Action, Pnf], bool]:
+    """Per-action union of two continuation maps, unifying shared actions."""
+    out: dict[Action, Pnf] = {}
+    exact = True
+    for a in set(n) | set(m):
+        if a in n and a in m:
+            out[a], ok = _unify(n[a], m[a])
+            exact = exact and ok
+        else:
+            out[a] = n[a] if a in n else m[a]
+    return out, exact
+
+
+def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
+    """Normal form of the external choice of two normal forms, and whether
+    it is exact: False when the merge had to shield an unsuccessful visible
+    step under a success-capable internal branch."""
     if n == _ZERO:
-        return m
+        return m, True
     if m == _ZERO:
-        return n
+        return n, True
     unit = pnf_can_ok(n) or pnf_can_ok(m)
     n0, m0 = _strip(n), _strip(m)
     out: Pnf
+    exact = True
     if isinstance(n0, PnfDiv) or isinstance(m0, PnfDiv):
         # divergence absorbs any prefixed alternative
         out = PnfDiv(False)
     elif isinstance(n0, PnfExt) and isinstance(m0, PnfExt):
-        nb, mb = n0.branch_map(), m0.branch_map()
-        merged = {a: _unify(nb[a], mb[a]) if a in nb and a in mb else (nb.get(a) or mb[a])
-                  for a in set(nb) | set(mb)}
+        merged, exact = _merge_maps(n0.branch_map(), m0.branch_map())
         out = PnfExt(_sorted_items(merged), False)
     elif isinstance(n0, PnfTau) and isinstance(m0, PnfTau):
-        nl, ml = n0.leaf_map(), m0.leaf_map()
-        leaves = {a: _unify(nl[a], ml[a]) if a in nl and a in ml else (nl.get(a) or ml[a])
-                  for a in set(nl) | set(ml)}
+        leaves, exact = _merge_maps(n0.leaf_map(), m0.leaf_map())
         out = make_tau(n0.family | m0.family, leaves, False)
     else:
         ext, tau = (n0, m0) if isinstance(n0, PnfExt) else (m0, n0)
@@ -213,55 +226,51 @@ def plus_pnf(n: Pnf, m: Pnf) -> Pnf:
         else:
             # Lifting the prefixes under a branch that can already succeed
             # shields their unsuccessful steps; the result can sit strictly
-            # above the source whenever such a step exists.  Recorded so the
-            # caller can tell exact outputs from best-effort ones.
+            # above the source whenever such a step exists.
             b1 = min(tau.family, key=fam_key)
-            if any(not pnf_can_ok(c) for _, c in ext.branches):
-                _MERGE_NOTES["lossy"] = True
+            exact = all(pnf_can_ok(c) for _, c in ext.branches)
         lm = tau.leaf_map()
         ext_b1 = make_ext({a: lm[a] for a in b1 if isinstance(a, Action)}, OK in b1)
-        inner = plus_pnf(ext, ext_b1)
-        out = plus_pnf(tau_single(inner), tau)
-    return okify(out) if unit else out
-
-
-_MERGE_NOTES: dict = {}
+        inner, ok1 = plus_pnf(ext, ext_b1)
+        out, ok2 = plus_pnf(tau_single(inner), tau)
+        exact = exact and ok1 and ok2
+    return (okify(out) if unit else out), exact
 
 
 def normalize_pnf(t: Term, env: Env = EMPTY_ENV) -> Pnf:
     """Peer normal form of a finite term."""
-    return _normalize(t, env)
+    return _normalize(t, env)[0]
 
 
 def normalize_pnf_info(t: Term, env: Env = EMPTY_ENV) -> tuple[Pnf, bool]:
     """Normal form plus an exactness flag: False when the merge had to shield
     an unsuccessful visible step under a success-capable internal branch."""
-    _MERGE_NOTES.clear()
-    n = _normalize(t, env)
-    return n, not _MERGE_NOTES.get("lossy", False)
+    return _normalize(t, env)
 
 
-def _normalize(t: Term, env: Env) -> Pnf:
+def _normalize(t: Term, env: Env) -> tuple[Pnf, bool]:
     if not is_ccsf(t, env):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 
-    def go(t: Term) -> Pnf:
+    def go(t: Term) -> tuple[Pnf, bool]:
         if isinstance(t, Nil):
-            return _ZERO
+            return _ZERO, True
         if isinstance(t, Unit):
-            return PnfExt((), True)
+            return PnfExt((), True), True
         if isinstance(t, Div):
-            return PnfDiv(False)
+            return PnfDiv(False), True
         if isinstance(t, Prefix):
-            body = go(t.body)
+            body, exact = go(t.body)
             if isinstance(t.guard, Action):
-                return make_ext({t.guard: body}, False)
-            return tau_single(body)
+                return make_ext({t.guard: body}, False), exact
+            return tau_single(body), exact
         if isinstance(t, Sum):
-            acc = go(t.parts[0])
+            acc, exact = go(t.parts[0])
             for p in t.parts[1:]:
-                acc = plus_pnf(acc, go(p))
-            return acc
+                part, ok1 = go(p)
+                acc, ok2 = plus_pnf(acc, part)
+                exact = exact and ok1 and ok2
+            return acc, exact
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 
     return go(t)
@@ -367,13 +376,14 @@ class CnfTau(Cnf):
         return dict(self.leaves)
 
 
-def _pnf_to_cnf(n: Pnf) -> Cnf:
+def pnf_to_cnf(n: Pnf) -> Cnf:
+    """Client normal form of a peer normal form."""
     if pnf_can_ok(n):
         return CnfUnit()
     if isinstance(n, PnfDiv):
         return CnfDiv()
     if isinstance(n, PnfExt):
-        return CnfExt(tuple(sorted(((a, _pnf_to_cnf(c)) for a, c in n.branches),
+        return CnfExt(tuple(sorted(((a, pnf_to_cnf(c)) for a, c in n.branches),
                                    key=lambda kv: label_key(kv[0]))))
     assert isinstance(n, PnfTau)
     plain = frozenset(A for A in n.family if OK not in A)
@@ -381,7 +391,7 @@ def _pnf_to_cnf(n: Pnf) -> Cnf:
         return CnfTauUnit()
     lm = n.leaf_map()
     labels = {a for A in plain for a in A}
-    leaves = tuple(sorted(((a, _pnf_to_cnf(lm[a])) for a in labels),
+    leaves = tuple(sorted(((a, pnf_to_cnf(lm[a])) for a in labels),
                           key=lambda kv: label_key(kv[0])))
     return CnfTau(plain, leaves, tau_unit=any(OK in A for A in n.family))
 
@@ -389,7 +399,7 @@ def _pnf_to_cnf(n: Pnf) -> Cnf:
 def normalize_cnf(t: Term, env: Env = EMPTY_ENV) -> Cnf:
     """Client normal form: the peer normal form simplified by absorbing every
     sibling of an immediate success (x + 1 = 1)."""
-    return _pnf_to_cnf(normalize_pnf(t, env))
+    return pnf_to_cnf(normalize_pnf(t, env))
 
 
 def cnf_to_term(n: Cnf) -> Term:
@@ -463,7 +473,7 @@ def normalize_snf(t: Term, env: Env = EMPTY_ENV) -> Pnf:
     """Server normal form: erase success (it plays no server role), then
     apply the shared normalizer; deadlock commitments stay explicit empty
     branch sets, so nothing client-specific is assumed."""
-    return _normalize(erase_units(t), env)
+    return _normalize(erase_units(t), env)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 convergence and divergence predicates, and the parallel test composition."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .syntax import (
     OK,
@@ -27,6 +27,7 @@ from .syntax import (
 DEFAULT_STATE_CAP = 100_000
 
 Trace = tuple[Action, ...]
+Node = TypeVar("Node", bound=Hashable)
 
 
 class StateCapExceeded(RuntimeError):
@@ -60,6 +61,62 @@ def transitions(t: Term, env: Env = EMPTY_ENV) -> frozenset[tuple[Label, Term]]:
 def can_ok(t: Term, env: Env = EMPTY_ENV) -> bool:
     """True iff the term can report success immediately."""
     return any(isinstance(lab, type(OK)) for lab, _ in transitions(t, env))
+
+
+def sccs(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> list[list[Node]]:
+    """Strongly connected components of the graph reached from `nodes` through
+    `succ` (Tarjan 1972), each listed after every component it reaches.
+
+    Iterative: each open node keeps its successor iterator on the work stack,
+    so deep graphs neither recurse nor rebuild successor lists."""
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    stack: list[Node] = []
+    onstack: set[Node] = set()
+    out: list[list[Node]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w in onstack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
+
+
+def on_cycle(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> frozenset[Node]:
+    """Nodes reached from `nodes` that lie on a cycle of at least one step."""
+    out: set[Node] = set()
+    for comp in sccs(nodes, succ):
+        if len(comp) > 1 or comp[0] in succ(comp[0]):
+            out.update(comp)
+    return frozenset(out)
 
 
 class Lts:
@@ -111,6 +168,14 @@ class Lts:
                     vis.setdefault(lab, []).append(j)
             self.vis.append({a: tuple(js) for a, js in vis.items()})
             self.ready.append(frozenset(vis))
+        # states on a tau cycle, and on a tau cycle of non-ok states; the
+        # closures are closed under those cycles, so divergence checks are
+        # intersections
+        self.tau_cyclic = on_cycle((i for i, ts in enumerate(self.taus) if ts), self.taus.__getitem__)
+        self.nonok_tau_cyclic = on_cycle(
+            (i for i, ts in enumerate(self.taus) if ts and not self.ok[i]),
+            lambda i: [j for j in self.taus[i] if not self.ok[j]],
+        ) if self.tau_cyclic else frozenset()
         # memo tables, keyed per graph
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
@@ -124,9 +189,6 @@ class Lts:
 
     def n_edges(self) -> int:
         return sum(len(e) for e in self.edges)
-
-    def term_of(self, i: int) -> Term:
-        return self.terms[i]
 
     def stable(self, i: int) -> bool:
         return not self.taus[i]
@@ -211,35 +273,9 @@ class Lts:
 
     # -- convergence / divergence -----------------------------------------
 
-    def _has_tau_cycle(self, region: frozenset[int]) -> bool:
-        """A tau cycle whose states all lie in `region`."""
-        color: dict[int, int] = {}
-        for start in region:
-            if color.get(start):
-                continue
-            stack: list[tuple[int, int]] = [(start, 0)]
-            while stack:
-                node, ei = stack[-1]
-                if ei == 0:
-                    color[node] = 1
-                succ = [j for j in self.taus[node] if j in region]
-                if ei < len(succ):
-                    stack[-1] = (node, ei + 1)
-                    j = succ[ei]
-                    c = color.get(j, 0)
-                    if c == 1:
-                        return True
-                    if c == 0:
-                        stack.append((j, 0))
-                else:
-                    color[node] = 2
-                    stack.pop()
-        return False
-
     def converges_state_set(self, states: frozenset[int]) -> bool:
         """No infinite tau run from any of the states."""
-        region = self.tau_closure(states)
-        return not self._has_tau_cycle(region)
+        return not (self.tau_closure(states) & self.tau_cyclic)
 
     def converges(self) -> bool:
         return self.converges_state_set(frozenset({self.root}))
@@ -262,8 +298,7 @@ class Lts:
 
     def diverges_unsuccessfully(self) -> bool:
         """An infinite tau run all of whose states are non-ok."""
-        region = self.unsuccessful_closure(frozenset({self.root}))
-        return self._has_tau_cycle(region)
+        return bool(self.unsuccessful_closure(frozenset({self.root})) & self.nonok_tau_cyclic)
 
     # -- rendering ----------------------------------------------------------
 
@@ -351,7 +386,7 @@ class Product:
 
     def pretty_state(self, k: int) -> tuple[str, str]:
         i, j = self.states[k]
-        return (pretty(self.left_lts.term_of(i)), pretty(self.right_lts.term_of(j)))
+        return (pretty(self.left_lts.terms[i]), pretty(self.right_lts.terms[j]))
 
     def to_dot(self, name: str = "product") -> str:
         lines = [f"digraph {name} {{", "  rankdir=LR;"]

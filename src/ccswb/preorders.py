@@ -10,7 +10,7 @@ verdict that is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .lts import DEFAULT_STATE_CAP, Lts, Trace, cached_lts
 from .syntax import (
@@ -148,7 +148,9 @@ class _Engine:
 
     def usable_action(self, node: _Node, a: Action) -> bool:
         """Membership of `a` in the left process's usable actions after the
-        current trace; valid under the guard usb1."""
+        current trace; none counts as usable unless the guard usb1 holds."""
+        if not node.usb1:
+            return False
         nxt = self.lts1.unsuccessful_closure(self.lts1.step(node.x1, a))
         return not nxt or usable_set(self.lts1, nxt, self.usb_depth)[0]
 
@@ -184,58 +186,46 @@ class _Engine:
 
     # -- clause groups ------------------------------------------------------
 
-    def clt_clauses(self, node: _Node) -> Optional[FailingClause]:
-        if not node.usb1:
+    def clauses(self, node: _Node, part: str, guard: bool, premise: str, residual: str,
+                relaxed: bool, trailing: Optional[str] = None) -> Optional[FailingClause]:
+        """The one trace/ready-set clause shape behind every preorder.
+
+        Under `guard` the right side must keep the `premise` guard
+        (usability_flow: usb2, convergence: conv2); each right ready set of
+        the `residual` pair (w or x) must be matched by a left one, included
+        in it or, when `relaxed`, included up to left actions that are not
+        usable; the `trailing` clause fails a right residual with no left one.
+        """
+        if not guard:
             return None
-        if not node.usb2:
-            return FailingClause("usability_flow", "clt", node.trace)
-        acc2 = sorted(self.lts2.ready_sets_of(node.x2), key=_ready_key)
+        if not (node.usb2 if premise == "usability_flow" else node.conv2):
+            return FailingClause(premise, part, node.trace)
+        r1, r2 = (node.w1, node.w2) if residual == "w" else (node.x1, node.x2)
+        acc2 = sorted(self.lts2.ready_sets_of(r2), key=_ready_key)
         if acc2:
-            acc1 = self.lts1.ready_sets_of(node.x1)
+            acc1 = self.lts1.ready_sets_of(r1)
             for B in acc2:
                 if not any(
-                    all(c in B or not self.usable_action(node, c) for c in A) for A in acc1
+                    all(c in B or (relaxed and not self.usable_action(node, c)) for c in A)
+                    for A in acc1
                 ):
-                    return FailingClause(
-                        "acceptance_match", "clt", node.trace, B, self.usable_actions_snapshot(node)
-                    )
-        if node.x2 and not node.x1:
-            return FailingClause("unsuccessful_trace", "clt", node.trace)
+                    usable = self.usable_actions_snapshot(node) if relaxed else None
+                    return FailingClause("acceptance_match", part, node.trace, B, usable)
+        if trailing is not None and r2 and not r1:
+            return FailingClause(trailing, part, node.trace)
         return None
+
+    def clt_clauses(self, node: _Node) -> Optional[FailingClause]:
+        return self.clauses(node, "clt", node.usb1, "usability_flow", "x", True,
+                            "unsuccessful_trace")
 
     def svr_clauses(self, node: _Node, include_trace_flow: bool = True) -> Optional[FailingClause]:
-        if not node.conv1:
-            return None
-        if not node.conv2:
-            return FailingClause("convergence", "svr", node.trace)
-        acc2 = sorted(self.lts2.ready_sets_of(node.w2), key=_ready_key)
-        if acc2:
-            acc1 = self.lts1.ready_sets_of(node.w1)
-            for B in acc2:
-                if not any(A <= B for A in acc1):
-                    return FailingClause("acceptance_match", "svr", node.trace, B)
-        if include_trace_flow and node.w2 and not node.w1:
-            return FailingClause("trace_flow", "svr", node.trace)
-        return None
+        return self.clauses(node, "svr", node.conv1, "convergence", "w", False,
+                            "trace_flow" if include_trace_flow else None)
 
     def usmpo_clauses(self, node: _Node) -> Optional[FailingClause]:
-        if not (node.conv1 and node.usb1):
-            return None
-        if not node.conv2:
-            return FailingClause("convergence", "usmpo", node.trace)
-        acc2 = sorted(self.lts2.ready_sets_of(node.w2), key=_ready_key)
-        if acc2:
-            acc1 = self.lts1.ready_sets_of(node.w1)
-            for B in acc2:
-                if not any(
-                    all(c in B or not self.usable_action(node, c) for c in A) for A in acc1
-                ):
-                    return FailingClause(
-                        "acceptance_match", "usmpo", node.trace, B, self.usable_actions_snapshot(node)
-                    )
-        if node.w2 and not node.w1:
-            return FailingClause("trace_flow", "usmpo", node.trace)
-        return None
+        return self.clauses(node, "usmpo", node.conv1 and node.usb1, "convergence", "w", True,
+                            "trace_flow")
 
 
 def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int], state_cap: int):
@@ -329,23 +319,10 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[
 
 def _diag(r1: Term, r2: Term, env: Env, relaxed: bool, state_cap: int) -> bool:
     engine, _ = _prepare("clt", r1, r2, env, None, state_cap)
-    for node in engine.nodes():
-        if not node.conv1:
-            continue
-        if not node.conv2:
-            return False
-        acc1 = engine.lts1.ready_sets_of(node.x1)
-        for B in sorted(engine.lts2.ready_sets_of(node.x2), key=_ready_key):
-            if relaxed:
-                matched = any(
-                    all(c in B or not (node.usb1 and engine.usable_action(node, c)) for c in A)
-                    for A in acc1
-                )
-            else:
-                matched = any(A <= B for A in acc1)
-            if not matched:
-                return False
-    return True
+    return not any(
+        engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed)
+        for node in engine.nodes()
+    )
 
 
 def diag_sbad(r1: Term, r2: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -384,96 +361,71 @@ def _pick(actions: Iterable[Action]) -> Action:
     return sorted(actions, key=label_key)[0]
 
 
+def _chain(s: Trace, upto: int, escape: Callable[[int], list[Term]], end: Term) -> Term:
+    """Wrap `end` in stages upto-1 ... 0; stage k offers escape(k) next to the
+    complement of s[k] leading to the next stage."""
+    t = end
+    for k in reversed(range(upto)):
+        t = mk_sum(escape(k) + [Prefix(s[k].complement(), t)])
+    return t
+
+
+def _match_branches(lts1: Lts, clause: FailingClause, ready: Iterable[frozenset[Action]],
+                    x: frozenset[int], lift: Callable[[Term], Term]) -> Term:
+    """Answer each left ready set on one of its usable actions that the
+    refuting right ready set lacks, continuing with a left witness."""
+    assert clause.ready_set is not None and clause.usable_actions is not None
+    branches: dict[Action, Term] = {}
+    for A in ready:
+        a = _pick((A & clause.usable_actions) - clause.ready_set)
+        if a not in branches:
+            nxt = lts1.unsuccessful_closure(lts1.step(x, a))
+            branches[a] = lift(_witness_or_nil(lts1, nxt))
+    return mk_sum(Prefix(a.complement(), cont) for a, cont in branches.items())
+
+
+def _with_unit(t: Term) -> Term:
+    return mk_sum([UNIT, t])
+
+
 def _svr_witness(lts1: Lts, clause: FailingClause) -> Term:
     s = clause.trace
     if clause.clause == "convergence":
         end: Term = Prefix(TAU, UNIT)
     elif clause.clause == "acceptance_match":
         assert clause.ready_set is not None
-        extra = sorted(
-            {a for A in lts1.ready_sets_of(lts1.weak_after(s)) for a in A - clause.ready_set},
-            key=label_key,
-        )
-        end = mk_sum(Prefix(a.complement(), UNIT) for a in extra)
+        end = mk_sum(Prefix(a.complement(), UNIT)
+                     for A in lts1.ready_sets_of(lts1.weak_after(s)) for a in A - clause.ready_set)
     elif clause.clause == "trace_flow":
         end = NIL
     else:
         raise SynthesisGap(f"no server synthesis for clause {clause.clause}")
-    t = end
-    for a in reversed(s):
-        t = mk_sum([Prefix(TAU, UNIT), Prefix(a.complement(), t)])
-    return t
+    return _chain(s, len(s), lambda k: [Prefix(TAU, UNIT)], end)
 
 
-def _clt_witness(lts1: Lts, clause: FailingClause) -> Term:
+def _clt_witness(lts1: Lts, clause: FailingClause, peer: bool = False) -> Term:
+    """Client chains; the peer variants can also succeed at every stage."""
     s = clause.trace
     xs = _x_sets(lts1, s)
+    lift = _with_unit if peer else (lambda t: t)
+
+    def escape(k: int) -> list[Term]:
+        if not peer:
+            return [Prefix(TAU, _witness_or_nil(lts1, xs[k]))]
+        return [UNIT] + ([Prefix(TAU, lift(_witness_or_nil(lts1, xs[k])))] if xs[k] else [])
+
+    upto = len(s)
     if clause.clause == "usability_flow":
-        end: Term = _witness_or_nil(lts1, xs[len(s)])
-        upto = len(s)
+        end: Term = lift(_witness_or_nil(lts1, xs[upto]))
     elif clause.clause == "acceptance_match":
-        assert clause.ready_set is not None and clause.usable_actions is not None
-        branches: dict[Action, Term] = {}
-        for A in lts1.ready_sets_of(xs[len(s)]):
-            a = _pick((A & clause.usable_actions) - clause.ready_set)
-            if a not in branches:
-                nxt = lts1.unsuccessful_closure(lts1.step(xs[len(s)], a))
-                branches[a] = _witness_or_nil(lts1, nxt)
-        end = mk_sum(Prefix(a.complement(), cont) for a, cont in branches.items())
-        upto = len(s)
+        end = lift(_match_branches(lts1, clause, lts1.ready_sets_of(xs[upto]), xs[upto], lift))
     elif clause.clause == "unsuccessful_trace":
-        m = max((k for k in range(len(s) + 1) if xs[k]), default=-1)
-        if m < 0:
-            return DIV
-        end = mk_sum([Prefix(TAU, _witness_or_nil(lts1, xs[m])), Prefix(s[m].complement(), DIV)])
-        upto = m
+        # diverge after the last prefix the left side can still take unsuccessfully
+        upto = 1 + max((k for k in range(len(s) + 1) if xs[k]), default=-1)
+        end = DIV
     else:
-        raise SynthesisGap(f"no client synthesis for clause {clause.clause}")
-    t = end
-    for k in reversed(range(upto)):
-        t = mk_sum([Prefix(TAU, _witness_or_nil(lts1, xs[k])), Prefix(s[k].complement(), t)])
-    return t
-
-
-def _p2p_clt_witness(lts1: Lts, clause: FailingClause) -> Term:
-    """Success-capable variants of the client chains, usable as peers."""
-    s = clause.trace
-    xs = _x_sets(lts1, s)
-
-    def stage(k: int, nxt: Term) -> Term:
-        parts: list[Term] = [UNIT, Prefix(s[k].complement(), nxt)]
-        if xs[k]:
-            parts.append(Prefix(TAU, mk_sum([_witness_or_nil(lts1, xs[k]), UNIT])))
-        return mk_sum(parts)
-
-    if clause.clause == "usability_flow":
-        end: Term = mk_sum([UNIT, _witness_or_nil(lts1, xs[len(s)])]) if xs[len(s)] else UNIT
-        upto = len(s)
-    elif clause.clause == "acceptance_match":
-        assert clause.ready_set is not None and clause.usable_actions is not None
-        branches: dict[Action, Term] = {}
-        for A in lts1.ready_sets_of(xs[len(s)]):
-            a = _pick((A & clause.usable_actions) - clause.ready_set)
-            if a not in branches:
-                nxt = lts1.unsuccessful_closure(lts1.step(xs[len(s)], a))
-                branches[a] = mk_sum([UNIT, _witness_or_nil(lts1, nxt)])
-        end = mk_sum([UNIT] + [Prefix(a.complement(), cont) for a, cont in branches.items()])
-        upto = len(s)
-    elif clause.clause == "unsuccessful_trace":
-        m = max((k for k in range(len(s) + 1) if xs[k]), default=-1)
-        if m < 0:
-            return mk_sum([UNIT, DIV])
-        parts = [UNIT, Prefix(s[m].complement(), DIV)]
-        if xs[m]:
-            parts.append(Prefix(TAU, mk_sum([_witness_or_nil(lts1, xs[m]), UNIT])))
-        end = mk_sum(parts)
-        upto = m
-    else:
-        raise SynthesisGap(f"no peer synthesis for client clause {clause.clause}")
-    t = end
-    for k in reversed(range(upto)):
-        t = stage(k, t)
-    return t
+        raise SynthesisGap(f"no {'peer' if peer else 'client'} synthesis for clause {clause.clause}")
+    return lift(_chain(s, upto, escape, end))
 
 
 def _p2p_usmpo_witness(lts1: Lts, clause: FailingClause) -> Term:
@@ -483,29 +435,18 @@ def _p2p_usmpo_witness(lts1: Lts, clause: FailingClause) -> Term:
     xs = _x_sets(lts1, s)
 
     def commit(k: int) -> Term:
-        if xs[k]:
-            return Prefix(TAU, mk_sum([_witness_or_nil(lts1, xs[k]), UNIT]))
-        return Prefix(TAU, UNIT)
+        return Prefix(TAU, _with_unit(_witness_or_nil(lts1, xs[k])))
 
     if clause.clause == "convergence":
         end: Term = commit(len(s))
     elif clause.clause == "acceptance_match":
-        assert clause.ready_set is not None and clause.usable_actions is not None
-        branches: dict[Action, Term] = {}
-        for A in lts1.ready_sets_of(lts1.weak_after(s)):
-            a = _pick((A & clause.usable_actions) - clause.ready_set)
-            if a not in branches:
-                nxt = lts1.unsuccessful_closure(lts1.step(xs[len(s)], a))
-                branches[a] = mk_sum([UNIT, _witness_or_nil(lts1, nxt)])
-        end = mk_sum(Prefix(a.complement(), cont) for a, cont in branches.items())
+        end = _match_branches(lts1, clause, lts1.ready_sets_of(lts1.weak_after(s)),
+                              xs[len(s)], _with_unit)
     elif clause.clause == "trace_flow":
         end = NIL
     else:
         raise SynthesisGap(f"no peer synthesis for clause {clause.clause}")
-    t = end
-    for k in reversed(range(len(s))):
-        t = mk_sum([commit(k), Prefix(s[k].complement(), t)])
-    return t
+    return _chain(s, len(s), lambda k: [commit(k)], end)
 
 
 def synthesize_witness(
@@ -529,10 +470,10 @@ def synthesize_witness(
     lts1 = cached_lts(p, env, state_cap)
     if kind == "svr":
         t = _svr_witness(lts1, clause)
-    elif kind == "clt":
-        t = _clt_witness(lts1, clause)
+    elif clause.part == "clt":
+        t = _clt_witness(lts1, clause, peer=kind == "p2p")
     else:
-        t = _p2p_clt_witness(lts1, clause) if clause.part == "clt" else _p2p_usmpo_witness(lts1, clause)
+        t = _p2p_usmpo_witness(lts1, clause)
     if verify and not check_witness(kind, p, q, t, env, state_cap):
         raise SynthesisGap(
             f"synthesized test failed verification: kind={kind} clause={clause.clause} "

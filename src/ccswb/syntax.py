@@ -174,14 +174,6 @@ def internal_choice(left: Term, right: Term) -> Term:
     return mk_sum([Prefix(TAU, left), Prefix(TAU, right)])
 
 
-def summands(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Sum):
-        return t.parts
-    if isinstance(t, Nil):
-        return ()
-    return (t,)
-
-
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms including `t` itself (constants are not unfolded)."""
     yield t
@@ -498,11 +490,6 @@ def pretty(t: Term) -> str:
 def is_ccsf(t: Term, env: Env = EMPTY_ENV) -> bool:
     """Finite terms: no named constants anywhere (div is allowed)."""
     return not any(isinstance(s, Const) for s in subterms(t))
-
-
-def can_ok_syntactic(t: Term) -> bool:
-    """Immediate success for constant-free terms: a top-level 1 summand."""
-    return any(isinstance(p, Unit) for p in summands(t))
 
 
 def action_names(ts: Iterable[Term], env: Env = EMPTY_ENV) -> set[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import DEFAULT_STATE_CAP, Product, cached_lts, compose
+from .lts import DEFAULT_STATE_CAP, Product, cached_lts, compose, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
 
 
@@ -82,55 +82,6 @@ def _bfs_path(product: Product, region: frozenset[int], start: int, goals: froze
     return None
 
 
-def _sccs(product: Product, region: frozenset[int]) -> list[list[int]]:
-    """Tarjan strongly connected components of the region subgraph (iterative)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in sorted(region):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                onstack.add(node)
-            succ = [j for j in product.succ[node] if j in region]
-            advanced = False
-            while ei < len(succ):
-                j = succ[ei]
-                ei += 1
-                if j not in index:
-                    work[-1] = (node, ei)
-                    work.append((j, 0))
-                    advanced = True
-                    break
-                if j in onstack:
-                    low[node] = min(low[node], index[j])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-            if work:
-                pnode, _ = work[-1]
-                low[pnode] = min(low[pnode], low[node])
-    return out
-
-
 def _unsuccessful_region(product: Product, ok_flags: list[bool]) -> frozenset[int]:
     """States reachable from the root through states whose flag is off."""
     if ok_flags[product.root]:
@@ -158,29 +109,21 @@ def find_unsuccessful_maximal(product: Product, side: str = "right") -> Optional
     path = _bfs_path(product, region, product.root, deadlocks)
     if path is not None:
         return Counterexample(product, tuple(path), "deadlock")
-    cyclic: set[int] = set()
-    for comp in _sccs(product, region):
-        if len(comp) > 1:
-            cyclic.update(comp)
-        else:
-            k = comp[0]
-            if k in product.succ[k]:
-                cyclic.add(k)
+    cyclic = on_cycle(region, lambda k: [k2 for k2 in product.succ[k] if k2 in region])
     if not cyclic:
         return None
-    entry = _bfs_path(product, region, product.root, frozenset(cyclic))
+    entry = _bfs_path(product, region, product.root, cyclic)
     assert entry is not None
     c = entry[-1]
-    # shortest cycle from c back to c inside the cyclic component's region
-    comp_region = frozenset(x for x in cyclic) & region
+    # shortest cycle from c back to c inside the cyclic states
     best: Optional[list[int]] = None
     for k2 in product.succ[c]:
-        if k2 not in comp_region and k2 != c:
+        if k2 not in cyclic:
             continue
         if k2 == c:
             best = [c]
             break
-        back = _bfs_path(product, comp_region, k2, frozenset({c}))
+        back = _bfs_path(product, cyclic, k2, frozenset({c}))
         if back is not None and (best is None or len(back) < len(best)):
             best = back
     assert best is not None
@@ -220,24 +163,8 @@ def enumerate_computations(
 ) -> tuple[Product, list[tuple[int, ...]]]:
     """All maximal computations of an acyclic product, as state-id paths."""
     product = _product_of(p, r, env, state_cap)
-    color: dict[int, int] = {}
-    stack: list[tuple[int, int]] = [(product.root, 0)]
-    while stack:
-        node, ei = stack[-1]
-        if ei == 0:
-            color[node] = 1
-        succ = product.succ[node]
-        if ei < len(succ):
-            stack[-1] = (node, ei + 1)
-            j = succ[ei]
-            c = color.get(j, 0)
-            if c == 1:
-                raise NotAcyclic("product graph has a cycle")
-            if c == 0:
-                stack.append((j, 0))
-        else:
-            color[node] = 2
-            stack.pop()
+    if on_cycle([product.root], product.succ.__getitem__):
+        raise NotAcyclic("product graph has a cycle")
     paths: list[tuple[int, ...]] = []
     walk: list[int] = [product.root]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import DEFAULT_STATE_CAP, Lts, Trace, cached_lts
+from .lts import DEFAULT_STATE_CAP, Lts, Trace, cached_lts, sccs
 from .syntax import (
     EMPTY_ENV,
     NIL,
@@ -48,66 +48,14 @@ class UsabilityReport:
 
 def _nonok_region_visible_acyclic(lts: Lts) -> bool:
     """No cycle of non-ok states that uses a visible edge."""
-    nodes = [i for i in range(len(lts)) if not lts.ok[i]]
-    node_set = set(nodes)
-    # Tarjan over the non-ok subgraph with every label admitted.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+    def succ(i: int) -> list[int]:
+        return [j for js in (lts.taus[i], *lts.vis[i].values()) for j in js if not lts.ok[j]]
+
     comp_of: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-
-    def successors(i: int) -> list[int]:
-        out = [j for j in lts.taus[i] if j in node_set]
-        for tgts in lts.vis[i].values():
-            out.extend(j for j in tgts if j in node_set)
-        return out
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                onstack.add(node)
-            succ = successors(node)
-            advanced = False
-            while ei < len(succ):
-                j = succ[ei]
-                ei += 1
-                if j not in index:
-                    work[-1] = (node, ei)
-                    work.append((j, 0))
-                    advanced = True
-                    break
-                if j in onstack:
-                    low[node] = min(low[node], index[j])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp_of[w] = ncomp
-                    if w == node:
-                        break
-                ncomp += 1
-            if work:
-                pnode, _ = work[-1]
-                low[pnode] = min(low[pnode], low[node])
-    for i in nodes:
-        for a, tgts in lts.vis[i].items():
-            for j in tgts:
-                if j in node_set and comp_of.get(i) == comp_of.get(j):
-                    return False
-    return True
+    for n, comp in enumerate(sccs((i for i in range(len(lts)) if not lts.ok[i]), succ)):
+        comp_of.update(dict.fromkeys(comp, n))
+    return not any(comp_of[i] == comp_of.get(j)
+                   for i in comp_of for tgts in lts.vis[i].values() for j in tgts)
 
 
 def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) -> tuple[bool, Optional[Term]]:
@@ -123,26 +71,18 @@ def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) ->
     if not C:
         # every branch already reached a success-capable state
         return True, NIL
-    memo: dict = lts._usable_memo
     key = (C, depth)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if key in getattr(lts, "_usable_stack", ()):  # pragma: no cover - guarded by precheck
-        raise VisibleCycle("usability recursion revisited a state set")
-    if not hasattr(lts, "_usable_stack"):
-        lts._usable_stack = set()
-    lts._usable_stack.add(key)
-    try:
-        result = _usable_closed(lts, C, depth)
-    finally:
-        lts._usable_stack.discard(key)
-    memo[key] = result
-    return result
+    got = lts._usable_memo.get(key)
+    if got is None:
+        # the recursion ends: each visible step lowers `depth`, or, for exact
+        # callers, who first check that the non-ok region has no visible
+        # cycle, moves deeper into that acyclic region
+        got = lts._usable_memo[key] = _usable_closed(lts, C, depth)
+    return got
 
 
 def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[bool, Optional[Term]]:
-    if lts._has_tau_cycle(C):
+    if C & lts.nonok_tau_cyclic:
         return False, None
     actions = sorted({a for i in C for a in lts.vis[i]}, key=label_key)
     usable_act: dict[Action, Optional[Term]] = {}

@@ -86,6 +86,17 @@ def test_normalize_command(defs_file, capsys):
     assert run(["--json", "normalize", defs_file, "-p", "Ex71", "--theory", "p2p"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] and "tau.0 + tau.1" in payload["normal_form"]
+    assert payload["exact"] is True
+
+
+def test_normalize_reports_a_shielded_merge(defs_file, capsys):
+    shielded = "a.(b.0 + tau.1) + b.(a.0 + tau.1)"
+    assert run(["--json", "normalize", defs_file, "-p", shielded]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is False
+    assert run(["normalize", defs_file, "-p", shielded]) == 0
+    assert "shielded" in capsys.readouterr().out
+    assert run(["normalize", defs_file, "-p", "Ex71"]) == 0
+    assert "shielded" not in capsys.readouterr().out
 
 
 def test_check_axioms_command(capsys):
@@ -122,7 +133,7 @@ def test_every_command_has_stable_json(defs_file, capsys):
         ("refines", defs_file, "--kind", "clt", "-l", "R1", "-r", "R2"):
             {"kind", "holds", "mode"},
         ("normalize", defs_file, "-p", "Ex71"): {"theory", "input", "normal_form",
-                                                 "valid"},
+                                                 "valid", "exact"},
         ("check-axioms", "--theory", "svr", "--samples", "2", "--depth", "1"):
             {"theory", "reports", "sound"},
         ("sweep", "--kind", "svr", "--depth", "0", "--test-limit", "40"):
@@ -141,3 +152,25 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
                 "--bound", "3"]) == 0
     assert "bounded" in capsys.readouterr().out
     assert run(["refines", str(path), "--kind", "svr", "-l", "A", "-r", "B"]) == 1
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["accsets", "{defs}", "-p", "P", "--trace", "~"], {}),
+    (["accsets", "{defs}", "-p", "P", "--trace", "a.b"], {}),
+    (["--state-cap", "0", "lts", "{defs}", "-p", "P"], {}),
+    (["--state-cap", "-3", "lts", "{defs}", "-p", "P"], {}),
+    (["lts", "{defs}", "-p", "P"], {"CCSWB_STATE_CAP": "abc"}),
+    (["lts", "{deep}", "-p", "P"], {}),
+    (["must", "{deep}", "-s", "P", "-c", "1"], {}),
+], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
+        "lts-deep-chain", "must-deep-chain"])
+def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
+    deep = tmp_path / "deep.ccs"
+    deep.write_text("def P = " + "a." * 3000 + "0\n")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [arg.format(defs=defs_file, deep=deep) for arg in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(("error:", "ccswb: error:")) for line in err.splitlines()), err
+    assert "Traceback" not in err

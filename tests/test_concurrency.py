@@ -1,0 +1,86 @@
+"""Shared graphs and the normalizer under concurrent use.
+
+Memo tables fill lazily and idempotently; no other state is shared between
+calls, so two threads working on one graph or normalizing side by side must
+see exactly the single-threaded answers.  A tiny switch interval makes the
+interpreter interleave the threads at almost every bytecode.
+"""
+import sys
+import threading
+
+import pytest
+
+from conftest import t
+from ccswb.equations import normalize_pnf_info
+from ccswb.lts import Lts
+from ccswb.syntax import Const, parse_defs
+from ccswb.usability import usable_set
+
+ACTIONS = ("a", "b", "c", "d")
+N_CONSTS = 40
+
+
+def _recursive_client() -> str:
+    """Every state offers every co-action; a few states also move silently."""
+    lines = []
+    for i in range(N_CONSTS):
+        parts = [f"~{a}.P{(3 * i + 7 * k + 1) % N_CONSTS}" for k, a in enumerate(ACTIONS)]
+        if i % 9 == 4:
+            parts.append(f"tau.P{(i + 5) % N_CONSTS}")
+        if i % 13 == 5:
+            parts.append("1")
+        lines.append(f"def P{i} = " + " + ".join(parts))
+    return "\n".join(lines)
+
+
+@pytest.fixture()
+def fast_switching():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _run_together(*jobs):
+    """Run the jobs in one thread each; return their results or exceptions."""
+    results = [None] * len(jobs)
+
+    def runner(i, job):
+        try:
+            results[i] = job()
+        except BaseException as exc:  # reported to the test thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=runner, args=(i, job)) for i, job in enumerate(jobs)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+        assert not th.is_alive()
+    return results
+
+
+def test_shared_graph_usable_set_from_two_threads(fast_switching):
+    env, _ = parse_defs(_recursive_client())
+    expected = usable_set(Lts(Const("P0"), env), frozenset({0}), 5)
+    for _ in range(20):
+        lts = Lts(Const("P0"), env)
+        root = frozenset({lts.root})
+        results = _run_together(lambda: usable_set(lts, root, 5), lambda: usable_set(lts, root, 5))
+        assert results == [expected, expected]
+
+
+def test_normalize_flags_from_two_threads(fast_switching):
+    shielded = t("a.(b.0 + tau.1) + b.(a.0 + tau.1)")
+    exact = t("a.(b.0 (+) c.1) + a.(b.1 (+) c.0)")
+    assert normalize_pnf_info(shielded)[1] is False
+    assert normalize_pnf_info(exact)[1] is True
+
+    def flags(term):
+        return [normalize_pnf_info(term)[1] for _ in range(3000)]
+
+    got_shielded, got_exact = _run_together(lambda: flags(shielded), lambda: flags(exact))
+    assert got_shielded == [False] * 3000
+    assert got_exact == [True] * 3000

@@ -3,7 +3,10 @@ import itertools
 import pytest
 
 from conftest import t
-from ccswb.lts import StateCapExceeded, build_lts, cached_lts, can_ok, compose, transitions
+from hypothesis import given, strategies as st
+
+from ccswb.lts import (StateCapExceeded, build_lts, cached_lts, can_ok, compose, on_cycle, sccs,
+                       transitions)
 from ccswb.syntax import Action, Const, NIL, OK, TAU, parse_defs, pretty
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
@@ -19,12 +22,12 @@ def acc_ut(term, trace):
 
 def after(term, trace):
     lts = cached_lts(term)
-    return {lts.term_of(i) for i in lts.weak_after(tuple(trace))}
+    return {lts.terms[i] for i in lts.weak_after(tuple(trace))}
 
 
 def after_ut(term, trace):
     lts = cached_lts(term)
-    return {lts.term_of(i) for i in lts.unsuccessful_after(tuple(trace))}
+    return {lts.terms[i] for i in lts.unsuccessful_after(tuple(trace))}
 
 
 def test_one_step_transitions():
@@ -155,3 +158,55 @@ def test_dot_export():
     assert "doublecircle" in dot and "digraph" in dot
     product = compose(cached_lts(t("~a.0")), cached_lts(t("a.1")))
     assert "||" in product.to_dot()
+
+
+@st.composite
+def digraphs(draw):
+    """Digraphs on 0..n-1 for n <= 12, self-loops included."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.sets(st.tuples(node, node), max_size=40)) if n else set()
+    return n, {v: sorted(w for u, w in edges if u == v) for v in range(n)}
+
+
+def _reach(succ, v):
+    """Nodes reachable from v in at least one step."""
+    seen: set = set()
+    stack = list(succ[v])
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(succ[w])
+    return seen
+
+
+@given(digraphs())
+def test_graph_kernel_matches_brute_force(graph):
+    n, succ = graph
+    reach = {v: _reach(succ, v) for v in range(n)}
+    assert on_cycle(range(n), succ.__getitem__) == {v for v in range(n) if v in reach[v]}
+    comps = sccs(range(n), succ.__getitem__)
+    classes = {frozenset({v} | {w for w in reach[v] if v in reach[w]}) for v in range(n)}
+    assert sorted(map(sorted, comps)) == sorted(map(sorted, classes))
+    # each component comes after every component it reaches
+    position = {v: i for i, comp in enumerate(comps) for v in comp}
+    assert all(position[w] <= position[v] for v in range(n) for w in succ[v])
+    if n:
+        assert {v for comp in sccs([0], succ.__getitem__) for v in comp} == {0} | reach[0]
+
+
+def test_graph_kernel_does_not_recurse():
+    n = 10_000
+    succ = [[i + 1] for i in range(n - 1)] + [[n - 10]]
+    assert on_cycle([0], succ.__getitem__) == set(range(n - 10, n))
+    assert len(sccs([0], succ.__getitem__)) == n - 9
+
+
+def test_tau_cycle_sets():
+    env, _ = parse_defs("def A = tau.B + a.A\ndef B = tau.A + 1\ndef C = tau.C + tau.A")
+    lts = build_lts(Const("C"), env)
+    named = lambda states: {pretty(lts.terms[i]) for i in states}
+    assert named(lts.tau_cyclic) == {"A", "B", "C"}
+    assert named(lts.nonok_tau_cyclic) == {"C"}
+    assert not lts.converges() and lts.diverges_unsuccessfully()
