@@ -13,7 +13,7 @@ from .syntax import (
     parse_term,
     pretty,
 )
-from .lts import Lts, Product, StateCapExceeded, build_lts, can_ok, compose, transitions
+from .lts import Lts, Product, StateCapExceeded, can_ok, transitions
 from .testing import Verdict, must, must_sc
 from .usability import UsabilityReport, peer_conv, uaut, usable, usbut
 from .preorders import (
@@ -48,9 +48,7 @@ __all__ = [
     "Lts",
     "Product",
     "StateCapExceeded",
-    "build_lts",
     "can_ok",
-    "compose",
     "transitions",
     "Verdict",
     "must",

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import equations, oracle, preorders, testing, usability
-from .lts import DEFAULT_STATE_CAP, StateCapExceeded, cached_lts, compose
+from .lts import DEFAULT_STATE_CAP, Product, StateCapExceeded, cached_lts
 from .syntax import Action, EMPTY_ENV, Env, SyntaxErr, Term, parse_defs, parse_term, pretty
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def _must_common(args, symmetric: bool) -> int:
     client = _term(env, args.client)
     cap = _state_cap(args)
     if args.dot:
-        product = compose(cached_lts(server, env, cap), cached_lts(client, env, cap), cap)
+        product = Product(cached_lts(server, env, cap), cached_lts(client, env, cap), cap)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(product.to_dot())
     verdict = (testing.must_sc if symmetric else testing.must)(server, client, env, cap)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .syntax import (
     DIV,
@@ -30,6 +30,7 @@ from .syntax import (
     Unit,
     is_ccsf,
     label_key,
+    label_set_key,
     mk_sum,
     pretty,
     term_key,
@@ -38,6 +39,7 @@ from .syntax import (
 #: ready-set members: visible actions plus the success marker
 FamLabel = Union[Action, Ok]
 Family = frozenset[frozenset]
+_V = TypeVar("_V")
 
 
 class NotCCSf(ValueError):
@@ -108,7 +110,7 @@ class PnfTau(Pnf):
         return dict(self.leaves)
 
 
-def _sorted_items(d: dict[Action, Pnf]) -> tuple[tuple[Action, Pnf], ...]:
+def _sorted_items(d: dict[Action, _V]) -> tuple[tuple[Action, _V], ...]:
     return tuple(sorted(d.items(), key=lambda kv: label_key(kv[0])))
 
 
@@ -156,18 +158,20 @@ def _strip(n: Pnf) -> Pnf:
     return replace(n, unit=False)  # type: ignore[arg-type]
 
 
-def tau_single(n: Pnf) -> Pnf:
-    """Normal form of a single internal step onto `n`."""
+def tau_single(n: Pnf) -> tuple[Pnf, bool]:
+    """Normal form of a single internal step onto `n`, and whether it is
+    exact: False for a success-carrying divergence, whose internal step the
+    grammar cannot express, so `div + 1` stands in for it from above."""
     if isinstance(n, PnfDiv):
-        return n
+        return n, not n.unit
     if isinstance(n, PnfExt):
         labels: set[FamLabel] = set(n.branch_map())
         if n.unit:
             labels.add(OK)
         # an internal commitment to deadlock keeps an explicit empty branch
-        return PnfTau(frozenset({frozenset(labels)}), n.branches, False)
+        return PnfTau(frozenset({frozenset(labels)}), n.branches, False), True
     if isinstance(n, PnfTau):
-        return _strip(n) if n.unit else n
+        return (_strip(n) if n.unit else n), True
     raise TypeError(n)
 
 
@@ -176,7 +180,9 @@ def _unify(a: Pnf, b: Pnf) -> tuple[Pnf, bool]:
     with the merge's exactness flag."""
     if a == b:
         return a, True
-    merged, exact = plus_pnf(tau_single(a), tau_single(b))
+    (ta, ok1), (tb, ok2) = tau_single(a), tau_single(b)
+    merged, exact = plus_pnf(ta, tb)
+    exact = exact and ok1 and ok2
     if pnf_can_ok(a) and pnf_can_ok(b):
         return okify(merged), exact
     return merged, exact
@@ -198,7 +204,8 @@ def _merge_maps(n: dict[Action, Pnf], m: dict[Action, Pnf]) -> tuple[dict[Action
 def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
     """Normal form of the external choice of two normal forms, and whether
     it is exact: False when the merge had to shield an unsuccessful visible
-    step under a success-capable internal branch."""
+    step under a success-capable internal branch, or took an inexact
+    internal step (see `tau_single`)."""
     if n == _ZERO:
         return m, True
     if m == _ZERO:
@@ -219,21 +226,21 @@ def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
     else:
         ext, tau = (n0, m0) if isinstance(n0, PnfExt) else (m0, n0)
         assert isinstance(ext, PnfExt) and isinstance(tau, PnfTau)
-        fam_key = lambda A: tuple(sorted(label_key(x) for x in A))
         nonok_members = [A for A in tau.family if OK not in A]
         if nonok_members:
-            b1 = min(nonok_members, key=fam_key)
+            b1 = min(nonok_members, key=label_set_key)
         else:
             # Lifting the prefixes under a branch that can already succeed
             # shields their unsuccessful steps; the result can sit strictly
             # above the source whenever such a step exists.
-            b1 = min(tau.family, key=fam_key)
+            b1 = min(tau.family, key=label_set_key)
             exact = all(pnf_can_ok(c) for _, c in ext.branches)
         lm = tau.leaf_map()
         ext_b1 = make_ext({a: lm[a] for a in b1 if isinstance(a, Action)}, OK in b1)
         inner, ok1 = plus_pnf(ext, ext_b1)
-        out, ok2 = plus_pnf(tau_single(inner), tau)
-        exact = exact and ok1 and ok2
+        stepped, ok2 = tau_single(inner)
+        out, ok3 = plus_pnf(stepped, tau)
+        exact = exact and ok1 and ok2 and ok3
     return (okify(out) if unit else out), exact
 
 
@@ -244,7 +251,9 @@ def normalize_pnf(t: Term, env: Env = EMPTY_ENV) -> Pnf:
 
 def normalize_pnf_info(t: Term, env: Env = EMPTY_ENV) -> tuple[Pnf, bool]:
     """Normal form plus an exactness flag: False when the merge had to shield
-    an unsuccessful visible step under a success-capable internal branch."""
+    an unsuccessful visible step under a success-capable internal branch, or
+    an internal step led to a success-carrying divergence (`tau.(1 + div)`);
+    in both cases the form can sit strictly above the source."""
     return _normalize(t, env)
 
 
@@ -263,7 +272,8 @@ def _normalize(t: Term, env: Env) -> tuple[Pnf, bool]:
             body, exact = go(t.body)
             if isinstance(t.guard, Action):
                 return make_ext({t.guard: body}, False), exact
-            return tau_single(body), exact
+            stepped, ok = tau_single(body)
+            return stepped, exact and ok
         if isinstance(t, Sum):
             acc, exact = go(t.parts[0])
             for p in t.parts[1:]:
@@ -289,7 +299,7 @@ def pnf_to_term(n: Pnf) -> Term:
     if isinstance(n, PnfTau):
         lm = n.leaf_map()
         parts = []
-        for A in sorted(n.family, key=lambda A: tuple(sorted(label_key(x) for x in A))):
+        for A in sorted(n.family, key=label_set_key):
             branch = [UNIT if isinstance(lab, Ok) else Prefix(lab, pnf_to_term(lm[lab]))
                       for lab in sorted(A, key=label_key)]
             parts.append(Prefix(TAU, mk_sum(branch)))
@@ -383,16 +393,14 @@ def pnf_to_cnf(n: Pnf) -> Cnf:
     if isinstance(n, PnfDiv):
         return CnfDiv()
     if isinstance(n, PnfExt):
-        return CnfExt(tuple(sorted(((a, pnf_to_cnf(c)) for a, c in n.branches),
-                                   key=lambda kv: label_key(kv[0]))))
+        return CnfExt(_sorted_items({a: pnf_to_cnf(c) for a, c in n.branches}))
     assert isinstance(n, PnfTau)
     plain = frozenset(A for A in n.family if OK not in A)
     if not plain:
         return CnfTauUnit()
     lm = n.leaf_map()
     labels = {a for A in plain for a in A}
-    leaves = tuple(sorted(((a, pnf_to_cnf(lm[a])) for a in labels),
-                          key=lambda kv: label_key(kv[0])))
+    leaves = _sorted_items({a: pnf_to_cnf(lm[a]) for a in labels})
     return CnfTau(plain, leaves, tau_unit=any(OK in A for A in n.family))
 
 
@@ -414,7 +422,7 @@ def cnf_to_term(n: Cnf) -> Term:
     if isinstance(n, CnfTau):
         lm = n.leaf_map()
         parts: list[Term] = []
-        for A in sorted(n.family, key=lambda A: tuple(sorted(label_key(x) for x in A))):
+        for A in sorted(n.family, key=label_set_key):
             parts.append(Prefix(TAU, mk_sum([Prefix(a, cnf_to_term(lm[a]))
                                              for a in sorted(A, key=label_key)])))
         if n.tau_unit:

@@ -179,7 +179,6 @@ class Lts:
         # memo tables, keyed per graph
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
-        self._conv_memo: dict[tuple[frozenset[int], Trace], bool] = {}
         self._usable_memo: dict = {}
 
     # -- basic views ------------------------------------------------------
@@ -240,23 +239,20 @@ class Lts:
             out.update(self.vis[i].get(a, ()))
         return frozenset(out)
 
-    def weak_after_set(self, states: frozenset[int], s: Trace) -> frozenset[int]:
-        cur = self.tau_closure(states)
+    def residuals(self, s: Trace, unsuccessful: bool = False) -> list[frozenset[int]]:
+        """Weak (or unsuccessful) residual sets after each prefix of `s`,
+        from the root's closure to the residual after all of `s`."""
+        close = self.unsuccessful_closure if unsuccessful else self.tau_closure
+        out = [close(frozenset({self.root}))]
         for a in s:
-            cur = self.tau_closure(self.step(cur, a))
-        return cur
+            out.append(close(self.step(out[-1], a)))
+        return out
 
     def weak_after(self, s: Trace) -> frozenset[int]:
-        return self.weak_after_set(frozenset({self.root}), s)
-
-    def unsuccessful_after_set(self, states: frozenset[int], s: Trace) -> frozenset[int]:
-        cur = self.unsuccessful_closure(states)
-        for a in s:
-            cur = self.unsuccessful_closure(self.step(cur, a))
-        return cur
+        return self.residuals(s)[-1]
 
     def unsuccessful_after(self, s: Trace) -> frozenset[int]:
-        return self.unsuccessful_after_set(frozenset({self.root}), s)
+        return self.residuals(s, True)[-1]
 
     # -- acceptance sets ----------------------------------------------------
 
@@ -280,21 +276,8 @@ class Lts:
     def converges(self) -> bool:
         return self.converges_state_set(frozenset({self.root}))
 
-    def converges_along_set(self, states: frozenset[int], s: Trace) -> bool:
-        key = (states, s)
-        cached = self._conv_memo.get(key)
-        if cached is not None:
-            return cached
-        ok = self.converges_state_set(states)
-        if ok and s:
-            nxt = self.tau_closure(self.step(self.tau_closure(states), s[0]))
-            if nxt:
-                ok = self.converges_along_set(nxt, s[1:])
-        self._conv_memo[key] = ok
-        return ok
-
     def converges_along(self, s: Trace) -> bool:
-        return self.converges_along_set(frozenset({self.root}), s)
+        return all(self.converges_state_set(w) for w in self.residuals(s))
 
     def diverges_unsuccessfully(self) -> bool:
         """An infinite tau run all of whose states are non-ok."""
@@ -315,10 +298,6 @@ class Lts:
                 lines.append(f'  s{i} -> s{j} [label="{txt}"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def build_lts(t: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
-    return Lts(t, env, state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +381,6 @@ class Product:
                 lines.append(f'  s{k} -> s{k2} [label="tau"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def compose(left: Lts, right: Lts, state_cap: int = DEFAULT_STATE_CAP) -> Product:
-    return Product(left, right, state_cap)
 
 
 _LTS_CACHE: dict[tuple[Env, Term, int], Lts] = {}

@@ -48,21 +48,17 @@ class EnumSpec:
 
 
 def term_size(t: Term) -> int:
-    from .syntax import Prefix as _P, Sum as _S
-
-    if isinstance(t, _P):
+    if isinstance(t, Prefix):
         return 1 + term_size(t.body)
-    if isinstance(t, _S):
+    if isinstance(t, Sum):
         return 1 + sum(term_size(p) for p in t.parts)
     return 1
 
 
 def _prefix_depth(t: Term) -> int:
-    from .syntax import Prefix as _P, Sum as _S
-
-    if isinstance(t, _P):
+    if isinstance(t, Prefix):
         return 1 + _prefix_depth(t.body)
-    if isinstance(t, _S):
+    if isinstance(t, Sum):
         return max(_prefix_depth(p) for p in t.parts)
     return 0
 

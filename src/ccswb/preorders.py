@@ -26,6 +26,7 @@ from .syntax import (
     fresh_action,
     is_ccsf,
     label_key,
+    label_set_key,
     mk_sum,
     pretty,
     visible_depth,
@@ -72,7 +73,6 @@ class RefinementVerdict:
     mode: str  # "exact" | "bounded"
     bound: Optional[int] = None
     failing_clause: Optional[FailingClause] = None
-    witness_test: Optional[Term] = None
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "holds": self.holds, "mode": self.mode}
@@ -80,13 +80,7 @@ class RefinementVerdict:
             out["bound"] = self.bound
         if self.failing_clause is not None:
             out["failing_clause"] = self.failing_clause.to_json()
-        if self.witness_test is not None:
-            out["witness_test"] = pretty(self.witness_test)
         return out
-
-
-def _ready_key(rs: frozenset[Action]) -> tuple:
-    return tuple(sorted(label_key(a) for a in rs))
 
 
 @dataclass
@@ -201,7 +195,7 @@ class _Engine:
         if not (node.usb2 if premise == "usability_flow" else node.conv2):
             return FailingClause(premise, part, node.trace)
         r1, r2 = (node.w1, node.w2) if residual == "w" else (node.x1, node.x2)
-        acc2 = sorted(self.lts2.ready_sets_of(r2), key=_ready_key)
+        acc2 = sorted(self.lts2.ready_sets_of(r2), key=label_set_key)
         if acc2:
             acc1 = self.lts1.ready_sets_of(r1)
             for B in acc2:
@@ -307,9 +301,7 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[
     f = fresh_action([p, q], env)
     fp = mk_sum([Prefix(f, UNIT), p])
     fq = mk_sum([Prefix(f, UNIT), q])
-    inner = _decide(kind, fp, fq, env, bound, state_cap)
-    return RefinementVerdict(kind, inner.holds, inner.mode, bound, inner.failing_clause,
-                             inner.witness_test)
+    return _decide(kind, fp, fq, env, bound, state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +330,6 @@ def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV, state_cap: int = D
 # ---------------------------------------------------------------------------
 # Distinguishing-test synthesis
 # ---------------------------------------------------------------------------
-
-
-def _x_sets(lts: Lts, s: Trace) -> list[frozenset[int]]:
-    """Unsuccessful residual sets along every prefix of s (length |s|+1)."""
-    out = [lts.unsuccessful_closure(frozenset({lts.root}))]
-    for a in s:
-        out.append(lts.unsuccessful_closure(lts.step(out[-1], a)))
-    return out
 
 
 def _witness_or_nil(lts: Lts, states: frozenset[int]) -> Term:
@@ -406,7 +390,7 @@ def _svr_witness(lts1: Lts, clause: FailingClause) -> Term:
 def _clt_witness(lts1: Lts, clause: FailingClause, peer: bool = False) -> Term:
     """Client chains; the peer variants can also succeed at every stage."""
     s = clause.trace
-    xs = _x_sets(lts1, s)
+    xs = lts1.residuals(s, True)
     lift = _with_unit if peer else (lambda t: t)
 
     def escape(k: int) -> list[Term]:
@@ -432,7 +416,7 @@ def _p2p_usmpo_witness(lts1: Lts, clause: FailingClause) -> Term:
     """Peer chains with tau-guarded success escapes; sound under the
     convergence half of the guard."""
     s = clause.trace
-    xs = _x_sets(lts1, s)
+    xs = lts1.residuals(s, True)
 
     def commit(k: int) -> Term:
         return Prefix(TAU, _with_unit(_witness_or_nil(lts1, xs[k])))

@@ -63,6 +63,11 @@ def label_key(lab: Label) -> tuple:
     return (2, lab.name, lab.co)
 
 
+def label_set_key(labels: Iterable[Label]) -> tuple:
+    """Order on label sets (ready sets, branch families): sorted member keys."""
+    return tuple(sorted(label_key(x) for x in labels))
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -73,38 +78,29 @@ class Term:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return pretty(self)
+
 
 @dataclass(frozen=True)
 class Unit(Term):
     """The success process `1`."""
-
-    def __str__(self) -> str:
-        return pretty(self)
 
 
 @dataclass(frozen=True)
 class Nil(Term):
     """The empty sum `0`."""
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Div(Term):
     """The purely divergent process `div` (a tau self-loop)."""
-
-    def __str__(self) -> str:
-        return pretty(self)
 
 
 @dataclass(frozen=True)
 class Prefix(Term):
     guard: Union[Tau, Action]
     body: Term
-
-    def __str__(self) -> str:
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -113,16 +109,10 @@ class Sum(Term):
 
     parts: tuple[Term, ...]
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Const(Term):
     name: str
-
-    def __str__(self) -> str:
-        return pretty(self)
 
 
 UNIT = Unit()
@@ -163,10 +153,6 @@ def mk_sum(parts: Iterable[Term]) -> Term:
     if len(uniq) == 1:
         return uniq[0]
     return Sum(tuple(uniq))
-
-
-def prefix(guard: Union[Tau, Action], body: Term) -> Prefix:
-    return Prefix(guard, body)
 
 
 def internal_choice(left: Term, right: Term) -> Term:
@@ -218,9 +204,6 @@ class Env:
         env = Env(items)
         env.validate()
         return env
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.defs)
 
     def lookup(self, name: str) -> Term:
         try:

@@ -8,9 +8,9 @@ the check is a reachability/cycle search rather than run enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .lts import DEFAULT_STATE_CAP, Product, cached_lts, compose, on_cycle
+from .lts import DEFAULT_STATE_CAP, Product, cached_lts, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
 
 
@@ -60,78 +60,70 @@ class Verdict:
         return out
 
 
-def _bfs_path(product: Product, region: frozenset[int], start: int, goals: frozenset[int]) -> Optional[list[int]]:
-    """Shortest path within `region` from start to any goal state."""
-    if start not in region:
-        return None
+def _bfs(succ: list[tuple[int, ...]], start: int, within: Callable[[int], bool],
+         goal: Callable[[int], bool]) -> tuple[list[int], dict[int, int], Optional[int]]:
+    """Breadth-first search from `start` through the states `within` admits,
+    stopping at the first dequeued `goal` state.  Returns the visit order, the
+    parent map and that goal state (None when the search exhausts the region)."""
     parent: dict[int, int] = {start: start}
-    queue = [start]
+    order = [start]
     qi = 0
-    while qi < len(queue):
-        k = queue[qi]
+    while qi < len(order):
+        k = order[qi]
         qi += 1
-        if k in goals:
-            path = [k]
-            while path[-1] != start:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-        for k2 in product.succ[k]:
-            if k2 in region and k2 not in parent:
+        if goal(k):
+            return order, parent, k
+        for k2 in succ[k]:
+            if k2 not in parent and within(k2):
                 parent[k2] = k
-                queue.append(k2)
-    return None
+                order.append(k2)
+    return order, parent, None
 
 
-def _unsuccessful_region(product: Product, ok_flags: list[bool]) -> frozenset[int]:
-    """States reachable from the root through states whose flag is off."""
-    if ok_flags[product.root]:
-        return frozenset()
-    seen = {product.root}
-    queue = [product.root]
-    qi = 0
-    while qi < len(queue):
-        k = queue[qi]
-        qi += 1
-        for k2 in product.succ[k]:
-            if not ok_flags[k2] and k2 not in seen:
-                seen.add(k2)
-                queue.append(k2)
-    return frozenset(seen)
+def _path(parent: dict[int, int], k: int) -> list[int]:
+    """The BFS tree path from the start state to `k`."""
+    path = [k]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def find_unsuccessful_maximal(product: Product, side: str = "right") -> Optional[Counterexample]:
-    """Shortest evidence that some maximal computation never lets `side` succeed."""
+    """Shortest evidence that some maximal computation never lets `side` succeed.
+
+    One search over the unsuccessful region finds the nearest deadlock; when
+    there is none, the first cyclic state it visited is the lasso entry."""
     ok_flags = product.right_ok if side == "right" else product.left_ok
-    region = _unsuccessful_region(product, ok_flags)
-    if not region:
+    if ok_flags[product.root]:
         return None
-    deadlocks = frozenset(k for k in region if product.stable(k))
-    path = _bfs_path(product, region, product.root, deadlocks)
-    if path is not None:
-        return Counterexample(product, tuple(path), "deadlock")
-    cyclic = on_cycle(region, lambda k: [k2 for k2 in product.succ[k] if k2 in region])
-    if not cyclic:
+    succ = product.succ
+    order, parent, dead = _bfs(succ, product.root, lambda k: not ok_flags[k], product.stable)
+    if dead is not None:
+        return Counterexample(product, tuple(_path(parent, dead)), "deadlock")
+    cyclic = on_cycle(order, lambda k: [k2 for k2 in succ[k] if not ok_flags[k2]])
+    c = next((k for k in order if k in cyclic), None)
+    if c is None:
         return None
-    entry = _bfs_path(product, region, product.root, cyclic)
-    assert entry is not None
-    c = entry[-1]
+    entry = _path(parent, c)
     # shortest cycle from c back to c inside the cyclic states
     best: Optional[list[int]] = None
-    for k2 in product.succ[c]:
+    for k2 in succ[c]:
         if k2 not in cyclic:
             continue
         if k2 == c:
             best = [c]
             break
-        back = _bfs_path(product, cyclic, k2, frozenset({c}))
-        if back is not None and (best is None or len(back) < len(best)):
-            best = back
+        _, back, found = _bfs(succ, k2, cyclic.__contains__, lambda k: k == c)
+        if found is not None:
+            path = _path(back, c)
+            if best is None or len(path) < len(best):
+                best = path
     assert best is not None
     return Counterexample(product, tuple(entry + best), "lasso", loop_start=len(entry) - 1)
 
 
 def _product_of(p: Term, r: Term, env: Env, state_cap: int) -> Product:
-    return compose(cached_lts(p, env, state_cap), cached_lts(r, env, state_cap), state_cap)
+    return Product(cached_lts(p, env, state_cap), cached_lts(r, env, state_cap), state_cap)
 
 
 def must(p: Term, r: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:

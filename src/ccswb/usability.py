@@ -20,7 +20,9 @@ from .syntax import (
     Term,
     label_key,
     mk_sum,
+    pretty,
 )
+from .testing import must
 
 
 class VisibleCycle(RuntimeError):
@@ -36,8 +38,6 @@ class UsabilityReport:
     depth: Optional[int] = None
 
     def to_json(self) -> dict:
-        from .syntax import pretty
-
         out: dict = {"usable": self.usable, "mode": self.mode}
         if self.depth is not None:
             out["depth"] = self.depth
@@ -130,17 +130,9 @@ def usable(
         ok, wit = usable_set(lts, frozenset({lts.root}), depth)
         report = UsabilityReport(ok, wit if ok else None, mode, depth)
     if verify_witness and report.usable and report.witness_server is not None:
-        from .testing import must
-
         if not must(report.witness_server, r, env, state_cap).holds:
             raise RuntimeError(f"internal error: witness server failed verification for {r}")
     return report
-
-
-def _usable_root(lts: Lts, depth: Optional[int] = None) -> bool:
-    if lts.ok[lts.root]:
-        return True
-    return usable_set(lts, frozenset({lts.root}), depth)[0]
 
 
 def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None,
@@ -150,16 +142,7 @@ def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None,
     lts = cached_lts(r, env, state_cap)
     if depth is None and not _nonok_region_visible_acyclic(lts):
         raise VisibleCycle("exact usability undecided; rerun bounded")
-    if not _usable_root(lts, depth):
-        return False
-    cur = lts.unsuccessful_closure(frozenset({lts.root}))
-    for a in s:
-        cur = lts.unsuccessful_closure(lts.step(cur, a))
-        if not cur:
-            return True
-        if not usable_set(lts, cur, depth)[0]:
-            return False
-    return True
+    return all(not x or usable_set(lts, x, depth)[0] for x in lts.residuals(s, True))
 
 
 def uaut(
@@ -173,16 +156,12 @@ def uaut(
     """Usable actions after `s`: those the client cannot perform unsuccessfully,
     or whose pooled residual is still satisfiable."""
     lts = cached_lts(r, env, state_cap)
-    alpha = alphabet if alphabet is not None else lts.alphabet()
-    cur = lts.unsuccessful_closure(frozenset({lts.root}))
-    for a in s:
-        cur = lts.unsuccessful_closure(lts.step(cur, a))
-    out: set[Action] = set()
-    for a in sorted(alpha, key=label_key):
-        nxt = lts.unsuccessful_closure(lts.step(cur, a))
-        if not nxt or usbut(r, s + (a,), env, depth, state_cap):
-            out.add(a)
-    return frozenset(out)
+    cur = lts.unsuccessful_after(s)
+    nxt = {a: lts.unsuccessful_closure(lts.step(cur, a))
+           for a in sorted(alphabet if alphabet is not None else lts.alphabet(), key=label_key)}
+    # an action the client can still perform unsuccessfully needs `s` usable
+    along = any(nxt.values()) and usbut(r, s, env, depth, state_cap)
+    return frozenset(a for a, x in nxt.items() if not x or (along and usable_set(lts, x, depth)[0]))
 
 
 def peer_conv(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None,

@@ -88,6 +88,29 @@ def test_merge_with_both_successful_derivatives():
         assert leq_plus("p2p", rendered, source).holds
 
 
+def test_internal_step_to_successful_divergence_is_not_exact():
+    # no normal form expresses an internal step onto div + 1; the form
+    # renders as div + 1, strictly above the source
+    n, exact = normalize_pnf_info(t("tau.(1 + div)"))
+    assert n == PnfDiv(True) and exact is False
+
+
+def test_criterion_3_rule_on_div_terms():
+    # source <= PNF under p2p+, plus the converse and the CNF checks when exact
+    terms = list(enumerate_terms(EnumSpec(("a",), 1, max_width=2, allow_div=True)))
+    assert len(terms) == 106
+    for term in terms:
+        n, exact = normalize_pnf_info(term)
+        rendered = pnf_to_term(n)
+        assert leq_plus("p2p", term, rendered).holds, pretty(term)
+        if not exact:
+            continue
+        assert leq_plus("p2p", rendered, term).holds, pretty(term)
+        crendered = cnf_to_term(normalize_cnf(term))
+        assert leq_plus("clt", term, crendered).holds, pretty(term)
+        assert leq_plus("clt", crendered, term).holds, pretty(term)
+
+
 def test_normalize_rejects_recursive_terms():
     env, _ = parse_defs("def A = ~a.A")
     with pytest.raises(NotCCSf):

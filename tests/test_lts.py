@@ -5,7 +5,7 @@ import pytest
 from conftest import t
 from hypothesis import given, strategies as st
 
-from ccswb.lts import (StateCapExceeded, build_lts, cached_lts, can_ok, compose, on_cycle, sccs,
+from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
 from ccswb.syntax import Action, Const, NIL, OK, TAU, parse_defs, pretty
 
@@ -44,35 +44,35 @@ def test_can_ok():
 
 
 def test_build_lts_sizes():
-    lts = build_lts(t("a.b.0"))
+    lts = Lts(t("a.b.0"))
     assert (len(lts), lts.n_edges()) == (3, 2)
     env, _ = parse_defs("def A = ~a.A")
-    lts = build_lts(Const("A"), env)
+    lts = Lts(Const("A"), env)
     assert (len(lts), lts.n_edges()) == (1, 1)
-    lts = build_lts(t("div"))
+    lts = Lts(t("div"))
     assert (len(lts), lts.n_edges()) == (1, 1)
 
 
 def test_state_cap():
     with pytest.raises(StateCapExceeded):
-        build_lts(t("a.b.c.d.0"), state_cap=3)
+        Lts(t("a.b.c.d.0"), state_cap=3)
     with pytest.raises(StateCapExceeded):
-        compose(cached_lts(t("a.b.c.0")), cached_lts(t("~a.~b.~c.1")), state_cap=2)
+        Product(cached_lts(t("a.b.c.0")), cached_lts(t("~a.~b.~c.1")), state_cap=2)
 
 
 def test_compose_examples():
-    p = compose(cached_lts(t("~a.0")), cached_lts(t("a.1")))
+    p = Product(cached_lts(t("~a.0")), cached_lts(t("a.1")))
     assert len(p) == 2 and p.succ[p.root] and p.right_ok[1] and not p.right_ok[p.root]
-    p = compose(cached_lts(t("0")), cached_lts(t("tau.0")))
+    p = Product(cached_lts(t("0")), cached_lts(t("tau.0")))
     assert len(p) == 2 and len(p.succ[p.root]) == 1
-    p = compose(cached_lts(t("~b.0")), cached_lts(t("a.0")))
+    p = Product(cached_lts(t("~b.0")), cached_lts(t("a.0")))
     assert p.stable(p.root)
 
 
 def test_compose_is_symmetric_up_to_swap(small_corpus):
     for left, right in itertools.islice(zip(small_corpus, reversed(small_corpus)), 40):
-        pq = compose(cached_lts(left), cached_lts(right))
-        qp = compose(cached_lts(right), cached_lts(left))
+        pq = Product(cached_lts(left), cached_lts(right))
+        qp = Product(cached_lts(right), cached_lts(left))
         assert len(pq) == len(qp)
         remap = {pq.states[k]: k for k in range(len(pq))}
         for k in range(len(qp)):
@@ -156,7 +156,7 @@ def test_diverges_unsuccessfully():
 def test_dot_export():
     dot = cached_lts(t("a.1 + b.0")).to_dot()
     assert "doublecircle" in dot and "digraph" in dot
-    product = compose(cached_lts(t("~a.0")), cached_lts(t("a.1")))
+    product = Product(cached_lts(t("~a.0")), cached_lts(t("a.1")))
     assert "||" in product.to_dot()
 
 
@@ -205,7 +205,7 @@ def test_graph_kernel_does_not_recurse():
 
 def test_tau_cycle_sets():
     env, _ = parse_defs("def A = tau.B + a.A\ndef B = tau.A + 1\ndef C = tau.C + tau.A")
-    lts = build_lts(Const("C"), env)
+    lts = Lts(Const("C"), env)
     named = lambda states: {pretty(lts.terms[i]) for i in states}
     assert named(lts.tau_cyclic) == {"A", "B", "C"}
     assert named(lts.nonok_tau_cyclic) == {"C"}

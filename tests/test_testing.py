@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import t
-from ccswb.lts import cached_lts, compose
+from ccswb.syntax import Const, parse_defs
 from ccswb.testing import (
     BoundExceeded,
     NotAcyclic,
@@ -113,8 +113,6 @@ def test_oracle_agrees_with_lasso_algorithm(small_corpus):
 
 
 def test_must_with_recursive_definitions():
-    from ccswb.syntax import Const, parse_defs
-
     env, _ = parse_defs("def A = ~a.A\ndef S = a.S")
     # a finite client is driven to success through the loop
     assert must(Const("A"), t("a.a.1"), env).holds
@@ -132,3 +130,39 @@ def test_must_sc_decomposes(small_corpus):
         p = small_corpus[rng.randrange(len(small_corpus))]
         r = small_corpus[rng.randrange(len(small_corpus))]
         assert must_sc(p, r).holds == (must(p, r).holds and must(r, p).holds)
+
+
+_LOOPS = "def P = tau.Q + tau.R\ndef Q = tau.Q2\ndef Q2 = tau.P\ndef R = tau.P"
+
+
+@pytest.mark.parametrize("server, client, expected", [
+    # the root itself is a deadlock
+    ("a.0", "b.1",
+     {"shape": "deadlock", "states": [["a.0", "b.1"]]}),
+    # the deadlock is one and two tau steps away; the shorter path is reported
+    ("tau.tau.0 + tau.0", "a.1",
+     {"shape": "deadlock", "states": [["tau.0 + tau.tau.0", "a.1"], ["0", "a.1"]]}),
+    # a lasso that closes on a self-loop
+    ("tau.div", "a.1",
+     {"shape": "lasso", "states": [["tau.div", "a.1"], ["div", "a.1"], ["div", "a.1"]],
+      "loop_start": 1}),
+    # P's first successor Q returns in three steps, its second R in two
+    ("P", "0",
+     {"shape": "lasso", "states": [["P", "0"], ["R", "0"], ["P", "0"]], "loop_start": 0}),
+    ("P", "tau.1",
+     {"shape": "lasso", "states": [["P", "tau.1"], ["R", "tau.1"], ["P", "tau.1"]],
+      "loop_start": 0}),
+])
+def test_must_evidence_is_pinned(server, client, expected):
+    env, _ = parse_defs(_LOOPS)
+    p = Const(server) if server in env else t(server)
+    want = {"holds": False, "evidence": expected}
+    assert must(p, t(client), env).to_json() == want
+    assert must_sc(p, t(client), env).to_json() == want
+
+
+def test_must_sc_left_evidence_is_pinned():
+    assert must_sc(t("~b.0"), t("b.1")).to_json() == {
+        "holds": False,
+        "evidence": {"shape": "deadlock", "states": [["~b.0", "b.1"], ["0", "1"]]},
+    }

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from conftest import t
+from hypothesis import given, settings, strategies as st
+
 from ccswb.lts import cached_lts
-from ccswb.oracle import search_satisfying_server
+from ccswb.oracle import EnumSpec, enumerate_terms, search_satisfying_server
 from ccswb.syntax import Action, NIL, parse_defs, Const, pretty
 from ccswb.testing import must
 from ccswb.usability import VisibleCycle, peer_conv, uaut, usable, usbut
@@ -107,3 +109,21 @@ def test_bounded_mode_on_recursive_client():
     rep = usable(Const("B"), env, depth=2)
     assert rep.usable
     assert must(rep.witness_server, Const("B"), env).holds
+
+
+# the criterion-4 universe, with div
+_UNIVERSE = list(dict.fromkeys(
+    list(enumerate_terms(EnumSpec(("a", "b"), 1, max_width=2, allow_div=True)))
+    + list(enumerate_terms(EnumSpec(("a", "b"), 2, max_width=1, allow_div=True)))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_UNIVERSE),
+       st.lists(st.sampled_from([a, b, a.complement(), b.complement()]), max_size=3),
+       st.sampled_from([None, 0, 2, -1]))
+def test_uaut_is_the_per_action_definition(r, s, depth):
+    s = tuple(s)
+    lts = cached_lts(r)
+    expected = frozenset(x for x in lts.alphabet()
+                         if not lts.unsuccessful_after(s + (x,)) or usbut(r, s + (x,), depth=depth))
+    assert uaut(r, s, depth=depth) == expected
