@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import equations, oracle, preorders, testing, usability
 from .lts import DEFAULT_STATE_CAP, Product, StateCapExceeded, cached_lts
@@ -49,15 +49,23 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _positive(text: str) -> int:
-    """A state cap: a positive integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"state cap must be a positive integer, got {text!r}")
-    return n
+def _at_least(low: int, rule: str) -> Callable[[str], int]:
+    """An argument type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return n
+
+    return parse
+
+
+_positive = _at_least(1, "state cap must be a positive integer")
+_bound = _at_least(0, "bound must be a non-negative integer")
 
 
 def _state_cap(args) -> int:
@@ -97,7 +105,7 @@ def cmd_lts(args) -> int:
     return EXIT_OK
 
 
-def _must_common(args, symmetric: bool) -> int:
+def cmd_must(args) -> int:
     env, _ = _load(args.file)
     server = _term(env, args.server)
     client = _term(env, args.client)
@@ -106,8 +114,8 @@ def _must_common(args, symmetric: bool) -> int:
         product = Product(cached_lts(server, env, cap), cached_lts(client, env, cap), cap)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(product.to_dot())
-    verdict = (testing.must_sc if symmetric else testing.must)(server, client, env, cap)
-    name = "mustSC" if symmetric else "must"
+    verdict = (testing.must_sc if args.symmetric else testing.must)(server, client, env, cap)
+    name = "mustSC" if args.symmetric else "must"
     human = f"{name}({pretty(server)}, {pretty(client)}): {'holds' if verdict.holds else 'fails'}"
     if verdict.evidence is not None:
         states = " -> ".join(f"{l} || {r}" for l, r in verdict.evidence.pretty_path())
@@ -116,14 +124,6 @@ def _must_common(args, symmetric: bool) -> int:
             human += f"\n  loops back to position {verdict.evidence.loop_start}"
     _emit(args, verdict.to_json(), human)
     return EXIT_OK
-
-
-def cmd_must(args) -> int:
-    return _must_common(args, symmetric=False)
-
-
-def cmd_mustsc(args) -> int:
-    return _must_common(args, symmetric=True)
 
 
 def cmd_usable(args) -> int:
@@ -185,7 +185,7 @@ def cmd_normalize(args) -> int:
     # the server form is the peer form of the success-free term and the client
     # form is derived from the peer form, so the peer flag speaks for all three
     pnf, exact = equations.normalize_pnf_info(
-        equations.erase_units(t) if args.theory == "svr" else t, env)
+        equations.erase_units(t) if args.theory == "svr" else t)
     if args.theory == "clt":
         nf = equations.pnf_to_cnf(pnf)
         term = equations.cnf_to_term(nf)
@@ -268,18 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write DOT to this path")
     p.set_defaults(fn=cmd_lts)
 
-    for name, fn in (("must", cmd_must), ("mustsc", cmd_mustsc)):
+    for name in ("must", "mustsc"):
         p = sub.add_parser(name, help=f"decide {name} for a server/client pair")
         p.add_argument("file")
         p.add_argument("-s", "--server", required=True)
         p.add_argument("-c", "--client", required=True)
         p.add_argument("--dot", help="write the product graph to this path")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_must, symmetric=name == "mustsc")
 
     p = sub.add_parser("usable", help="decide client/peer usability")
     p.add_argument("file")
     p.add_argument("-c", "--client", required=True)
-    p.add_argument("--bound", type=int, default=None, help="force a bounded verdict")
+    p.add_argument("--bound", type=_bound, default=None, help="force a bounded verdict")
     p.set_defaults(fn=cmd_usable)
 
     p = sub.add_parser("accsets", help="acceptance sets after a trace")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--right", required=True)
     p.add_argument("--precongruence", action="store_true",
                    help="decide under a fresh success summand")
-    p.add_argument("--bound", type=int, default=None, help="force a bounded verdict")
+    p.add_argument("--bound", type=_bound, default=None, help="force a bounded verdict")
     p.add_argument("--witness", action="store_true",
                    help="attach a distinguishing test to refutations")
     p.set_defaults(fn=cmd_refines)
@@ -337,18 +337,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except SyntaxErr as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (SyntaxErr, FileNotFoundError, preorders.ModeError, usability.VisibleCycle,
+            equations.NotCCSf) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (preorders.ModeError, usability.VisibleCycle, equations.NotCCSf) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RecursionError:
         print("error: term nested too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_USAGE

@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .syntax import (
     DIV,
-    EMPTY_ENV,
     NIL,
     OK,
     TAU,
     UNIT,
     Action,
-    Const,
     Div,
-    Env,
     Nil,
     Ok,
     Prefix,
@@ -33,7 +30,6 @@ from .syntax import (
     label_set_key,
     mk_sum,
     pretty,
-    term_key,
 )
 
 #: ready-set members: visible actions plus the success marker
@@ -84,6 +80,7 @@ class Pnf:
     """Base class of peer normal forms; `unit` is the optional +1 summand."""
 
     __slots__ = ()
+    unit: bool
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,6 @@ def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf],
 _ZERO = PnfExt((), False)
 
 
-def pnf_can_ok(n: Pnf) -> bool:
-    return n.unit  # type: ignore[union-attr]
-
-
 # ---------------------------------------------------------------------------
 # Merge machinery
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def _unify(a: Pnf, b: Pnf) -> tuple[Pnf, bool]:
     (ta, ok1), (tb, ok2) = tau_single(a), tau_single(b)
     merged, exact = plus_pnf(ta, tb)
     exact = exact and ok1 and ok2
-    if pnf_can_ok(a) and pnf_can_ok(b):
+    if a.unit and b.unit:
         return okify(merged), exact
     return merged, exact
 
@@ -210,7 +203,7 @@ def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
         return m, True
     if m == _ZERO:
         return n, True
-    unit = pnf_can_ok(n) or pnf_can_ok(m)
+    unit = n.unit or m.unit
     n0, m0 = _strip(n), _strip(m)
     out: Pnf
     exact = True
@@ -234,7 +227,7 @@ def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
             # shields their unsuccessful steps; the result can sit strictly
             # above the source whenever such a step exists.
             b1 = min(tau.family, key=label_set_key)
-            exact = all(pnf_can_ok(c) for _, c in ext.branches)
+            exact = all(c.unit for _, c in ext.branches)
         lm = tau.leaf_map()
         ext_b1 = make_ext({a: lm[a] for a in b1 if isinstance(a, Action)}, OK in b1)
         inner, ok1 = plus_pnf(ext, ext_b1)
@@ -244,21 +237,17 @@ def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
     return (okify(out) if unit else out), exact
 
 
-def normalize_pnf(t: Term, env: Env = EMPTY_ENV) -> Pnf:
+def normalize_pnf(t: Term) -> Pnf:
     """Peer normal form of a finite term."""
-    return _normalize(t, env)[0]
+    return normalize_pnf_info(t)[0]
 
 
-def normalize_pnf_info(t: Term, env: Env = EMPTY_ENV) -> tuple[Pnf, bool]:
+def normalize_pnf_info(t: Term) -> tuple[Pnf, bool]:
     """Normal form plus an exactness flag: False when the merge had to shield
     an unsuccessful visible step under a success-capable internal branch, or
     an internal step led to a success-carrying divergence (`tau.(1 + div)`);
     in both cases the form can sit strictly above the source."""
-    return _normalize(t, env)
-
-
-def _normalize(t: Term, env: Env) -> tuple[Pnf, bool]:
-    if not is_ccsf(t, env):
+    if not is_ccsf(t):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 
     def go(t: Term) -> tuple[Pnf, bool]:
@@ -318,7 +307,7 @@ def check_pnf(n: Pnf) -> list[str]:
             return
         if isinstance(n, PnfExt):
             for a, c in n.branches:
-                if n.unit and not pnf_can_ok(c):
+                if n.unit and not c.unit:
                     errors.append(f"{path}: success summand without success under {a}")
                 go(c, f"{path}.{a}")
             return
@@ -334,7 +323,7 @@ def check_pnf(n: Pnf) -> list[str]:
             if labels != keys:
                 errors.append(f"{path}: leaves do not match the family labels")
             for a, c in n.leaves:
-                if n.unit and not pnf_can_ok(c):
+                if n.unit and not c.unit:
                     errors.append(f"{path}: success summand without success under {a}")
                 go(c, f"{path}.{a}")
             return
@@ -388,7 +377,7 @@ class CnfTau(Cnf):
 
 def pnf_to_cnf(n: Pnf) -> Cnf:
     """Client normal form of a peer normal form."""
-    if pnf_can_ok(n):
+    if n.unit:
         return CnfUnit()
     if isinstance(n, PnfDiv):
         return CnfDiv()
@@ -404,10 +393,10 @@ def pnf_to_cnf(n: Pnf) -> Cnf:
     return CnfTau(plain, leaves, tau_unit=any(OK in A for A in n.family))
 
 
-def normalize_cnf(t: Term, env: Env = EMPTY_ENV) -> Cnf:
+def normalize_cnf(t: Term) -> Cnf:
     """Client normal form: the peer normal form simplified by absorbing every
     sibling of an immediate success (x + 1 = 1)."""
-    return pnf_to_cnf(normalize_pnf(t, env))
+    return pnf_to_cnf(normalize_pnf(t))
 
 
 def cnf_to_term(n: Cnf) -> Term:
@@ -477,11 +466,11 @@ def erase_units(t: Term) -> Term:
     return t
 
 
-def normalize_snf(t: Term, env: Env = EMPTY_ENV) -> Pnf:
+def normalize_snf(t: Term) -> Pnf:
     """Server normal form: erase success (it plays no server role), then
     apply the shared normalizer; deadlock commitments stay explicit empty
     branch sets, so nothing client-specific is assumed."""
-    return _normalize(erase_units(t), env)[0]
+    return normalize_pnf_info(erase_units(t))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +598,23 @@ class GroundInstance:
         }
 
 
+#: instances draw their terms from this many smallest terms of the corpus
+POOL_LIMIT = 400
+
 _POOL_CACHE: dict[tuple, tuple[list[Term], list[Term]]] = {}
 
 
-def _instance_pool(alphabet: tuple[str, ...], depth: int, pool_limit: int) -> tuple[list[Term], list[Term]]:
+def _instance_pool(alphabet: tuple[str, ...], depth: int) -> tuple[list[Term], list[Term]]:
     from .lts import can_ok
     from .oracle import EnumSpec, enumerate_terms
 
-    key = (alphabet, depth, pool_limit)
+    key = (alphabet, depth)
     got = _POOL_CACHE.get(key)
     if got is None:
         pool: list[Term] = []
         for i, t in enumerate(enumerate_terms(EnumSpec(alphabet, depth, allow_unit=True,
                                                        allow_div=True, max_width=2))):
-            if i >= pool_limit:
+            if i >= POOL_LIMIT:
                 break
             pool.append(t)
         got = (pool, [t for t in pool if not can_ok(t)])
@@ -636,19 +628,17 @@ def instantiate_axioms(
     depth: int = 2,
     samples: int = 25,
     seed: int = 0,
-    axioms: Optional[Iterable[AxiomSchema]] = None,
-    pool_limit: int = 400,
 ) -> list[GroundInstance]:
     """Seeded ground instances respecting variable sorts: plain variables draw
-    from the pool (smallest `pool_limit` terms of the corpus), success-free
+    from the pool (smallest `POOL_LIMIT` terms of the corpus), success-free
     variables only from terms that cannot immediately succeed."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    pool, nook_pool = _instance_pool(alphabet, depth, pool_limit)
+    pool, nook_pool = _instance_pool(alphabet, depth)
     guards = [TAU] + [g for name in sorted(alphabet) for g in (Action(name), Action(name, True))]
     rng = random.Random(seed)
     out: list[GroundInstance] = []
-    for schema in (axioms if axioms is not None else THEORY_AXIOMS[theory]):
+    for schema in THEORY_AXIOMS[theory]:
         for _ in range(samples):
             subst: dict = {}
             for var, sort in schema.variables:
@@ -663,20 +653,17 @@ def instantiate_axioms(
     return out
 
 
-def check_instances(
-    kind: str,
-    instances: Iterable[GroundInstance],
-    env: Env = EMPTY_ENV,
-) -> list[tuple[GroundInstance, str]]:
+def check_instances(kind: str,
+                    instances: Iterable[GroundInstance]) -> list[tuple[GroundInstance, str]]:
     """Check ground (in)equations under the precongruence of `kind`; returns
     the violations (instance, failed direction)."""
     from .preorders import leq_plus
 
     failures: list[tuple[GroundInstance, str]] = []
     for inst in instances:
-        if not leq_plus(kind, inst.lhs, inst.rhs, env).holds:
+        if not leq_plus(kind, inst.lhs, inst.rhs).holds:
             failures.append((inst, "lhs<=rhs"))
-        if inst.direction == "eq" and not leq_plus(kind, inst.rhs, inst.lhs, env).holds:
+        if inst.direction == "eq" and not leq_plus(kind, inst.rhs, inst.lhs).holds:
             failures.append((inst, "rhs<=lhs"))
     return failures
 
@@ -686,18 +673,18 @@ def check_instances(
 # ---------------------------------------------------------------------------
 
 
-def simplify_unusable(t: Term, env: Env = EMPTY_ENV) -> Term:
+def simplify_unusable(t: Term) -> Term:
     """Rewrite prefixed subterms that no partner can satisfy toward 0; under a
     prefix the unusable continuation is interchangeable with deadlock."""
     from .usability import usable
 
-    if not is_ccsf(t, env):
+    if not is_ccsf(t):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 
     def go(t: Term) -> Term:
         if isinstance(t, Prefix):
             body = go(t.body)
-            if not isinstance(body, Nil) and not usable(body, env).usable:
+            if not isinstance(body, Nil) and not usable(body).usable:
                 return Prefix(t.guard, NIL)
             return Prefix(t.guard, body)
         if isinstance(t, Sum):

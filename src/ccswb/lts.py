@@ -285,8 +285,8 @@ class Lts:
 
     # -- rendering ----------------------------------------------------------
 
-    def to_dot(self, name: str = "lts") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    def to_dot(self) -> str:
+        lines = ["digraph lts {", "  rankdir=LR;"]
         for i, t in enumerate(self.terms):
             shape = "doublecircle" if self.ok[i] else "circle"
             label = pretty(t).replace('"', '\\"')
@@ -367,8 +367,8 @@ class Product:
         i, j = self.states[k]
         return (pretty(self.left_lts.terms[i]), pretty(self.right_lts.terms[j]))
 
-    def to_dot(self, name: str = "product") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    def to_dot(self) -> str:
+        lines = ["digraph product {", "  rankdir=LR;"]
         for k in range(len(self.states)):
             l, r = self.pretty_state(k)
             flags = ("L" if self.left_ok[k] else "") + ("R" if self.right_ok[k] else "")

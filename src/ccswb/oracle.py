@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .lts import DEFAULT_STATE_CAP, cached_lts
-from .preorders import SynthesisGap, check_witness, leq, synthesize_witness
+from .preorders import SynthesisGap, check_witness, leq, passes, synthesize_witness
 from .syntax import (
     DIV,
     Sum,
@@ -26,7 +26,7 @@ from .syntax import (
     term_key,
     visible_depth,
 )
-from .testing import must, must_sc
+from .testing import must
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def search_satisfying_server(
     lts = cached_lts(r, env, state_cap)
     co_alpha = sorted({a.complement() for a in lts.alphabet()}, key=label_key)
     if max_depth is None:
-        max_depth = min(4, visible_depth(r)) if is_ccsf(r, env) else 4
+        max_depth = min(4, visible_depth(r)) if is_ccsf(r) else 4
     if max_width is None:
         if all(len(edges) <= 1 for edges in lts.edges):
             # a chain client meets one stable state per run; a second server
@@ -190,34 +190,28 @@ def search_satisfying_server(
     return None
 
 
-def default_test_spec(p: Term, q: Term, env: Env = EMPTY_ENV) -> EnumSpec:
-    """Test processes as deep as the subjects plus room for the success and
-    divergence guards the standard witness shapes use."""
-    lts1, lts2 = cached_lts(p, env), cached_lts(q, env)
-    names = tuple(sorted({a.name for a in (lts1.alphabet() | lts2.alphabet())}))
-    if is_ccsf(p, env) and is_ccsf(q, env):
-        depth = min(max(visible_depth(p), visible_depth(q)) + 2, 3)
-    else:
-        depth = 3
-    return EnumSpec(alphabet=names, max_depth=depth, allow_unit=True, allow_div=True, max_width=2)
-
-
 def refute_by_search(
     kind: str,
     p: Term,
     q: Term,
     env: Env = EMPTY_ENV,
-    spec: Optional[EnumSpec] = None,
     limit: Optional[int] = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Optional[Term]:
-    """First enumerated test passed with p but not q, else None within spec.
+    """First enumerated test passed with p but not q, else None.
 
-    `limit` truncates the candidate list (smallest terms first); absence of a
-    witness is then evidence only up to that bound.
+    Tests are as deep as the subjects plus room for the success and
+    divergence guards the standard witness shapes use.  `limit` truncates
+    the candidate list (smallest terms first); absence of a witness is then
+    evidence only up to that bound.
     """
-    if spec is None:
-        spec = default_test_spec(p, q, env)
+    alphabet = cached_lts(p, env, state_cap).alphabet() | cached_lts(q, env, state_cap).alphabet()
+    names = tuple(sorted({a.name for a in alphabet}))
+    if is_ccsf(p) and is_ccsf(q):
+        depth = min(max(visible_depth(p), visible_depth(q)) + 2, 3)
+    else:
+        depth = 3
+    spec = EnumSpec(alphabet=names, max_depth=depth, allow_unit=True, allow_div=True, max_width=2)
     for i, t in enumerate(enumerate_terms(spec)):
         if limit is not None and i >= limit:
             break
@@ -272,13 +266,7 @@ def pass_table(kind: str, terms: list[Term], tests: list[Term], env: Env = EMPTY
     for term in terms:
         bits = 0
         for i, t in enumerate(tests):
-            if kind == "svr":
-                passed = must(term, t, env, state_cap).holds
-            elif kind == "clt":
-                passed = must(t, term, env, state_cap).holds
-            else:
-                passed = must_sc(term, t, env, state_cap).holds
-            if passed:
+            if passes(kind, term, t, env, state_cap):
                 bits |= 1 << i
         rows[term] = bits
     return rows
@@ -288,32 +276,29 @@ def cross_validate(
     kind: str,
     corpus: Iterable[Term],
     env: Env = EMPTY_ENV,
-    tests: Optional[list[Term]] = None,
-    test_spec: Optional[EnumSpec] = None,
     test_limit: int = 1500,
     pair_cap: Optional[int] = None,
     seed: int = 0,
-    synthesize: bool = True,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SweepReport:
     """Check every ordered corpus pair against the bounded definitional oracle.
 
-    A positive semantic verdict must leave no distinguishing test in the pool;
-    a refutation must produce a verified witness, synthesized from the failing
-    clause where covered and pulled from the pool otherwise.
+    The pool holds the `test_limit` smallest tests over the corpus alphabet,
+    two levels deeper than the corpus (at most 3).  A positive semantic
+    verdict must leave no distinguishing test in the pool; a refutation must
+    produce a verified witness, synthesized from the failing clause where
+    covered and pulled from the pool otherwise.
     """
     terms = list(dict.fromkeys(corpus))
-    if tests is None:
-        if test_spec is None:
-            names = tuple(sorted({a.name for t in terms for a in cached_lts(t, env).alphabet()}))
-            depth = min(3, max((visible_depth(t) for t in terms), default=0) + 2)
-            test_spec = EnumSpec(alphabet=names or ("a",), max_depth=depth,
-                                 allow_unit=True, allow_div=True, max_width=2)
-        tests = []
-        for i, t in enumerate(enumerate_terms(test_spec)):
-            if i >= test_limit:
-                break
-            tests.append(t)
+    names = tuple(sorted({a.name for t in terms for a in cached_lts(t, env, state_cap).alphabet()}))
+    depth = min(3, max((visible_depth(t) for t in terms), default=0) + 2)
+    test_spec = EnumSpec(alphabet=names or ("a",), max_depth=depth,
+                         allow_unit=True, allow_div=True, max_width=2)
+    tests = []
+    for i, t in enumerate(enumerate_terms(test_spec)):
+        if i >= test_limit:
+            break
+        tests.append(t)
     rows = pass_table(kind, terms, tests, env, state_cap)
     pairs = [(a, b) for a in terms for b in terms]
     if pair_cap is not None and len(pairs) > pair_cap:
@@ -329,11 +314,10 @@ def cross_validate(
             if not agree:
                 witness = tests[(distinguishing & -distinguishing).bit_length() - 1]
         else:
-            if synthesize:
-                try:
-                    witness = synthesize_witness(kind, a, b, env, verdict, state_cap)
-                except SynthesisGap:
-                    witness = None
+            try:
+                witness = synthesize_witness(kind, a, b, env, verdict, state_cap)
+            except SynthesisGap:
+                witness = None
             if witness is None and distinguishing:
                 witness = tests[(distinguishing & -distinguishing).bit_length() - 1]
             agree = witness is not None and check_witness(kind, a, b, witness, env, state_cap)

@@ -31,7 +31,7 @@ from .syntax import (
     pretty,
     visible_depth,
 )
-from .testing import Verdict, must, must_sc
+from .testing import must, must_sc
 from .usability import usable_set
 
 KINDS = ("svr", "clt", "p2p")
@@ -97,11 +97,14 @@ class _Node:
 
 
 class _Engine:
-    def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, usb_depth: Optional[int] = None):
+    """The trace walk to `depth_cap` visible steps; usability is decided
+    exactly, or cut off at `bound` levels when one is given."""
+
+    def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int]):
         self.lts1 = lts1
         self.lts2 = lts2
         self.depth_cap = depth_cap
-        self.usb_depth = usb_depth
+        self.bound = bound
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
     def root_node(self) -> _Node:
@@ -118,8 +121,8 @@ class _Engine:
             x2=x2,
             conv1=l1.converges_state_set(w1),
             conv2=l2.converges_state_set(w2),
-            usb1=l1.ok[l1.root] or usable_set(l1, x1, self.usb_depth)[0],
-            usb2=l2.ok[l2.root] or usable_set(l2, x2, self.usb_depth)[0],
+            usb1=l1.ok[l1.root] or usable_set(l1, x1, self.bound)[0],
+            usb2=l2.ok[l2.root] or usable_set(l2, x2, self.bound)[0],
         )
 
     def child(self, node: _Node, a: Action) -> _Node:
@@ -136,8 +139,8 @@ class _Engine:
             x2=x2,
             conv1=node.conv1 and (not w1 or l1.converges_state_set(w1)),
             conv2=node.conv2 and (not w2 or l2.converges_state_set(w2)),
-            usb1=node.usb1 and (not x1 or usable_set(l1, x1, self.usb_depth)[0]),
-            usb2=node.usb2 and (not x2 or usable_set(l2, x2, self.usb_depth)[0]),
+            usb1=node.usb1 and (not x1 or usable_set(l1, x1, self.bound)[0]),
+            usb2=node.usb2 and (not x2 or usable_set(l2, x2, self.bound)[0]),
         )
 
     def usable_action(self, node: _Node, a: Action) -> bool:
@@ -146,7 +149,7 @@ class _Engine:
         if not node.usb1:
             return False
         nxt = self.lts1.unsuccessful_closure(self.lts1.step(node.x1, a))
-        return not nxt or usable_set(self.lts1, nxt, self.usb_depth)[0]
+        return not nxt or usable_set(self.lts1, nxt, self.bound)[0]
 
     def usable_actions_snapshot(self, node: _Node) -> frozenset[Action]:
         return frozenset(a for a in self.alphabet if self.usable_action(node, a))
@@ -225,18 +228,19 @@ class _Engine:
 def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int], state_cap: int):
     if kind not in KINDS:
         raise ValueError(f"unknown preorder kind {kind!r}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must be a non-negative integer, got {bound}")
     lts1 = cached_lts(p, env, state_cap)
     lts2 = cached_lts(q, env, state_cap)
-    finite = is_ccsf(p, env) and is_ccsf(q, env)
     if bound is None:
-        if not finite:
+        if not (is_ccsf(p) and is_ccsf(q)):
             raise ModeError("exact decision requires finite terms; pass a bound")
         mode = "exact"
         depth_cap = max(visible_depth(p), visible_depth(q)) + 1
     else:
         mode = "bounded"
         depth_cap = bound
-    return _Engine(lts1, lts2, depth_cap, usb_depth=None if bound is None else bound), mode
+    return _Engine(lts1, lts2, depth_cap, bound), mode
 
 
 def _decide(
@@ -440,11 +444,10 @@ def synthesize_witness(
     env: Env = EMPTY_ENV,
     verdict: Optional[RefinementVerdict] = None,
     state_cap: int = DEFAULT_STATE_CAP,
-    verify: bool = True,
 ) -> Term:
     """Build a test discriminating p from q out of the failing clause, and
     re-check it with the testing module before returning it."""
-    if not (is_ccsf(p, env) and is_ccsf(q, env)):
+    if not (is_ccsf(p) and is_ccsf(q)):
         raise SynthesisGap("synthesis is defined for finite terms only")
     if verdict is None:
         verdict = _decide(kind, p, q, env, None, state_cap)
@@ -458,7 +461,7 @@ def synthesize_witness(
         t = _clt_witness(lts1, clause, peer=kind == "p2p")
     else:
         t = _p2p_usmpo_witness(lts1, clause)
-    if verify and not check_witness(kind, p, q, t, env, state_cap):
+    if not check_witness(kind, p, q, t, env, state_cap):
         raise SynthesisGap(
             f"synthesized test failed verification: kind={kind} clause={clause.clause} "
             f"p={pretty(p)} q={pretty(q)} t={pretty(t)}"
@@ -466,13 +469,20 @@ def synthesize_witness(
     return t
 
 
+def passes(kind: str, p: Term, t: Term, env: Env, state_cap: int) -> bool:
+    """Does `p` pass the test `t` in the role fixed by `kind`: a server
+    satisfies the client t, a client is satisfied by the server t, a peer
+    and t satisfy each other?"""
+    if kind == "svr":
+        return must(p, t, env, state_cap).holds
+    if kind == "clt":
+        return must(t, p, env, state_cap).holds
+    if kind == "p2p":
+        return must_sc(p, t, env, state_cap).holds
+    raise ValueError(f"unknown preorder kind {kind!r}")
+
+
 def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV,
                   state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Does `t` pass with p and fail with q, in the roles fixed by `kind`?"""
-    if kind == "svr":
-        return must(p, t, env, state_cap).holds and not must(q, t, env, state_cap).holds
-    if kind == "clt":
-        return must(t, p, env, state_cap).holds and not must(t, q, env, state_cap).holds
-    if kind == "p2p":
-        return must_sc(p, t, env, state_cap).holds and not must_sc(q, t, env, state_cap).holds
-    raise ValueError(f"unknown preorder kind {kind!r}")
+    return passes(kind, p, t, env, state_cap) and not passes(kind, q, t, env, state_cap)

@@ -198,13 +198,6 @@ class Env:
         if len(self._map) != len(self.defs):
             raise SyntaxErr("duplicate definition in environment")
 
-    @staticmethod
-    def from_defs(defs: dict[str, Term] | Iterable[tuple[str, Term]]) -> "Env":
-        items = tuple(defs.items()) if isinstance(defs, dict) else tuple(defs)
-        env = Env(items)
-        env.validate()
-        return env
-
     def lookup(self, name: str) -> Term:
         try:
             return self._map[name]
@@ -214,16 +207,7 @@ class Env:
     def __contains__(self, name: str) -> bool:
         return name in self._map
 
-    def validate(self) -> None:
-        for name, body in self.defs:
-            if name == "Div":
-                raise SyntaxErr("Div is reserved and cannot be redefined")
-            for sub in subterms(body):
-                if isinstance(sub, Const) and sub.name not in self._map:
-                    raise SyntaxErr(f"unbound constant {sub.name} in definition of {name}")
-        self._check_guarded()
-
-    def _check_guarded(self) -> None:
+    def check_guarded(self) -> None:
         # A constant must not reach itself without crossing a prefix; the
         # one-step transition relation would otherwise be ill-founded.
         exposed: dict[str, set[str]] = {}
@@ -436,7 +420,7 @@ def parse_defs(text: str) -> tuple[Env, list[str]]:
     for used, line, col in uses:
         if used not in env:
             raise SyntaxErr(f"unbound constant {used}", line, col)
-    env.validate()
+    env.check_guarded()
     return env, names
 
 
@@ -470,7 +454,7 @@ def pretty(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 
-def is_ccsf(t: Term, env: Env = EMPTY_ENV) -> bool:
+def is_ccsf(t: Term) -> bool:
     """Finite terms: no named constants anywhere (div is allowed)."""
     return not any(isinstance(s, Const) for s in subterms(t))
 

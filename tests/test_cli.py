@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -162,8 +163,10 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["lts", "{defs}", "-p", "P"], {"CCSWB_STATE_CAP": "abc"}),
     (["lts", "{deep}", "-p", "P"], {}),
     (["must", "{deep}", "-s", "P", "-c", "1"], {}),
+    (["usable", "{defs}", "-c", "R1", "--bound", "-1"], {}),
+    (["refines", "{defs}", "--kind", "clt", "-l", "R1", "-r", "R2", "--bound", "-1"], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
-        "lts-deep-chain", "must-deep-chain"])
+        "lts-deep-chain", "must-deep-chain", "usable-bound-negative", "refines-bound-negative"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.ccs"
     deep.write_text("def P = " + "a." * 3000 + "0\n")
@@ -172,5 +175,6 @@ def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monk
     argv = [arg.format(defs=defs_file, deep=deep) for arg in argv]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert any(line.startswith(("error:", "ccswb: error:")) for line in err.splitlines()), err
+    # argparse names the subcommand whose argument it rejects ("ccswb usable: error:")
+    assert any(re.match(r"(ccswb( [a-z-]+)?: )?error:", line) for line in err.splitlines()), err
     assert "Traceback" not in err

@@ -29,7 +29,7 @@ from ccswb.equations import (
 from ccswb.equations import CnfExt, CnfTauUnit, CnfUnit
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import leq_plus
-from ccswb.syntax import Action, Const, OK, parse_defs, pretty
+from ccswb.syntax import Action, Const, OK, pretty
 
 a, b, c = Action("a"), Action("b"), Action("c")
 
@@ -112,9 +112,8 @@ def test_criterion_3_rule_on_div_terms():
 
 
 def test_normalize_rejects_recursive_terms():
-    env, _ = parse_defs("def A = ~a.A")
     with pytest.raises(NotCCSf):
-        normalize_pnf(Const("A"), env)
+        normalize_pnf(Const("A"))
 
 
 def test_pnf_idempotent_on_rendering(small_corpus):

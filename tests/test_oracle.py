@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import t
+from ccswb import lts
 from ccswb.oracle import (
     EnumSpec,
     count_terms,
@@ -99,6 +100,18 @@ def test_pass_table_rows_are_the_definitional_preorder(small_corpus):
     rows = pass_table("clt", [t("0"), t("1"), t("a.1")], tests)
     assert rows[t("0")] == 0  # no server satisfies the deadlocked client
     assert rows[t("1")] == (1 << len(tests)) - 1  # everything satisfies success
+
+
+def test_pass_table_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        pass_table("bogus", [t("a.1")], [t("~a.1")])
+
+
+def test_graphs_are_built_at_the_callers_state_cap(small_corpus, monkeypatch):
+    monkeypatch.setattr(lts, "_LTS_CACHE", {})
+    refute_by_search("clt", t("a.1"), t("a.0"), limit=50, state_cap=50)
+    cross_validate("clt", small_corpus[:6], test_limit=40, state_cap=50)
+    assert lts._LTS_CACHE and {cap for _, _, cap in lts._LTS_CACHE} == {50}
 
 
 def test_cross_validate_small(small_corpus):

@@ -15,10 +15,12 @@ from ccswb.preorders import (
     leq_plus,
     leq_svr,
     leq_svr_classical,
+    passes,
     synthesize_witness,
 )
-from ccswb.syntax import Const, parse_defs, pretty
-from ccswb.testing import must
+from ccswb.lts import DEFAULT_STATE_CAP
+from ccswb.syntax import EMPTY_ENV, Const, parse_defs, pretty
+from ccswb.testing import must, must_sc
 
 
 def test_client_preorder_examples():
@@ -192,3 +194,27 @@ def test_failing_clause_is_reported_with_trace_and_sets():
     assert Action("a") in fc.usable_actions and Action("b") not in fc.usable_actions
     w = synthesize_witness("clt", t("c.(a.1 + b.0)"), t("c.b.1"), verdict=v)
     assert check_witness("clt", t("c.(a.1 + b.0)"), t("c.b.1"), w)
+
+
+def test_negative_bound_is_rejected():
+    with pytest.raises(ValueError):
+        leq("clt", t("a.1"), t("a.0"), bound=-1)
+
+
+@pytest.mark.parametrize("kind, left, right", [
+    ("svr", "tau.a.(b.0 + c.0) + tau.a.c.0", "tau.a.b.0 + tau.a.c.0"),
+    ("clt", "a.1", "a.0"),
+    ("p2p", "1 + b.0", "1"),
+])
+def test_passes_takes_the_role_of_the_kind(kind, left, right, small_corpus):
+    p, q = t(left), t(right)
+    assert not leq(kind, p, q).holds
+    role = {"svr": lambda x, r: must(x, r), "clt": lambda x, r: must(r, x), "p2p": must_sc}[kind]
+    separating = 0
+    for r in small_corpus + [synthesize_witness(kind, p, q)]:
+        p_passes = passes(kind, p, r, EMPTY_ENV, DEFAULT_STATE_CAP)
+        assert p_passes == role(p, r).holds, pretty(r)
+        separates = p_passes and not passes(kind, q, r, EMPTY_ENV, DEFAULT_STATE_CAP)
+        assert separates == check_witness(kind, p, q, r), pretty(r)
+        separating += separates
+    assert separating

@@ -95,8 +95,7 @@ def test_sum_canonicalization():
 
 def test_is_ccsf():
     assert is_ccsf(t("a.(b.0 + c.1)"))
-    env, _ = parse_defs("def A = ~a.A")
-    assert not is_ccsf(Const("A"), env)
+    assert not is_ccsf(Const("A"))
     assert is_ccsf(t("tau.div + a.1"))
     # closed under subterms
     spec = EnumSpec(alphabet=("a",), max_depth=2, allow_div=True, max_width=2)
