@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .lts import DEFAULT_STATE_CAP, cached_lts
-from .preorders import SynthesisGap, check_witness, leq, passes, synthesize_witness
+from .preorders import ModeError, SynthesisGap, check_witness, leq, passes, synthesize_witness
 from .syntax import (
     DIV,
     Sum,
@@ -287,9 +287,12 @@ def cross_validate(
     two levels deeper than the corpus (at most 3).  A positive semantic
     verdict must leave no distinguishing test in the pool; a refutation must
     produce a verified witness, synthesized from the failing clause where
-    covered and pulled from the pool otherwise.
+    covered and pulled from the pool otherwise.  Corpus terms must be
+    finite (`ModeError` otherwise).
     """
     terms = list(dict.fromkeys(corpus))
+    if not all(is_ccsf(t) for t in terms):
+        raise ModeError("cross-validation requires finite corpus terms")
     names = tuple(sorted({a.name for t in terms for a in cached_lts(t, env, state_cap).alphabet()}))
     depth = min(3, max((visible_depth(t) for t in terms), default=0) + 2)
     test_spec = EnumSpec(alphabet=names or ("a",), max_depth=depth,

@@ -213,15 +213,13 @@ class Env:
         exposed: dict[str, set[str]] = {}
         for name, body in self.defs:
             seen: set[str] = set()
-
-            def walk(t: Term) -> None:
+            stack = [body]
+            while stack:
+                t = stack.pop()
                 if isinstance(t, Const):
                     seen.add(t.name)
                 elif isinstance(t, Sum):
-                    for p in t.parts:
-                        walk(p)
-
-            walk(body)
+                    stack.extend(t.parts)
             exposed[name] = seen
         for start in exposed:
             stack, visited = [start], set()
@@ -242,186 +240,201 @@ EMPTY_ENV = Env()
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
+# Each match is one token with the whitespace before it; alternatives are
+# ordered by frequency, `(+)` before `(`, and `bad` catches anything else.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
+    r"""\s*(?:
+    (?P<const>[A-Z][A-Za-z0-9_]*)
+  | (?P<act>[a-z][a-z0-9_]*)
+  | (?P<dot>\.)
+  | (?P<plus>\+)
+  | (?P<eq>=)
+  | (?P<tilde>~)
   | (?P<oplus>\(\+\))
   | (?P<lpar>\()
   | (?P<rpar>\))
-  | (?P<plus>\+)
-  | (?P<dot>\.)
-  | (?P<tilde>~)
-  | (?P<eq>=)
   | (?P<zero>0)
   | (?P<one>1)
-  | (?P<act>[a-z][a-z0-9_]*)
-  | (?P<const>[A-Z][A-Za-z0-9_]*)
-    """,
+  | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
 
-_KEYWORDS = {"def", "tau", "div"}
+# Only an `act` token can spell a keyword, so the token text alone decides.
+_KEYWORDS = {"def": "def", "tau": "tau", "div": "div"}
+_LEAVES = {"zero": NIL, "one": UNIT, "div": DIV}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _lex(text: str, eol: bool) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Tokens as parallel lists of kind, text, line and column, closed by an
+    `eof` token at line 0; with `eol`, every line ends in an `eol` token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise SyntaxErr(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = m.lastgroup or ""
-            tok = m.group()
-            if kind != "ws":
-                if kind == "act" and tok in _KEYWORDS:
-                    kind = tok
-                toks.append(_Tok(kind, tok, lineno, m.start() + 1))
-            pos = m.end()
-        toks.append(_Tok("eol", "", lineno, len(line) + 1))
-    return toks
+        # Without trailing whitespace every match ends in a token.
+        for m in _TOKEN_RE.finditer(line.rstrip()):
+            kind = m.lastgroup
+            tok = m[kind]
+            if kind == "bad":
+                raise SyntaxErr(f"unexpected character {tok!r}", lineno, m.start(kind) + 1)
+            kinds.append(_KEYWORDS.get(tok, kind))
+            texts.append(tok)
+            lines.append(lineno)
+            cols.append(m.start(kind) + 1)
+        if eol:
+            kinds.append("eol")
+            texts.append("")
+            lines.append(lineno)
+            cols.append(len(line) + 1)
+    kinds.append("eof")
+    texts.append("")
+    lines.append(0)
+    cols.append(0)
+    return kinds, texts, lines, cols
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+class _Reader:
+    """Recursive descent over one token list.  `Action` and `Const` objects
+    are shared within the parse, and `uses` holds the token index of every
+    constant use in reading order."""
+
+    def __init__(self, text: str, eol: bool):
+        self.kinds, self.texts, self.lines, self.cols = _lex(text, eol)
         self.i = 0
+        self.actions: dict[tuple[str, bool], Action] = {}
+        self.consts: dict[str, Const] = {}
+        self.uses: list[int] = []
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, message: str, i: int) -> SyntaxErr:
+        return SyntaxErr(message, self.lines[i], self.cols[i])
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise SyntaxErr(f"expected {kind}, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        return self.next()
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
+    def expected(self, kind: str, i: int) -> SyntaxErr:
+        return self.error(f"expected {kind}, found {self.texts[i] or self.kinds[i]!r}", i)
 
     # term := ichoice ('+' ichoice)*
-    def term(self) -> Term:
-        parts = [self.ichoice()]
-        while not self.at_end() and self.peek().kind == "plus":
-            self.next()
-            parts.append(self.ichoice())
-        return mk_sum(parts) if len(parts) > 1 else parts[0]
-
     # ichoice := pre ('(+)' pre)*
-    def ichoice(self) -> Term:
-        t = self.pre()
-        while not self.at_end() and self.peek().kind == "oplus":
-            self.next()
-            t = internal_choice(t, self.pre())
-        return t
+    def term(self) -> Term:
+        kinds = self.kinds
+        parts = []
+        while True:
+            t = self.pre()
+            while kinds[self.i] == "oplus":
+                self.i += 1
+                t = internal_choice(t, self.pre())
+            parts.append(t)
+            if kinds[self.i] != "plus":
+                return mk_sum(parts) if len(parts) > 1 else parts[0]
+            self.i += 1
 
-    # pre := 'tau' '.' pre | ACT '.' pre | '~' ACT '.' pre | atom
+    # pre := ('tau' '.' | ACT '.' | '~' ACT '.')* atom
+    # atom := '0' | '1' | 'div' | CONST | '(' term ')'
     def pre(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "tau":
-            self.next()
-            self.expect("dot")
-            return Prefix(TAU, self.pre())
-        if tok.kind == "tilde":
-            self.next()
-            act = self.expect("act")
-            if act.text in _KEYWORDS:
-                raise SyntaxErr(f"{act.text!r} is a keyword", act.line, act.col)
-            self.expect("dot")
-            return Prefix(Action(act.text, co=True), self.pre())
-        if tok.kind == "act":
-            self.next()
-            self.expect("dot")
-            return Prefix(Action(tok.text), self.pre())
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok = self.next() if not self.at_end() else _Tok("eof", "", 0, 0)
-        if tok.kind == "zero":
-            return NIL
-        if tok.kind == "one":
-            return UNIT
-        if tok.kind == "div":
-            return DIV
-        if tok.kind == "const":
-            return Const(tok.text)
-        if tok.kind == "lpar":
+        kinds, texts, actions = self.kinds, self.texts, self.actions
+        i = self.i
+        guards: list[Union[Tau, Action]] = []
+        while True:
+            kind = kinds[i]
+            if kind == "tau":
+                guards.append(TAU)
+            elif kind == "act" or kind == "tilde":
+                co = kind == "tilde"
+                if co:
+                    i += 1
+                    if kinds[i] != "act":
+                        raise self.expected("act", i)
+                key = (texts[i], co)
+                act = actions.get(key)
+                if act is None:
+                    act = actions[key] = Action(*key)
+                guards.append(act)
+            else:
+                break
+            i += 1
+            if kinds[i] != "dot":
+                raise self.expected("dot", i)
+            i += 1
+        self.i = i + 1
+        if kind == "const":
+            self.uses.append(i)
+            t = self.consts.get(texts[i])
+            if t is None:
+                t = self.consts[texts[i]] = Const(texts[i])
+        elif kind in _LEAVES:
+            t = _LEAVES[kind]
+        elif kind == "lpar":
             t = self.term()
-            self.expect("rpar")
-            return t
-        raise SyntaxErr(f"unexpected {tok.text or tok.kind!r}", tok.line, tok.col)
+            if kinds[self.i] != "rpar":
+                raise self.expected("rpar", self.i)
+            self.i += 1
+        else:
+            raise self.error(f"unexpected {texts[i] or kind!r}", i)
+        for guard in reversed(guards):
+            t = Prefix(guard, t)
+        return t
 
 
 def parse_term(text: str, env: Env = EMPTY_ENV) -> Term:
     """Parse a single term; constants must be bound in `env`."""
-    toks = [t for t in _lex(text) if t.kind != "eol"]
-    if not toks:
+    r = _Reader(text, eol=False)
+    if r.kinds[0] == "eof":
         raise SyntaxErr("empty term")
-    p = _Parser(toks)
-    t = p.term()
-    if not p.at_end():
-        tok = p.peek()
-        raise SyntaxErr(f"trailing input {tok.text!r}", tok.line, tok.col)
-    for sub in subterms(t):
-        if isinstance(sub, Const) and sub.name not in env:
-            raise SyntaxErr(f"unbound constant {sub.name}")
+    t = r.term()
+    if r.kinds[r.i] != "eof":
+        raise r.error(f"trailing input {r.texts[r.i]!r}", r.i)
+    unbound = {name for name in r.consts if name not in env}
+    if unbound:
+        # Name the first unbound constant in `subterms` order.
+        stack = [t]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, Const) and sub.name in unbound:
+                raise SyntaxErr(f"unbound constant {sub.name}")
+            if isinstance(sub, Prefix):
+                stack.append(sub.body)
+            elif isinstance(sub, Sum):
+                stack.extend(reversed(sub.parts))
     return t
 
 
 def parse_defs(text: str) -> tuple[Env, list[str]]:
     """Parse a definition file; returns the environment and names in file order."""
-    toks = _lex(text)
-    p = _Parser(toks)
-    defs: list[tuple[str, Term]] = []
-    names: list[str] = []
-    positions: dict[str, tuple[int, int]] = {}
-    uses: list[tuple[str, int, int]] = []
-    while not p.at_end():
-        tok = p.peek()
-        if tok.kind == "eol":
-            p.next()
+    r = _Reader(text, eol=True)
+    kinds, texts = r.kinds, r.texts
+    bodies: dict[str, Term] = {}
+    while True:
+        i = r.i
+        kind = kinds[i]
+        if kind == "eol":
+            r.i = i + 1
             continue
-        if tok.kind != "def":
-            raise SyntaxErr("expected 'def'", tok.line, tok.col)
-        p.next()
-        name_tok = p.expect("const")
-        if name_tok.text == "Div":
-            raise SyntaxErr("Div is reserved and cannot be redefined", name_tok.line, name_tok.col)
-        if name_tok.text in positions:
-            raise SyntaxErr(f"duplicate definition of {name_tok.text}", name_tok.line, name_tok.col)
-        positions[name_tok.text] = (name_tok.line, name_tok.col)
-        p.expect("eq")
-        start = p.i
-        body = p.term()
-        for j in range(start, p.i):
-            tj = p.toks[j]
-            if tj.kind == "const":
-                uses.append((tj.text, tj.line, tj.col))
-        tok = p.peek() if not p.at_end() else None
-        if tok is not None and tok.kind != "eol":
-            raise SyntaxErr(f"trailing input {tok.text!r}", tok.line, tok.col)
-        defs.append((name_tok.text, body))
-        names.append(name_tok.text)
-    env = Env(tuple(defs))
-    for used, line, col in uses:
-        if used not in env:
-            raise SyntaxErr(f"unbound constant {used}", line, col)
+        if kind == "eof":
+            break
+        if kind != "def":
+            raise r.error("expected 'def'", i)
+        if kinds[i + 1] != "const":
+            raise r.expected("const", i + 1)
+        name = texts[i + 1]
+        if name == "Div":
+            raise r.error("Div is reserved and cannot be redefined", i + 1)
+        if name in bodies:
+            raise r.error(f"duplicate definition of {name}", i + 1)
+        if kinds[i + 2] != "eq":
+            raise r.expected("eq", i + 2)
+        r.i = i + 3
+        body = r.term()
+        if kinds[r.i] != "eol":
+            raise r.error(f"trailing input {texts[r.i]!r}", r.i)
+        bodies[name] = body
+    env = Env(tuple(bodies.items()))
+    if any(name not in env for name in r.consts):
+        for j in r.uses:
+            if texts[j] not in env:
+                raise r.error(f"unbound constant {texts[j]}", j)
     env.check_guarded()
-    return env, names
+    return env, list(bodies)
 
 
 # ---------------------------------------------------------------------------

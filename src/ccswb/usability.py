@@ -118,6 +118,8 @@ def usable(
     verify_witness: bool = False,
 ) -> UsabilityReport:
     """Is there any server that must-satisfies `r`?  Exact unless `depth` given."""
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be a non-negative integer, got {depth}")
     lts = cached_lts(r, env, state_cap)
     mode = "exact" if depth is None else "bounded"
     if depth is None and not _nonok_region_visible_acyclic(lts):

@@ -163,10 +163,12 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["lts", "{defs}", "-p", "P"], {"CCSWB_STATE_CAP": "abc"}),
     (["lts", "{deep}", "-p", "P"], {}),
     (["must", "{deep}", "-s", "P", "-c", "1"], {}),
+    (["must", "{defs}", "-s", "a", "-c", "1"], {}),
     (["usable", "{defs}", "-c", "R1", "--bound", "-1"], {}),
     (["refines", "{defs}", "--kind", "clt", "-l", "R1", "-r", "R2", "--bound", "-1"], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
-        "lts-deep-chain", "must-deep-chain", "usable-bound-negative", "refines-bound-negative"])
+        "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
+        "refines-bound-negative"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.ccs"
     deep.write_text("def P = " + "a." * 3000 + "0\n")

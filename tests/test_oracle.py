@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import t
-from ccswb import lts
+from ccswb import lts, oracle
 from ccswb.oracle import (
     EnumSpec,
     count_terms,
@@ -16,8 +16,8 @@ from ccswb.oracle import (
     search_satisfying_server,
     term_size,
 )
-from ccswb.preorders import check_witness
-from ccswb.syntax import Action, pretty
+from ccswb.preorders import ModeError, check_witness
+from ccswb.syntax import Action, Const, parse_defs, pretty
 
 
 def test_enumeration_base_cases():
@@ -126,3 +126,14 @@ def test_cross_validate_pair_cap_deterministic(small_corpus):
     r2 = cross_validate("svr", small_corpus[:30], test_limit=200, pair_cap=50, seed=5)
     assert [(pretty(a.left), pretty(a.right)) for a in r1.records] == \
            [(pretty(a.left), pretty(a.right)) for a in r2.records]
+
+
+def test_cross_validate_rejects_recursive_terms_before_building_the_pool(monkeypatch):
+    env, _ = parse_defs("def A = ~a.A")
+
+    def no_pool(spec):
+        raise AssertionError("the test pool was built")
+
+    monkeypatch.setattr(oracle, "enumerate_terms", no_pool)
+    with pytest.raises(ModeError):
+        cross_validate("svr", [Const("A")], env)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import t
 from ccswb.oracle import EnumSpec, enumerate_terms
@@ -16,6 +17,7 @@ from ccswb.syntax import (
     TAU,
     UNIT,
     fresh_action,
+    internal_choice,
     is_ccsf,
     mk_sum,
     parse_defs,
@@ -59,9 +61,68 @@ def test_parse_errors_carry_positions():
         parse_defs("def A = A + a.0")
 
 
+@pytest.mark.parametrize("parse, text, message, line, col", [
+    (parse_defs, "def P = a.0\ndef P = b.0", "2:5: duplicate definition of P", 2, 5),
+    (parse_defs, "def P = a.Q", "1:11: unbound constant Q", 1, 11),
+    (parse_defs, "def P = a.0\n\n  def Q = b.(P + R)  # R\n", "3:18: unbound constant R", 3, 18),
+    (parse_defs, "def P = a.$", "1:11: unexpected character '$'", 1, 11),
+    (parse_defs, "def P = a.0 # ok\ndef Q = ~b.P (+) c.@", "2:20: unexpected character '@'", 2, 20),
+    (parse_defs, "def Div = a.0", "1:5: Div is reserved and cannot be redefined", 1, 5),
+    (parse_defs, "def A = A + a.0", "unguarded recursion through A", 0, 0),
+    (parse_defs, "def P = ~tau.0", "1:10: expected act, found 'tau'", 1, 10),
+    (parse_defs, "def P = a.0 b.0", "1:13: trailing input 'b'", 1, 13),
+    (parse_defs, "def P = a.(b.0 + c.0", "1:21: expected rpar, found 'eol'", 1, 21),
+    (parse_defs, "P = a.0", "1:1: expected 'def'", 1, 1),
+    (parse_defs, "def P = a.\ndef Q = 0", "1:11: unexpected 'eol'", 1, 11),
+    (parse_defs, "def P = ~a 0", "1:12: expected dot, found '0'", 1, 12),
+    (parse_term, "", "empty term", 0, 0),
+    (parse_term, "  # comment only", "empty term", 0, 0),
+    (parse_term, "a.0 b.0", "1:5: trailing input 'b'", 1, 5),
+    (parse_term, "a.A + ~b.B", "unbound constant A", 0, 0),
+    (parse_term, "B + A", "unbound constant A", 0, 0),
+], ids=["duplicate", "unbound", "unbound-after-blank-line", "dollar", "bad-char-line-2",
+        "def-div", "unguarded", "tilde-tau", "trailing", "missing-rpar", "missing-def",
+        "dot-at-eol", "tilde-no-dot", "term-empty", "term-comment-only", "term-trailing",
+        "term-unbound", "term-unbound-sum-order"])
+def test_parse_error_messages_and_positions(parse, text, message, line, col):
+    with pytest.raises(SyntaxErr) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a", "expected dot, found 'eof'"),
+    ("~", "expected act, found 'eof'"),
+    ("tau", "expected dot, found 'eof'"),
+    ("(a.0", "expected rpar, found 'eof'"),
+    ("a.0 +", "unexpected 'eof'"),
+])
+def test_truncated_terms_are_syntax_errors(text, message):
+    with pytest.raises(SyntaxErr) as exc:
+        parse_term(text)
+    assert (str(exc.value), exc.value.line) == (message, 0)
+
+
+def test_deep_prefix_chains_parse():
+    depth = 10_000
+    env, _ = parse_defs("def P = " + "a." * depth + "P\n")
+    term = parse_term("~b." * depth + "1")
+    for chain, guard, leaf in [(env.lookup("P"), Action("a"), Const("P")),
+                               (term, Action("b", co=True), UNIT)]:
+        for _ in range(depth):
+            assert isinstance(chain, Prefix) and chain.guard == guard
+            chain = chain.body
+        assert chain == leaf
+    with pytest.raises(SyntaxErr, match="unbound constant A"):
+        parse_term("a." * depth + "A")
+
+
 def test_comments_and_blank_lines():
     env, names = parse_defs("# header\n\ndef P = a.1  # trailing\n")
     assert names == ["P"] and pretty(env.lookup("P")) == "a.1"
+    env, names = parse_defs("def P = a.0 \t \n \t\ndef Q = b.P\t\n")
+    assert names == ["P", "Q"] and env.lookup("Q") == Prefix(Action("b"), Const("P"))
+    assert parse_term(" ~a.1\t\n") == Prefix(Action("a", co=True), UNIT)
 
 
 def test_pretty_examples():
@@ -75,6 +136,24 @@ def test_parse_pretty_round_trip_on_corpus():
     spec = EnumSpec(alphabet=("a", "b"), max_depth=2, allow_div=True, max_width=2)
     for term in itertools.islice(enumerate_terms(spec), 1200):
         assert parse_term(pretty(term)) == term
+
+
+_GUARDS = [TAU, Action("a"), Action("b"), Action("a", co=True), Action("b", co=True)]
+_FINITE_TERMS = st.recursive(
+    st.sampled_from([NIL, UNIT, DIV]),
+    lambda sub: st.one_of(
+        st.builds(Prefix, st.sampled_from(_GUARDS), sub),
+        st.lists(sub, min_size=2, max_size=3).map(mk_sum),
+        st.builds(internal_choice, sub, sub),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE_TERMS)
+def test_parse_inverts_pretty(term):
+    assert parse_term(pretty(term)) == term
 
 
 def test_complement_is_an_involution():

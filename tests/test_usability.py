@@ -102,6 +102,15 @@ def test_exact_mode_refused_on_visible_cycles():
     assert rep.mode == "bounded"
 
 
+def test_negative_depth_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        usable(t("a.1 + b.0"), depth=-1)
+    # usbut and uaut keep accepting -1, where no non-empty residual is usable
+    assert usbut(t("1"), (a,), depth=-1) is True
+    assert usbut(t("a.1"), (a,), depth=-1) is False
+    assert uaut(t("a.1"), (), depth=-1) == {a}
+
+
 def test_bounded_mode_on_recursive_client():
     # a recursive client satisfiable by a finite server is found usable at
     # a depth that covers one unfolding
