@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, Optional
 
 from . import equations, oracle, preorders, testing, usability
-from .lts import DEFAULT_STATE_CAP, Product, StateCapExceeded, cached_lts
-from .syntax import Action, EMPTY_ENV, Env, SyntaxErr, Term, parse_defs, parse_term, pretty
+from .lts import Product, StateCapExceeded, cached_lts
+from .syntax import DEFAULT_STATE_CAP, Action, Env, SyntaxErr, Term, parse_defs, parse_term, pretty
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -23,9 +24,11 @@ EXIT_CAP = 2
 EXIT_DISAGREE = 3
 
 
-def _load(path: str) -> tuple[Env, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_defs(fh.read())
+def _load(args) -> tuple[Env, list[str]]:
+    """The definitions of `args.file`, under the run's state cap."""
+    with open(args.file, "r", encoding="utf-8") as fh:
+        env, names = parse_defs(fh.read())
+    return replace(env, state_cap=args.state_cap), names
 
 
 def _term(env: Env, name_or_term: str) -> Term:
@@ -49,8 +52,9 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _at_least(low: int, rule: str) -> Callable[[str], int]:
-    """An argument type: an integer no smaller than `low`."""
+def _at_least(low: int, what: str) -> Callable[[str], int]:
+    """An argument type: an integer no smaller than `low` (0 or 1)."""
+    rule = f"{what} must be a {'positive' if low else 'non-negative'} integer"
 
     def parse(text: str) -> int:
         try:
@@ -64,11 +68,21 @@ def _at_least(low: int, rule: str) -> Callable[[str], int]:
     return parse
 
 
-_positive = _at_least(1, "state cap must be a positive integer")
-_bound = _at_least(0, "bound must be a non-negative integer")
+_positive = _at_least(1, "state cap")
+_bound = _at_least(0, "bound")
+_depth = _at_least(0, "depth")
+
+
+def _alphabet(text: str) -> tuple[str, ...]:
+    """An argument type: comma-separated action names."""
+    try:
+        return tuple(Action(name).name for name in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _state_cap(args) -> int:
+    """--state-cap, else CCSWB_STATE_CAP, else the default."""
     if args.state_cap is not None:
         return args.state_cap
     env_cap = os.environ.get("CCSWB_STATE_CAP")
@@ -79,16 +93,16 @@ def _state_cap(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    env, names = _load(args.file)
+    env, names = _load(args)
     payload = {"defs": {n: pretty(env.lookup(n)) for n in names}}
     _emit(args, payload, "\n".join(f"def {n} = {pretty(env.lookup(n))}" for n in names))
     return EXIT_OK
 
 
 def cmd_lts(args) -> int:
-    env, names = _load(args.file)
+    env, names = _load(args)
     t = _term(env, args.process or names[-1])
-    lts = cached_lts(t, env, _state_cap(args))
+    lts = cached_lts(t, env)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(lts.to_dot())
@@ -106,15 +120,14 @@ def cmd_lts(args) -> int:
 
 
 def cmd_must(args) -> int:
-    env, _ = _load(args.file)
+    env, _ = _load(args)
     server = _term(env, args.server)
     client = _term(env, args.client)
-    cap = _state_cap(args)
     if args.dot:
-        product = Product(cached_lts(server, env, cap), cached_lts(client, env, cap), cap)
+        product = Product(cached_lts(server, env), cached_lts(client, env))
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(product.to_dot())
-    verdict = (testing.must_sc if args.symmetric else testing.must)(server, client, env, cap)
+    verdict = (testing.must_sc if args.symmetric else testing.must)(server, client, env)
     name = "mustSC" if args.symmetric else "must"
     human = f"{name}({pretty(server)}, {pretty(client)}): {'holds' if verdict.holds else 'fails'}"
     if verdict.evidence is not None:
@@ -127,10 +140,9 @@ def cmd_must(args) -> int:
 
 
 def cmd_usable(args) -> int:
-    env, _ = _load(args.file)
+    env, _ = _load(args)
     t = _term(env, args.client)
-    report = usability.usable(t, env, depth=args.bound, state_cap=_state_cap(args),
-                              verify_witness=True)
+    report = usability.usable(t, env, depth=args.bound, verify_witness=True)
     human = f"usable({pretty(t)}): {report.usable} ({report.mode})"
     if report.witness_server is not None:
         human += f", witness server {pretty(report.witness_server)}"
@@ -139,10 +151,10 @@ def cmd_usable(args) -> int:
 
 
 def cmd_accsets(args) -> int:
-    env, _ = _load(args.file)
+    env, _ = _load(args)
     t = _term(env, args.process)
     s = _trace(args.trace or "")
-    lts = cached_lts(t, env, _state_cap(args))
+    lts = cached_lts(t, env)
     fam = lts.acc_ut(s) if args.unsuccessful else lts.acc(s)
     kindname = "unsuccessful acceptance" if args.unsuccessful else "acceptance"
     sets = sorted(sorted(str(a) for a in rs) for rs in fam)
@@ -154,11 +166,11 @@ def cmd_accsets(args) -> int:
 
 
 def cmd_refines(args) -> int:
-    env, _ = _load(args.file)
+    env, _ = _load(args)
     left = _term(env, args.left)
     right = _term(env, args.right)
     fn = preorders.leq_plus if args.precongruence else preorders.leq
-    verdict = fn(args.kind, left, right, env, bound=args.bound, state_cap=_state_cap(args))
+    verdict = fn(args.kind, left, right, env, bound=args.bound)
     rel = f"{args.kind}{'+' if args.precongruence else ''}"
     human = (f"{pretty(left)} <={rel} {pretty(right)}: "
              f"{'holds' if verdict.holds else 'fails'} ({verdict.mode})")
@@ -167,11 +179,9 @@ def cmd_refines(args) -> int:
         human += f"\n  clause: {verdict.failing_clause.to_json()}"
         if args.witness and not args.precongruence:
             try:
-                w = preorders.synthesize_witness(args.kind, left, right, env, verdict,
-                                                 _state_cap(args))
+                w = preorders.synthesize_witness(args.kind, left, right, env, verdict)
             except preorders.SynthesisGap:
-                w = oracle.refute_by_search(args.kind, left, right, env, limit=2000,
-                                            state_cap=_state_cap(args))
+                w = oracle.refute_by_search(args.kind, left, right, env, limit=2000)
             if w is not None:
                 payload["witness_test"] = pretty(w)
                 human += f"\n  witness test: {pretty(w)}"
@@ -180,7 +190,7 @@ def cmd_refines(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    env, _ = _load(args.file)
+    env, _ = _load(args)
     t = _term(env, args.process)
     # the server form is the peer form of the success-free term and the client
     # form is derived from the peer form, so the peer flag speaks for all three
@@ -203,16 +213,16 @@ def cmd_normalize(args) -> int:
 def cmd_check_axioms(args) -> int:
     kind_of = {"svr": "SVR", "clt": "CLT", "p2p": "P2P"}
     theory = kind_of[args.theory]
-    alphabet = tuple(args.alphabet.split(","))
+    env = Env(state_cap=args.state_cap)
     reports = []
     bad = 0
     for name, axset in ((theory, equations.THEORY_AXIOMS[theory]),
                         ("Derived", equations.THEORY_AXIOMS["Derived"])):
         if name == "Derived" and args.theory == "svr":
             continue
-        insts = equations.instantiate_axioms(name, alphabet, depth=args.depth,
+        insts = equations.instantiate_axioms(name, args.alphabet, depth=args.depth,
                                              samples=args.samples, seed=args.seed)
-        failures = equations.check_instances(args.theory, insts)
+        failures = equations.check_instances(args.theory, insts, env)
         bad += len(failures)
         reports.append({"axioms": name, "instances": len(insts), "violations":
                         [dict(inst.to_json(), direction=d) for inst, d in failures]})
@@ -225,12 +235,11 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphabet = tuple(args.alphabet.split(","))
-    spec = oracle.EnumSpec(alphabet=alphabet, max_depth=args.depth, max_width=args.width)
+    spec = oracle.EnumSpec(alphabet=args.alphabet, max_depth=args.depth, max_width=args.width)
     corpus = list(oracle.enumerate_terms(spec))
-    report = oracle.cross_validate(args.kind, corpus, EMPTY_ENV, test_limit=args.test_limit,
-                                   pair_cap=args.pairs_cap, seed=args.seed,
-                                   state_cap=_state_cap(args))
+    report = oracle.cross_validate(args.kind, corpus, Env(state_cap=args.state_cap),
+                                   test_limit=args.test_limit, pair_cap=args.pairs_cap,
+                                   seed=args.seed)
     payload = {
         "kind": args.kind,
         "corpus": len(corpus),
@@ -309,19 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-axioms", help="seeded axiom soundness sweep")
     p.add_argument("--theory", choices=("svr", "clt", "p2p"), required=True)
-    p.add_argument("--alphabet", default="a,b")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--alphabet", type=_alphabet, default="a,b")
+    p.add_argument("--depth", type=_depth, default=2)
+    p.add_argument("--samples", type=_at_least(1, "samples"), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check_axioms)
 
     p = sub.add_parser("sweep", help="cross-validate a preorder against search")
     p.add_argument("--kind", choices=preorders.KINDS, required=True)
-    p.add_argument("--alphabet", default="a,b")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--width", type=int, default=2)
-    p.add_argument("--test-limit", type=int, default=600)
-    p.add_argument("--pairs-cap", type=int, default=None)
+    p.add_argument("--alphabet", type=_alphabet, default="a,b")
+    p.add_argument("--depth", type=_depth, default=1)
+    p.add_argument("--width", type=_at_least(1, "width"), default=2)
+    p.add_argument("--test-limit", type=_at_least(1, "test limit"), default=600)
+    p.add_argument("--pairs-cap", type=_at_least(1, "pairs cap"), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_sweep)
@@ -336,6 +345,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        args.state_cap = _state_cap(args)
         return args.fn(args)
     except (SyntaxErr, FileNotFoundError, preorders.ModeError, usability.VisibleCycle,
             equations.NotCCSf) as exc:

@@ -13,12 +13,14 @@ from typing import Callable, Iterable, TypeVar, Union
 
 from .syntax import (
     DIV,
+    EMPTY_ENV,
     NIL,
     OK,
     TAU,
     UNIT,
     Action,
     Div,
+    Env,
     Nil,
     Ok,
     Prefix,
@@ -653,17 +655,17 @@ def instantiate_axioms(
     return out
 
 
-def check_instances(kind: str,
-                    instances: Iterable[GroundInstance]) -> list[tuple[GroundInstance, str]]:
+def check_instances(kind: str, instances: Iterable[GroundInstance],
+                    env: Env = EMPTY_ENV) -> list[tuple[GroundInstance, str]]:
     """Check ground (in)equations under the precongruence of `kind`; returns
     the violations (instance, failed direction)."""
     from .preorders import leq_plus
 
     failures: list[tuple[GroundInstance, str]] = []
     for inst in instances:
-        if not leq_plus(kind, inst.lhs, inst.rhs).holds:
+        if not leq_plus(kind, inst.lhs, inst.rhs, env).holds:
             failures.append((inst, "lhs<=rhs"))
-        if inst.direction == "eq" and not leq_plus(kind, inst.rhs, inst.lhs).holds:
+        if inst.direction == "eq" and not leq_plus(kind, inst.rhs, inst.lhs, env).holds:
             failures.append((inst, "rhs<=lhs"))
     return failures
 

@@ -24,8 +24,6 @@ from .syntax import (
     term_key,
 )
 
-DEFAULT_STATE_CAP = 100_000
-
 Trace = tuple[Action, ...]
 Node = TypeVar("Node", bound=Hashable)
 
@@ -123,12 +121,12 @@ class Lts:
     """Reachable transition graph of a term, states deduplicated structurally.
 
     Constants are kept folded: a state is the term as written, and its moves
-    come from unfolding the definition on demand.
+    come from unfolding the definition on demand.  At most `env.state_cap`
+    states are built.
     """
 
-    def __init__(self, root_term: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP):
-        if state_cap <= 0:
-            raise ValueError("state_cap must be positive")
+    def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
+        cap = env.state_cap
         self.env = env
         self.terms: list[Term] = []
         self.index: dict[Term, int] = {}
@@ -141,8 +139,8 @@ class Lts:
         def intern(t: Term) -> int:
             i = self.index.get(t)
             if i is None:
-                if len(self.terms) >= state_cap:
-                    raise StateCapExceeded(state_cap)
+                if len(self.terms) >= cap:
+                    raise StateCapExceeded(cap)
                 i = len(self.terms)
                 self.index[t] = i
                 self.terms.append(t)
@@ -310,9 +308,11 @@ class Product:
 
     Edges are left moves, right moves, and complementary synchronisations;
     success of either component is recorded as a state flag, not an edge.
+    The state cap is the smaller of the two graphs' caps.
     """
 
-    def __init__(self, left: Lts, right: Lts, state_cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, left: Lts, right: Lts):
+        cap = min(left.env.state_cap, right.env.state_cap)
         self.left_lts = left
         self.right_lts = right
         self.states: list[tuple[int, int]] = []
@@ -322,8 +322,8 @@ class Product:
         def intern(st: tuple[int, int]) -> int:
             k = self.index.get(st)
             if k is None:
-                if len(self.states) >= state_cap:
-                    raise StateCapExceeded(state_cap)
+                if len(self.states) >= cap:
+                    raise StateCapExceeded(cap)
                 k = len(self.states)
                 self.index[st] = k
                 self.states.append(st)
@@ -383,16 +383,17 @@ class Product:
         return "\n".join(lines)
 
 
-_LTS_CACHE: dict[tuple[Env, Term, int], Lts] = {}
+_LTS_CACHE: dict[tuple[Env, Term], Lts] = {}
 
 
-def cached_lts(t: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
-    """Shared Lts instances; safe because Lts values are immutable once built."""
-    key = (env, t, state_cap)
+def cached_lts(t: Term, env: Env = EMPTY_ENV) -> Lts:
+    """Shared Lts instances; safe because Lts values are immutable once built.
+    The key holds `env`, so graphs under different state caps stay apart."""
+    key = (env, t)
     got = _LTS_CACHE.get(key)
     if got is None:
         if len(_LTS_CACHE) > 200_000:
             _LTS_CACHE.clear()
-        got = Lts(t, env, state_cap)
+        got = Lts(t, env)
         _LTS_CACHE[key] = got
     return got

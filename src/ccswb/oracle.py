@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .lts import DEFAULT_STATE_CAP, cached_lts
+from .lts import cached_lts
 from .preorders import ModeError, SynthesisGap, check_witness, leq, passes, synthesize_witness
 from .syntax import (
     DIV,
@@ -160,20 +160,15 @@ def det_stable_servers(alphabet: Iterable[Action], max_depth: int, max_width: in
     yield from sorted(dict.fromkeys(levels[max_depth]), key=term_key)
 
 
-def search_satisfying_server(
-    r: Term,
-    env: Env = EMPTY_ENV,
-    max_depth: Optional[int] = None,
-    max_width: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Optional[Term]:
+def search_satisfying_server(r: Term, env: Env = EMPTY_ENV, max_depth: Optional[int] = None,
+                             max_width: Optional[int] = None) -> Optional[Term]:
     """First enumerated deterministic stable server that must-satisfies `r`.
 
     A server branch nested below the client's visible depth can never be
     engaged, so truncating the search there keeps it exhaustive for finite
     clients while the enumeration stays desk-sized.
     """
-    lts = cached_lts(r, env, state_cap)
+    lts = cached_lts(r, env)
     co_alpha = sorted({a.complement() for a in lts.alphabet()}, key=label_key)
     if max_depth is None:
         max_depth = min(4, visible_depth(r)) if is_ccsf(r) else 4
@@ -185,19 +180,13 @@ def search_satisfying_server(
         else:
             max_width = min(2, len(co_alpha)) if co_alpha else 1
     for server in det_stable_servers(co_alpha, max_depth, max_width):
-        if must(server, r, env, state_cap).holds:
+        if must(server, r, env).holds:
             return server
     return None
 
 
-def refute_by_search(
-    kind: str,
-    p: Term,
-    q: Term,
-    env: Env = EMPTY_ENV,
-    limit: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Optional[Term]:
+def refute_by_search(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
+                     limit: Optional[int] = None) -> Optional[Term]:
     """First enumerated test passed with p but not q, else None.
 
     Tests are as deep as the subjects plus room for the success and
@@ -205,7 +194,7 @@ def refute_by_search(
     the candidate list (smallest terms first); absence of a witness is then
     evidence only up to that bound.
     """
-    alphabet = cached_lts(p, env, state_cap).alphabet() | cached_lts(q, env, state_cap).alphabet()
+    alphabet = cached_lts(p, env).alphabet() | cached_lts(q, env).alphabet()
     names = tuple(sorted({a.name for a in alphabet}))
     if is_ccsf(p) and is_ccsf(q):
         depth = min(max(visible_depth(p), visible_depth(q)) + 2, 3)
@@ -215,7 +204,7 @@ def refute_by_search(
     for i, t in enumerate(enumerate_terms(spec)):
         if limit is not None and i >= limit:
             break
-        if check_witness(kind, p, q, t, env, state_cap):
+        if check_witness(kind, p, q, t, env):
             return t
     return None
 
@@ -255,8 +244,8 @@ class SweepReport:
         return not self.disagreements
 
 
-def pass_table(kind: str, terms: list[Term], tests: list[Term], env: Env = EMPTY_ENV,
-               state_cap: int = DEFAULT_STATE_CAP) -> dict[Term, int]:
+def pass_table(kind: str, terms: list[Term], tests: list[Term],
+               env: Env = EMPTY_ENV) -> dict[Term, int]:
     """Bitmask per term: which tests it passes in the role fixed by `kind`.
 
     Row inclusion over the test set is exactly the defining quantification of
@@ -266,21 +255,14 @@ def pass_table(kind: str, terms: list[Term], tests: list[Term], env: Env = EMPTY
     for term in terms:
         bits = 0
         for i, t in enumerate(tests):
-            if passes(kind, term, t, env, state_cap):
+            if passes(kind, term, t, env):
                 bits |= 1 << i
         rows[term] = bits
     return rows
 
 
-def cross_validate(
-    kind: str,
-    corpus: Iterable[Term],
-    env: Env = EMPTY_ENV,
-    test_limit: int = 1500,
-    pair_cap: Optional[int] = None,
-    seed: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> SweepReport:
+def cross_validate(kind: str, corpus: Iterable[Term], env: Env = EMPTY_ENV, test_limit: int = 1500,
+                   pair_cap: Optional[int] = None, seed: int = 0) -> SweepReport:
     """Check every ordered corpus pair against the bounded definitional oracle.
 
     The pool holds the `test_limit` smallest tests over the corpus alphabet,
@@ -293,7 +275,7 @@ def cross_validate(
     terms = list(dict.fromkeys(corpus))
     if not all(is_ccsf(t) for t in terms):
         raise ModeError("cross-validation requires finite corpus terms")
-    names = tuple(sorted({a.name for t in terms for a in cached_lts(t, env, state_cap).alphabet()}))
+    names = tuple(sorted({a.name for t in terms for a in cached_lts(t, env).alphabet()}))
     depth = min(3, max((visible_depth(t) for t in terms), default=0) + 2)
     test_spec = EnumSpec(alphabet=names or ("a",), max_depth=depth,
                          allow_unit=True, allow_div=True, max_width=2)
@@ -302,14 +284,14 @@ def cross_validate(
         if i >= test_limit:
             break
         tests.append(t)
-    rows = pass_table(kind, terms, tests, env, state_cap)
+    rows = pass_table(kind, terms, tests, env)
     pairs = [(a, b) for a in terms for b in terms]
     if pair_cap is not None and len(pairs) > pair_cap:
         rng = random.Random(seed)
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(pair_cap)]
     report = SweepReport()
     for a, b in pairs:
-        verdict = leq(kind, a, b, env, state_cap=state_cap)
+        verdict = leq(kind, a, b, env)
         distinguishing = rows[a] & ~rows[b]
         witness: Optional[Term] = None
         if verdict.holds:
@@ -318,11 +300,11 @@ def cross_validate(
                 witness = tests[(distinguishing & -distinguishing).bit_length() - 1]
         else:
             try:
-                witness = synthesize_witness(kind, a, b, env, verdict, state_cap)
+                witness = synthesize_witness(kind, a, b, env, verdict)
             except SynthesisGap:
                 witness = None
             if witness is None and distinguishing:
                 witness = tests[(distinguishing & -distinguishing).bit_length() - 1]
-            agree = witness is not None and check_witness(kind, a, b, witness, env, state_cap)
+            agree = witness is not None and check_witness(kind, a, b, witness, env)
         report.records.append(SweepRecord(kind, a, b, verdict.holds, witness, agree))
     return report

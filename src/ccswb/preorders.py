@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .lts import DEFAULT_STATE_CAP, Lts, Trace, cached_lts
+from .lts import Lts, Trace, cached_lts
 from .syntax import (
     DIV,
     EMPTY_ENV,
@@ -225,13 +225,13 @@ class _Engine:
                             "trace_flow")
 
 
-def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int], state_cap: int):
+def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     if kind not in KINDS:
         raise ValueError(f"unknown preorder kind {kind!r}")
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be a non-negative integer, got {bound}")
-    lts1 = cached_lts(p, env, state_cap)
-    lts2 = cached_lts(q, env, state_cap)
+    lts1 = cached_lts(p, env)
+    lts2 = cached_lts(q, env)
     if bound is None:
         if not (is_ccsf(p) and is_ccsf(q)):
             raise ModeError("exact decision requires finite terms; pass a bound")
@@ -243,15 +243,9 @@ def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int], state_
     return _Engine(lts1, lts2, depth_cap, bound), mode
 
 
-def _decide(
-    kind: str,
-    p: Term,
-    q: Term,
-    env: Env = EMPTY_ENV,
-    bound: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RefinementVerdict:
-    engine, mode = _prepare(kind, p, q, env, bound, state_cap)
+def _decide(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
+            bound: Optional[int] = None) -> RefinementVerdict:
+    engine, mode = _prepare(kind, p, q, env, bound)
     for node in engine.nodes():
         fail: Optional[FailingClause] = None
         if kind == "clt":
@@ -265,47 +259,43 @@ def _decide(
     return RefinementVerdict(kind, True, mode, bound)
 
 
-def leq_svr(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None,
-            state_cap: int = DEFAULT_STATE_CAP) -> RefinementVerdict:
+def leq_svr(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None) -> RefinementVerdict:
     """Server refinement: every client satisfied by p is satisfied by q."""
-    return _decide("svr", p, q, env, bound, state_cap)
+    return _decide("svr", p, q, env, bound)
 
 
-def leq_clt(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None,
-            state_cap: int = DEFAULT_STATE_CAP) -> RefinementVerdict:
+def leq_clt(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None) -> RefinementVerdict:
     """Client refinement: every server satisfying p satisfies q."""
-    return _decide("clt", p, q, env, bound, state_cap)
+    return _decide("clt", p, q, env, bound)
 
 
-def leq_p2p(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None,
-            state_cap: int = DEFAULT_STATE_CAP) -> RefinementVerdict:
+def leq_p2p(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None) -> RefinementVerdict:
     """Peer refinement: every peer mutually satisfied with p is with q."""
-    return _decide("p2p", p, q, env, bound, state_cap)
+    return _decide("p2p", p, q, env, bound)
 
 
-def leq(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None,
-        state_cap: int = DEFAULT_STATE_CAP) -> RefinementVerdict:
-    return _decide(kind, p, q, env, bound, state_cap)
+def leq(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
+        bound: Optional[int] = None) -> RefinementVerdict:
+    return _decide(kind, p, q, env, bound)
 
 
-def leq_svr_classical(p: Term, q: Term, env: Env = EMPTY_ENV,
-                      state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def leq_svr_classical(p: Term, q: Term, env: Env = EMPTY_ENV) -> bool:
     """Convergence-plus-ready-set-inclusion formulation, without the trace-flow
     clause; coincides with leq_svr on success-free finite terms."""
-    engine, _ = _prepare("svr", p, q, env, None, state_cap)
+    engine, _ = _prepare("svr", p, q, env, None)
     for node in engine.nodes():
         if engine.svr_clauses(node, include_trace_flow=False) is not None:
             return False
     return True
 
 
-def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None,
-             state_cap: int = DEFAULT_STATE_CAP) -> RefinementVerdict:
+def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
+             bound: Optional[int] = None) -> RefinementVerdict:
     """The precongruence: the preorder applied under a fresh-success summand."""
     f = fresh_action([p, q], env)
     fp = mk_sum([Prefix(f, UNIT), p])
     fq = mk_sum([Prefix(f, UNIT), q])
-    return _decide(kind, fp, fq, env, bound, state_cap)
+    return _decide(kind, fp, fq, env, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +303,22 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[
 # ---------------------------------------------------------------------------
 
 
-def _diag(r1: Term, r2: Term, env: Env, relaxed: bool, state_cap: int) -> bool:
-    engine, _ = _prepare("clt", r1, r2, env, None, state_cap)
+def _diag(r1: Term, r2: Term, env: Env, relaxed: bool) -> bool:
+    engine, _ = _prepare("clt", r1, r2, env, None)
     return not any(
         engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed)
         for node in engine.nodes()
     )
 
 
-def diag_sbad(r1: Term, r2: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def diag_sbad(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
     """Convergence-guarded matching of unsuccessful ready sets by inclusion."""
-    return _diag(r1, r2, env, relaxed=False, state_cap=state_cap)
+    return _diag(r1, r2, env, relaxed=False)
 
 
-def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
     """Same, with the inclusion relaxed through the left usable actions."""
-    return _diag(r1, r2, env, relaxed=True, state_cap=state_cap)
+    return _diag(r1, r2, env, relaxed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,31 +427,25 @@ def _p2p_usmpo_witness(lts1: Lts, clause: FailingClause) -> Term:
     return _chain(s, len(s), lambda k: [commit(k)], end)
 
 
-def synthesize_witness(
-    kind: str,
-    p: Term,
-    q: Term,
-    env: Env = EMPTY_ENV,
-    verdict: Optional[RefinementVerdict] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Term:
+def synthesize_witness(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
+                       verdict: Optional[RefinementVerdict] = None) -> Term:
     """Build a test discriminating p from q out of the failing clause, and
     re-check it with the testing module before returning it."""
     if not (is_ccsf(p) and is_ccsf(q)):
         raise SynthesisGap("synthesis is defined for finite terms only")
     if verdict is None:
-        verdict = _decide(kind, p, q, env, None, state_cap)
+        verdict = _decide(kind, p, q, env)
     if verdict.holds or verdict.failing_clause is None:
         raise ValueError("synthesis needs a refuted verdict")
     clause = verdict.failing_clause
-    lts1 = cached_lts(p, env, state_cap)
+    lts1 = cached_lts(p, env)
     if kind == "svr":
         t = _svr_witness(lts1, clause)
     elif clause.part == "clt":
         t = _clt_witness(lts1, clause, peer=kind == "p2p")
     else:
         t = _p2p_usmpo_witness(lts1, clause)
-    if not check_witness(kind, p, q, t, env, state_cap):
+    if not check_witness(kind, p, q, t, env):
         raise SynthesisGap(
             f"synthesized test failed verification: kind={kind} clause={clause.clause} "
             f"p={pretty(p)} q={pretty(q)} t={pretty(t)}"
@@ -469,20 +453,19 @@ def synthesize_witness(
     return t
 
 
-def passes(kind: str, p: Term, t: Term, env: Env, state_cap: int) -> bool:
+def passes(kind: str, p: Term, t: Term, env: Env) -> bool:
     """Does `p` pass the test `t` in the role fixed by `kind`: a server
     satisfies the client t, a client is satisfied by the server t, a peer
     and t satisfy each other?"""
     if kind == "svr":
-        return must(p, t, env, state_cap).holds
+        return must(p, t, env).holds
     if kind == "clt":
-        return must(t, p, env, state_cap).holds
+        return must(t, p, env).holds
     if kind == "p2p":
-        return must_sc(p, t, env, state_cap).holds
+        return must_sc(p, t, env).holds
     raise ValueError(f"unknown preorder kind {kind!r}")
 
 
-def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV,
-                  state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV) -> bool:
     """Does `t` pass with p and fail with q, in the roles fixed by `kind`?"""
-    return passes(kind, p, t, env, state_cap) and not passes(kind, q, t, env, state_cap)
+    return passes(kind, p, t, env) and not passes(kind, q, t, env)

@@ -1,8 +1,9 @@
 """Process-term syntax: actions, terms, definition environments, parser and printer.
 
-Terms are immutable and hash-consed by value.  Sums are canonicalized at
-construction time (flattened, deduplicated, sorted) so structural equality is
-a decidable stand-in for syntactic identity modulo commutative-monoid laws.
+Terms are immutable, and compared and hashed by value.  Sums are
+canonicalized at construction time (flattened, deduplicated, sorted) so
+structural equality is a decidable stand-in for syntactic identity modulo
+commutative-monoid laws.
 """
 from __future__ import annotations
 
@@ -186,14 +187,22 @@ class SyntaxErr(Exception):
         super().__init__(f"{line}:{col}: {message}" if line else message)
 
 
+#: reachable states allowed in any one graph (an `Lts` or a `Product`)
+DEFAULT_STATE_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class Env:
-    """Named recursive definitions; immutable and hashable."""
+    """Named recursive definitions and the cap on graph size every decider
+    builds under; immutable and hashable."""
 
     defs: tuple[tuple[str, Term], ...] = ()
+    state_cap: int = DEFAULT_STATE_CAP
     _map: dict = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
+        if self.state_cap <= 0:
+            raise ValueError("state_cap must be positive")
         object.__setattr__(self, "_map", dict(self.defs))
         if len(self._map) != len(self.defs):
             raise SyntaxErr("duplicate definition in environment")

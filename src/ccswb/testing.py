@@ -10,8 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .lts import DEFAULT_STATE_CAP, Product, cached_lts, on_cycle
+from .lts import Product, cached_lts, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
+
+#: longest maximal computation the enumeration oracle walks
+STEP_BOUND = 64
 
 
 class NotAcyclic(RuntimeError):
@@ -122,19 +125,19 @@ def find_unsuccessful_maximal(product: Product, side: str = "right") -> Optional
     return Counterexample(product, tuple(entry + best), "lasso", loop_start=len(entry) - 1)
 
 
-def _product_of(p: Term, r: Term, env: Env, state_cap: int) -> Product:
-    return Product(cached_lts(p, env, state_cap), cached_lts(r, env, state_cap), state_cap)
+def _product_of(p: Term, r: Term, env: Env) -> Product:
+    return Product(cached_lts(p, env), cached_lts(r, env))
 
 
-def must(p: Term, r: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
+def must(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
     """Every maximal computation of p || r lets the client r report success."""
-    ce = find_unsuccessful_maximal(_product_of(p, r, env, state_cap), side="right")
+    ce = find_unsuccessful_maximal(_product_of(p, r, env), side="right")
     return Verdict(ce is None, ce)
 
 
-def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
+def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
     """Every maximal computation lets both peers report success (not necessarily together)."""
-    product = _product_of(p, r, env, state_cap)
+    product = _product_of(p, r, env)
     ce = find_unsuccessful_maximal(product, side="right")
     if ce is None:
         ce = find_unsuccessful_maximal(product, side="left")
@@ -146,15 +149,10 @@ def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV, state_cap: int = DEFAULT_STA
 # ---------------------------------------------------------------------------
 
 
-def enumerate_computations(
-    p: Term,
-    r: Term,
-    env: Env = EMPTY_ENV,
-    step_bound: int = 64,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[Product, list[tuple[int, ...]]]:
+def enumerate_computations(p: Term, r: Term,
+                           env: Env = EMPTY_ENV) -> tuple[Product, list[tuple[int, ...]]]:
     """All maximal computations of an acyclic product, as state-id paths."""
-    product = _product_of(p, r, env, state_cap)
+    product = _product_of(p, r, env)
     if on_cycle([product.root], product.succ.__getitem__):
         raise NotAcyclic("product graph has a cycle")
     paths: list[tuple[int, ...]] = []
@@ -165,8 +163,8 @@ def enumerate_computations(
         if product.stable(k):
             paths.append(tuple(walk))
             return
-        if len(walk) > step_bound:
-            raise BoundExceeded(f"computation longer than {step_bound} steps")
+        if len(walk) > STEP_BOUND:
+            raise BoundExceeded(f"computation longer than {STEP_BOUND} steps")
         for k2 in product.succ[k]:
             walk.append(k2)
             extend()
@@ -184,11 +182,11 @@ def successful(product: Product, path: tuple[int, ...]) -> bool:
     return client_successful(product, path) and any(product.left_ok[k] for k in path)
 
 
-def must_by_enumeration(p: Term, r: Term, env: Env = EMPTY_ENV, step_bound: int = 64) -> bool:
-    product, paths = enumerate_computations(p, r, env, step_bound)
+def must_by_enumeration(p: Term, r: Term, env: Env = EMPTY_ENV) -> bool:
+    product, paths = enumerate_computations(p, r, env)
     return all(client_successful(product, path) for path in paths)
 
 
-def must_sc_by_enumeration(p: Term, r: Term, env: Env = EMPTY_ENV, step_bound: int = 64) -> bool:
-    product, paths = enumerate_computations(p, r, env, step_bound)
+def must_sc_by_enumeration(p: Term, r: Term, env: Env = EMPTY_ENV) -> bool:
+    product, paths = enumerate_computations(p, r, env)
     return all(successful(product, path) for path in paths)

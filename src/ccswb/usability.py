@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import DEFAULT_STATE_CAP, Lts, Trace, cached_lts, sccs
+from .lts import Lts, Trace, cached_lts, sccs
 from .syntax import (
     EMPTY_ENV,
     NIL,
@@ -110,17 +110,12 @@ def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[b
     return True, witness
 
 
-def usable(
-    r: Term,
-    env: Env = EMPTY_ENV,
-    depth: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-    verify_witness: bool = False,
-) -> UsabilityReport:
+def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None,
+           verify_witness: bool = False) -> UsabilityReport:
     """Is there any server that must-satisfies `r`?  Exact unless `depth` given."""
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be a non-negative integer, got {depth}")
-    lts = cached_lts(r, env, state_cap)
+    lts = cached_lts(r, env)
     mode = "exact" if depth is None else "bounded"
     if depth is None and not _nonok_region_visible_acyclic(lts):
         raise VisibleCycle(
@@ -132,42 +127,34 @@ def usable(
         ok, wit = usable_set(lts, frozenset({lts.root}), depth)
         report = UsabilityReport(ok, wit if ok else None, mode, depth)
     if verify_witness and report.usable and report.witness_server is not None:
-        if not must(report.witness_server, r, env, state_cap).holds:
+        if not must(report.witness_server, r, env).holds:
             raise RuntimeError(f"internal error: witness server failed verification for {r}")
     return report
 
 
-def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None,
-          state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> bool:
     """Usability along an unsuccessful trace: every residual reachable by an
     unsuccessful prefix of `s` is still satisfiable."""
-    lts = cached_lts(r, env, state_cap)
+    lts = cached_lts(r, env)
     if depth is None and not _nonok_region_visible_acyclic(lts):
         raise VisibleCycle("exact usability undecided; rerun bounded")
     return all(not x or usable_set(lts, x, depth)[0] for x in lts.residuals(s, True))
 
 
-def uaut(
-    r: Term,
-    s: Trace,
-    env: Env = EMPTY_ENV,
-    alphabet: Optional[frozenset[Action]] = None,
-    depth: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> frozenset[Action]:
+def uaut(r: Term, s: Trace, env: Env = EMPTY_ENV, alphabet: Optional[frozenset[Action]] = None,
+         depth: Optional[int] = None) -> frozenset[Action]:
     """Usable actions after `s`: those the client cannot perform unsuccessfully,
     or whose pooled residual is still satisfiable."""
-    lts = cached_lts(r, env, state_cap)
+    lts = cached_lts(r, env)
     cur = lts.unsuccessful_after(s)
     nxt = {a: lts.unsuccessful_closure(lts.step(cur, a))
            for a in sorted(alphabet if alphabet is not None else lts.alphabet(), key=label_key)}
     # an action the client can still perform unsuccessfully needs `s` usable
-    along = any(nxt.values()) and usbut(r, s, env, depth, state_cap)
+    along = any(nxt.values()) and usbut(r, s, env, depth)
     return frozenset(a for a, x in nxt.items() if not x or (along and usable_set(lts, x, depth)[0]))
 
 
-def peer_conv(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None,
-              state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def peer_conv(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> bool:
     """Peer convergence: convergence along `s` plus client usability along `s`."""
-    lts = cached_lts(r, env, state_cap)
-    return lts.converges_along(s) and usbut(r, s, env, depth, state_cap)
+    lts = cached_lts(r, env)
+    return lts.converges_along(s) and usbut(r, s, env, depth)

@@ -302,7 +302,7 @@ def test_criterion_5_structural_properties(sweep_corpus):
         p = sweep_corpus[rng.randrange(n)]
         r = sweep_corpus[rng.randrange(n)]
         try:
-            expected = must_by_enumeration(p, r, step_bound=64)
+            expected = must_by_enumeration(p, r)
         except NotAcyclic:
             continue
         assert must(p, r).holds == expected

@@ -120,6 +120,12 @@ def test_state_cap_env_var(defs_file, capsys, monkeypatch):
     assert run(["lts", defs_file, "-p", "P"]) == 2
 
 
+def test_check_axioms_honours_the_state_cap(capsys):
+    assert run(["--state-cap", "1", "check-axioms", "--theory", "svr", "--samples", "1",
+                "--depth", "1"]) == 2
+    assert "exceeds cap of 1" in capsys.readouterr().err
+
+
 def test_every_command_has_stable_json(defs_file, capsys):
     """Golden schema check: the key set of each command's JSON payload."""
     golden = {
@@ -166,9 +172,21 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["must", "{defs}", "-s", "a", "-c", "1"], {}),
     (["usable", "{defs}", "-c", "R1", "--bound", "-1"], {}),
     (["refines", "{defs}", "--kind", "clt", "-l", "R1", "-r", "R2", "--bound", "-1"], {}),
+    (["parse", "{defs}"], {"CCSWB_STATE_CAP": "0"}),
+    (["check-axioms", "--theory", "clt", "--samples", "0"], {}),
+    (["check-axioms", "--theory", "clt", "--alphabet", "A"], {}),
+    (["check-axioms", "--theory", "clt", "--depth", "-1"], {}),
+    (["sweep", "--kind", "clt", "--alphabet", "a,,b"], {}),
+    (["sweep", "--kind", "clt", "--depth", "-1"], {}),
+    (["sweep", "--kind", "clt", "--pairs-cap", "-3"], {}),
+    (["sweep", "--kind", "clt", "--test-limit", "0"], {}),
+    (["sweep", "--kind", "clt", "--width", "0"], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
         "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
-        "refines-bound-negative"])
+        "refines-bound-negative", "parse-cap-env-zero", "axioms-samples-zero",
+        "axioms-alphabet-bad-name", "axioms-depth-negative", "sweep-alphabet-empty-name",
+        "sweep-depth-negative", "sweep-pairs-cap-negative", "sweep-test-limit-zero",
+        "sweep-width-zero"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.ccs"
     deep.write_text("def P = " + "a." * 3000 + "0\n")

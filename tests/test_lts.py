@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
-from ccswb.syntax import Action, Const, NIL, OK, TAU, parse_defs, pretty
+from ccswb.syntax import Action, Const, Env, NIL, OK, TAU, parse_defs, pretty
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -54,10 +54,15 @@ def test_build_lts_sizes():
 
 
 def test_state_cap():
+    env = Env(state_cap=3)
     with pytest.raises(StateCapExceeded):
-        Lts(t("a.b.c.d.0"), state_cap=3)
+        Lts(t("a.b.c.d.0"), env)
+    # each graph has 3 states, their interleaving 9
+    chain = t("tau.tau.0")
+    left, right = cached_lts(chain, env), cached_lts(chain, env)
+    assert len(left) == len(right) == 3
     with pytest.raises(StateCapExceeded):
-        Product(cached_lts(t("a.b.c.0")), cached_lts(t("~a.~b.~c.1")), state_cap=2)
+        Product(left, right)
 
 
 def test_compose_examples():

@@ -17,7 +17,7 @@ from ccswb.oracle import (
     term_size,
 )
 from ccswb.preorders import ModeError, check_witness
-from ccswb.syntax import Action, Const, parse_defs, pretty
+from ccswb.syntax import Action, Const, Env, parse_defs, pretty
 
 
 def test_enumeration_base_cases():
@@ -109,9 +109,10 @@ def test_pass_table_rejects_an_unknown_kind():
 
 def test_graphs_are_built_at_the_callers_state_cap(small_corpus, monkeypatch):
     monkeypatch.setattr(lts, "_LTS_CACHE", {})
-    refute_by_search("clt", t("a.1"), t("a.0"), limit=50, state_cap=50)
-    cross_validate("clt", small_corpus[:6], test_limit=40, state_cap=50)
-    assert lts._LTS_CACHE and {cap for _, _, cap in lts._LTS_CACHE} == {50}
+    env = Env(state_cap=50)
+    refute_by_search("clt", t("a.1"), t("a.0"), env, limit=50)
+    cross_validate("clt", small_corpus[:6], env, test_limit=40)
+    assert lts._LTS_CACHE and {key_env.state_cap for key_env, _ in lts._LTS_CACHE} == {50}
 
 
 def test_cross_validate_small(small_corpus):

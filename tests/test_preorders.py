@@ -18,7 +18,6 @@ from ccswb.preorders import (
     passes,
     synthesize_witness,
 )
-from ccswb.lts import DEFAULT_STATE_CAP
 from ccswb.syntax import EMPTY_ENV, Const, parse_defs, pretty
 from ccswb.testing import must, must_sc
 
@@ -212,9 +211,9 @@ def test_passes_takes_the_role_of_the_kind(kind, left, right, small_corpus):
     role = {"svr": lambda x, r: must(x, r), "clt": lambda x, r: must(r, x), "p2p": must_sc}[kind]
     separating = 0
     for r in small_corpus + [synthesize_witness(kind, p, q)]:
-        p_passes = passes(kind, p, r, EMPTY_ENV, DEFAULT_STATE_CAP)
+        p_passes = passes(kind, p, r, EMPTY_ENV)
         assert p_passes == role(p, r).holds, pretty(r)
-        separates = p_passes and not passes(kind, q, r, EMPTY_ENV, DEFAULT_STATE_CAP)
+        separates = p_passes and not passes(kind, q, r, EMPTY_ENV)
         assert separates == check_witness(kind, p, q, r), pretty(r)
         separating += separates
     assert separating

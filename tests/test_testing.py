@@ -6,6 +6,7 @@ import pytest
 from conftest import t
 from ccswb.syntax import Const, parse_defs
 from ccswb.testing import (
+    STEP_BOUND,
     BoundExceeded,
     NotAcyclic,
     client_successful,
@@ -91,8 +92,11 @@ def test_enumerate_computations_two_interleavings():
 def test_enumeration_guards():
     with pytest.raises(NotAcyclic):
         enumerate_computations(t("div"), t("a.1"))
+    # a run of STEP_BOUND steps is walked, one step more is refused
+    _, paths = enumerate_computations(t("tau." * STEP_BOUND + "0"), t("0"))
+    assert [len(p) for p in paths] == [STEP_BOUND + 1]
     with pytest.raises(BoundExceeded):
-        enumerate_computations(t("tau.tau.tau.tau.0"), t("tau.tau.tau.tau.0"), step_bound=3)
+        enumerate_computations(t("tau." * (STEP_BOUND + 1) + "0"), t("0"))
 
 
 def test_oracle_agrees_with_lasso_algorithm(small_corpus):
