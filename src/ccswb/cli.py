@@ -142,7 +142,7 @@ def cmd_must(args) -> int:
 def cmd_usable(args) -> int:
     env, _ = _load(args)
     t = _term(env, args.client)
-    report = usability.usable(t, env, depth=args.bound, verify_witness=True)
+    report = usability.usable(t, env, depth=args.bound)
     human = f"usable({pretty(t)}): {report.usable} ({report.mode})"
     if report.witness_server is not None:
         human += f", witness server {pretty(report.witness_server)}"

@@ -132,13 +132,11 @@ def make_ext(branches: dict[Action, Pnf], unit: bool) -> PnfExt:
     return PnfExt(_sorted_items(branches), unit)
 
 
-def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf],
-             unit: bool) -> PnfTau:
+def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf]) -> PnfTau:
     fam = saturate(family)
     labels = {a for A in fam for a in A if isinstance(a, Action)}
     leaves = {a: c for a, c in leaves.items() if a in labels}
-    node = PnfTau(fam, _sorted_items(leaves), False)
-    return okify(node) if unit else node  # type: ignore[return-value]
+    return PnfTau(fam, _sorted_items(leaves), False)
 
 
 _ZERO = PnfExt((), False)
@@ -217,7 +215,7 @@ def plus_pnf(n: Pnf, m: Pnf) -> tuple[Pnf, bool]:
         out = PnfExt(_sorted_items(merged), False)
     elif isinstance(n0, PnfTau) and isinstance(m0, PnfTau):
         leaves, exact = _merge_maps(n0.leaf_map(), m0.leaf_map())
-        out = make_tau(n0.family | m0.family, leaves, False)
+        out = make_tau(n0.family | m0.family, leaves)
     else:
         ext, tau = (n0, m0) if isinstance(n0, PnfExt) else (m0, n0)
         assert isinstance(ext, PnfExt) and isinstance(tau, PnfTau)

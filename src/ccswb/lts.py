@@ -388,7 +388,8 @@ _LTS_CACHE: dict[tuple[Env, Term], Lts] = {}
 
 def cached_lts(t: Term, env: Env = EMPTY_ENV) -> Lts:
     """Shared Lts instances; safe because Lts values are immutable once built.
-    The key holds `env`, so graphs under different state caps stay apart."""
+    The key is the `env` object, compared by identity, and the term, so graphs
+    of different environments or state caps stay apart."""
     key = (env, t)
     got = _LTS_CACHE.get(key)
     if got is None:

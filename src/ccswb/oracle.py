@@ -101,9 +101,7 @@ def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
 
             def pick(target: int, chosen: list[Term], lo_key: tuple) -> None:
                 if len(chosen) >= 2 and target == 0:
-                    t = mk_sum(list(chosen))
-                    if isinstance(t, Sum) and term_size(t) == n:
-                        sums.append(t)
+                    sums.append(mk_sum(chosen))
                     return
                 if target <= 0 or len(chosen) >= spec.max_width:
                     return
@@ -135,7 +133,7 @@ def sample_terms(spec: EnumSpec, n: int, seed: int) -> list[Term]:
     return [pool[rng.randrange(len(pool))] for _ in range(n)]
 
 
-def det_stable_servers(alphabet: Iterable[Action], max_depth: int, max_width: int = 2) -> Iterator[Term]:
+def det_stable_servers(alphabet: Iterable[Action], max_depth: int, max_width: int) -> Iterator[Term]:
     """Tau-free deterministic sums of distinct prefixes: the canonical shape
     of satisfying servers, used by the bounded usability oracle."""
     acts = sorted(alphabet, key=label_key)

@@ -107,56 +107,39 @@ class _Engine:
         self.bound = bound
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
-    def root_node(self) -> _Node:
+    def build_node(self, trace: Trace, w1: frozenset[int], w2: frozenset[int],
+                   x1: frozenset[int], x2: frozenset[int],
+                   conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> _Node:
+        """The node for `trace` from its residuals before closure, with the
+        parent's guards folded into its own."""
         l1, l2 = self.lts1, self.lts2
-        w1 = l1.tau_closure(frozenset({l1.root}))
-        w2 = l2.tau_closure(frozenset({l2.root}))
-        x1 = l1.unsuccessful_closure(frozenset({l1.root}))
-        x2 = l2.unsuccessful_closure(frozenset({l2.root}))
+        w1, w2 = l1.tau_closure(w1), l2.tau_closure(w2)
+        x1, x2 = l1.unsuccessful_closure(x1), l2.unsuccessful_closure(x2)
         return _Node(
-            trace=(),
+            trace=trace,
             w1=w1,
             w2=w2,
             x1=x1,
             x2=x2,
-            conv1=l1.converges_state_set(w1),
-            conv2=l2.converges_state_set(w2),
-            usb1=l1.ok[l1.root] or usable_set(l1, x1, self.bound)[0],
-            usb2=l2.ok[l2.root] or usable_set(l2, x2, self.bound)[0],
-        )
-
-    def child(self, node: _Node, a: Action) -> _Node:
-        l1, l2 = self.lts1, self.lts2
-        w1 = l1.tau_closure(l1.step(node.w1, a))
-        w2 = l2.tau_closure(l2.step(node.w2, a))
-        x1 = l1.unsuccessful_closure(l1.step(node.x1, a))
-        x2 = l2.unsuccessful_closure(l2.step(node.x2, a))
-        return _Node(
-            trace=node.trace + (a,),
-            w1=w1,
-            w2=w2,
-            x1=x1,
-            x2=x2,
-            conv1=node.conv1 and (not w1 or l1.converges_state_set(w1)),
-            conv2=node.conv2 and (not w2 or l2.converges_state_set(w2)),
-            usb1=node.usb1 and (not x1 or usable_set(l1, x1, self.bound)[0]),
-            usb2=node.usb2 and (not x2 or usable_set(l2, x2, self.bound)[0]),
+            conv1=conv1 and (not w1 or l1.converges_state_set(w1)),
+            conv2=conv2 and (not w2 or l2.converges_state_set(w2)),
+            usb1=usb1 and usable_set(l1, x1, self.bound)[0],
+            usb2=usb2 and usable_set(l2, x2, self.bound)[0],
         )
 
     def usable_action(self, node: _Node, a: Action) -> bool:
         """Membership of `a` in the left process's usable actions after the
         current trace; none counts as usable unless the guard usb1 holds."""
-        if not node.usb1:
-            return False
-        nxt = self.lts1.unsuccessful_closure(self.lts1.step(node.x1, a))
-        return not nxt or usable_set(self.lts1, nxt, self.bound)[0]
+        return node.usb1 and usable_set(self.lts1, self.lts1.step(node.x1, a), self.bound)[0]
 
     def usable_actions_snapshot(self, node: _Node) -> frozenset[Action]:
         return frozenset(a for a in self.alphabet if self.usable_action(node, a))
 
     def nodes(self) -> Iterable[_Node]:
         """Breadth-first trace walk with subtree pruning on stabilized nodes."""
-        root = self.root_node()
+        l1, l2 = self.lts1, self.lts2
+        r1, r2 = frozenset({l1.root}), frozenset({l2.root})
+        root = self.build_node((), r1, r2, r1, r2, True, True, True, True)
         queue = [root]
         seen = {self._node_key(root)}
         qi = 0
@@ -169,7 +152,9 @@ class _Engine:
             if not (node.w1 or node.w2 or node.x1 or node.x2):
                 continue
             for a in self.alphabet:
-                ch = self.child(node, a)
+                ch = self.build_node(node.trace + (a,), l1.step(node.w1, a), l2.step(node.w2, a),
+                                     l1.step(node.x1, a), l2.step(node.x2, a),
+                                     node.conv1, node.conv2, node.usb1, node.usb2)
                 if not (ch.w1 or ch.w2 or ch.x1 or ch.x2):
                     continue
                 key = self._node_key(ch)
@@ -184,7 +169,7 @@ class _Engine:
     # -- clause groups ------------------------------------------------------
 
     def clauses(self, node: _Node, part: str, guard: bool, premise: str, residual: str,
-                relaxed: bool, trailing: Optional[str] = None) -> Optional[FailingClause]:
+                relaxed: bool, trailing: Optional[str]) -> Optional[FailingClause]:
         """The one trace/ready-set clause shape behind every preorder.
 
         Under `guard` the right side must keep the `premise` guard
@@ -216,9 +201,8 @@ class _Engine:
         return self.clauses(node, "clt", node.usb1, "usability_flow", "x", True,
                             "unsuccessful_trace")
 
-    def svr_clauses(self, node: _Node, include_trace_flow: bool = True) -> Optional[FailingClause]:
-        return self.clauses(node, "svr", node.conv1, "convergence", "w", False,
-                            "trace_flow" if include_trace_flow else None)
+    def svr_clauses(self, node: _Node) -> Optional[FailingClause]:
+        return self.clauses(node, "svr", node.conv1, "convergence", "w", False, "trace_flow")
 
     def usmpo_clauses(self, node: _Node) -> Optional[FailingClause]:
         return self.clauses(node, "usmpo", node.conv1 and node.usb1, "convergence", "w", True,
@@ -243,8 +227,7 @@ def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     return _Engine(lts1, lts2, depth_cap, bound), mode
 
 
-def _decide(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
-            bound: Optional[int] = None) -> RefinementVerdict:
+def _decide(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]) -> RefinementVerdict:
     engine, mode = _prepare(kind, p, q, env, bound)
     for node in engine.nodes():
         fail: Optional[FailingClause] = None
@@ -284,7 +267,7 @@ def leq_svr_classical(p: Term, q: Term, env: Env = EMPTY_ENV) -> bool:
     clause; coincides with leq_svr on success-free finite terms."""
     engine, _ = _prepare("svr", p, q, env, None)
     for node in engine.nodes():
-        if engine.svr_clauses(node, include_trace_flow=False) is not None:
+        if engine.clauses(node, "svr", node.conv1, "convergence", "w", False, None) is not None:
             return False
     return True
 
@@ -306,7 +289,7 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
 def _diag(r1: Term, r2: Term, env: Env, relaxed: bool) -> bool:
     engine, _ = _prepare("clt", r1, r2, env, None)
     return not any(
-        engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed)
+        engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed, None)
         for node in engine.nodes()
     )
 
@@ -327,8 +310,6 @@ def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
 
 
 def _witness_or_nil(lts: Lts, states: frozenset[int]) -> Term:
-    if not states:
-        return NIL
     ok, wit = usable_set(lts, states)
     if not ok or wit is None:
         raise SynthesisGap("left residual unexpectedly unusable during synthesis")
@@ -357,8 +338,7 @@ def _match_branches(lts1: Lts, clause: FailingClause, ready: Iterable[frozenset[
     for A in ready:
         a = _pick((A & clause.usable_actions) - clause.ready_set)
         if a not in branches:
-            nxt = lts1.unsuccessful_closure(lts1.step(x, a))
-            branches[a] = lift(_witness_or_nil(lts1, nxt))
+            branches[a] = lift(_witness_or_nil(lts1, lts1.step(x, a)))
     return mk_sum(Prefix(a.complement(), cont) for a, cont in branches.items())
 
 
@@ -381,7 +361,7 @@ def _svr_witness(lts1: Lts, clause: FailingClause) -> Term:
     return _chain(s, len(s), lambda k: [Prefix(TAU, UNIT)], end)
 
 
-def _clt_witness(lts1: Lts, clause: FailingClause, peer: bool = False) -> Term:
+def _clt_witness(lts1: Lts, clause: FailingClause, peer: bool) -> Term:
     """Client chains; the peer variants can also succeed at every stage."""
     s = clause.trace
     xs = lts1.residuals(s, True)
@@ -434,7 +414,7 @@ def synthesize_witness(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
     if not (is_ccsf(p) and is_ccsf(q)):
         raise SynthesisGap("synthesis is defined for finite terms only")
     if verdict is None:
-        verdict = _decide(kind, p, q, env)
+        verdict = _decide(kind, p, q, env, None)
     if verdict.holds or verdict.failing_clause is None:
         raise ValueError("synthesis needs a refuted verdict")
     clause = verdict.failing_clause

@@ -191,14 +191,15 @@ class SyntaxErr(Exception):
 DEFAULT_STATE_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Env:
     """Named recursive definitions and the cap on graph size every decider
-    builds under; immutable and hashable."""
+    builds under; immutable.  An environment is the scope of one definition
+    file, so it is compared and hashed by identity, never by its contents."""
 
     defs: tuple[tuple[str, Term], ...] = ()
     state_cap: int = DEFAULT_STATE_CAP
-    _map: dict = field(init=False, compare=False, repr=False, hash=False)
+    _map: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state_cap <= 0:

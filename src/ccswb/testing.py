@@ -91,7 +91,7 @@ def _path(parent: dict[int, int], k: int) -> list[int]:
     return path[::-1]
 
 
-def find_unsuccessful_maximal(product: Product, side: str = "right") -> Optional[Counterexample]:
+def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterexample]:
     """Shortest evidence that some maximal computation never lets `side` succeed.
 
     One search over the unsuccessful region finds the nearest deadlock; when

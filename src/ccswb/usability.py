@@ -59,18 +59,19 @@ def _nonok_region_visible_acyclic(lts: Lts) -> bool:
 
 
 def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) -> tuple[bool, Optional[Term]]:
-    """Decide satisfiability of the internal choice over a set of non-ok
-    states; on success also return a witness server.
+    """Decide satisfiability of the internal choice over a set of states;
+    on success also return a witness server.
 
-    With `depth` set the recursion over visible actions is cut off at that
-    many levels and the cut is reported as not usable (a bounded verdict).
+    A set with no non-ok state has nothing left to satisfy: any server,
+    `0` included, satisfies it, at every depth.  Otherwise, with `depth`
+    set, the recursion over visible actions is cut off at that many levels
+    and the cut is reported as not usable (a bounded verdict).
     """
+    if all(lts.ok[i] for i in states):
+        return True, NIL
     if depth is not None and depth < 0:
         return False, None
     C = lts.unsuccessful_closure(states)
-    if not C:
-        # every branch already reached a success-capable state
-        return True, NIL
     key = (C, depth)
     got = lts._usable_memo.get(key)
     if got is None:
@@ -88,9 +89,6 @@ def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[b
     usable_act: dict[Action, Optional[Term]] = {}
     for a in actions:
         derivs = frozenset(j for i in C for j in lts.vis[i].get(a, ()) if not lts.ok[j])
-        if not derivs:
-            usable_act[a] = NIL
-            continue
         sub_depth = None if depth is None else depth - 1
         ok, wit = usable_set(lts, derivs, sub_depth)
         if ok:
@@ -110,9 +108,9 @@ def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[b
     return True, witness
 
 
-def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None,
-           verify_witness: bool = False) -> UsabilityReport:
-    """Is there any server that must-satisfies `r`?  Exact unless `depth` given."""
+def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> UsabilityReport:
+    """Is there any server that must-satisfies `r`?  Exact unless `depth`
+    given.  A witness server is re-checked with `must` before it is returned."""
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be a non-negative integer, got {depth}")
     lts = cached_lts(r, env)
@@ -121,15 +119,10 @@ def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None,
         raise VisibleCycle(
             "exact usability undecided: non-ok region has a visible-action cycle; rerun bounded"
         )
-    if lts.ok[lts.root]:
-        report = UsabilityReport(True, NIL, mode, depth)
-    else:
-        ok, wit = usable_set(lts, frozenset({lts.root}), depth)
-        report = UsabilityReport(ok, wit if ok else None, mode, depth)
-    if verify_witness and report.usable and report.witness_server is not None:
-        if not must(report.witness_server, r, env).holds:
-            raise RuntimeError(f"internal error: witness server failed verification for {r}")
-    return report
+    ok, wit = usable_set(lts, frozenset({lts.root}), depth)
+    if ok and not must(wit, r, env).holds:
+        raise RuntimeError(f"internal error: witness server failed verification for {r}")
+    return UsabilityReport(ok, wit, mode, depth)
 
 
 def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> bool:
@@ -138,17 +131,16 @@ def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) 
     lts = cached_lts(r, env)
     if depth is None and not _nonok_region_visible_acyclic(lts):
         raise VisibleCycle("exact usability undecided; rerun bounded")
-    return all(not x or usable_set(lts, x, depth)[0] for x in lts.residuals(s, True))
+    return all(usable_set(lts, x, depth)[0] for x in lts.residuals(s, True))
 
 
-def uaut(r: Term, s: Trace, env: Env = EMPTY_ENV, alphabet: Optional[frozenset[Action]] = None,
-         depth: Optional[int] = None) -> frozenset[Action]:
+def uaut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> frozenset[Action]:
     """Usable actions after `s`: those the client cannot perform unsuccessfully,
     or whose pooled residual is still satisfiable."""
     lts = cached_lts(r, env)
     cur = lts.unsuccessful_after(s)
     nxt = {a: lts.unsuccessful_closure(lts.step(cur, a))
-           for a in sorted(alphabet if alphabet is not None else lts.alphabet(), key=label_key)}
+           for a in sorted(lts.alphabet(), key=label_key)}
     # an action the client can still perform unsuccessfully needs `s` usable
     along = any(nxt.values()) and usbut(r, s, env, depth)
     return frozenset(a for a, x in nxt.items() if not x or (along and usable_set(lts, x, depth)[0]))

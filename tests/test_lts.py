@@ -215,3 +215,19 @@ def test_tau_cycle_sets():
     assert named(lts.tau_cyclic) == {"A", "B", "C"}
     assert named(lts.nonok_tau_cyclic) == {"C"}
     assert not lts.converges() and lts.diverges_unsuccessfully()
+
+
+def test_cached_lts_keys_environments_by_identity():
+    # hashing an environment by value would re-hash every definition body
+    # on each lookup
+    calls = []
+
+    class CountingNil(type(NIL)):
+        def __hash__(self):
+            calls.append(1)
+            return 0
+
+    env = Env((("P", CountingNil()),))
+    for _ in range(100):
+        cached_lts(NIL, env)
+    assert calls == []

@@ -9,7 +9,7 @@ from ccswb.lts import cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms, search_satisfying_server
 from ccswb.syntax import Action, NIL, parse_defs, Const, pretty
 from ccswb.testing import must
-from ccswb.usability import VisibleCycle, peer_conv, uaut, usable, usbut
+from ccswb.usability import VisibleCycle, peer_conv, uaut, usable, usable_set, usbut
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -109,6 +109,25 @@ def test_negative_depth_is_rejected():
     assert usbut(t("1"), (a,), depth=-1) is True
     assert usbut(t("a.1"), (a,), depth=-1) is False
     assert uaut(t("a.1"), (), depth=-1) == {a}
+
+
+def test_usable_set_answers_sets_with_nothing_left_to_satisfy():
+    lts = cached_lts(t("a.1 + b.0"))
+    ok_states = frozenset(i for i in range(len(lts)) if lts.ok[i])
+    assert ok_states and not lts.ok[lts.root]
+    for depth in (None, 0, 2, -1):
+        assert usable_set(lts, frozenset(), depth) == (True, NIL)
+        assert usable_set(lts, ok_states, depth) == (True, NIL)
+    assert usable_set(lts, frozenset({lts.root}), -1) == (False, None)
+
+
+def test_usable_verifies_its_witness(monkeypatch):
+    class Refuted:
+        holds = False
+
+    monkeypatch.setattr("ccswb.usability.must", lambda p, r, env: Refuted())
+    with pytest.raises(RuntimeError, match="failed verification"):
+        usable(t("a.1"))
 
 
 def test_bounded_mode_on_recursive_client():
