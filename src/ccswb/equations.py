@@ -673,7 +673,7 @@ def check_instances(kind: str, instances: Iterable[GroundInstance],
 # ---------------------------------------------------------------------------
 
 
-def simplify_unusable(t: Term) -> Term:
+def simplify_unusable(t: Term, env: Env = EMPTY_ENV) -> Term:
     """Rewrite prefixed subterms that no partner can satisfy toward 0; under a
     prefix the unusable continuation is interchangeable with deadlock."""
     from .usability import usable
@@ -684,7 +684,7 @@ def simplify_unusable(t: Term) -> Term:
     def go(t: Term) -> Term:
         if isinstance(t, Prefix):
             body = go(t.body)
-            if not isinstance(body, Nil) and not usable(body).usable:
+            if not isinstance(body, Nil) and not usable(body, env).usable:
                 return Prefix(t.guard, NIL)
             return Prefix(t.guard, body)
         if isinstance(t, Sum):

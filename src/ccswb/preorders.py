@@ -1,11 +1,13 @@
 """Refinement preorders for servers, clients and peers, decided through their
 trace/ready-set characterisations, plus distinguishing-test synthesis.
 
-The decision walks the trace tree of both processes at once, carrying four
-state sets per trace (weak and unsuccessful residuals of each side) together
-with incrementally computed convergence and usability guards.  For finite
-terms the walk is exhausted exactly; recursive terms get a depth-bounded
-verdict that is reported as such.
+The decision walks the trace tree of both processes at once.  Per trace it
+carries the residuals its preorder reads, with their guards folded in along
+the trace: the weak residuals with convergence for servers, the unsuccessful
+residuals with usability for clients, both for peers.  A trace whose left
+guard fails is dropped with everything below it, where no clause can fail.
+For finite terms the walk is exhausted exactly; recursive terms get a
+depth-bounded verdict that is reported as such.
 """
 from __future__ import annotations
 
@@ -96,36 +98,53 @@ class _Node:
     usb2: bool
 
 
-class _Engine:
-    """The trace walk to `depth_cap` visible steps; usability is decided
-    exactly, or cut off at `bound` levels when one is given."""
+# Per walk: does it read the weak residuals w1/w2 with their convergence
+# guards, does it read the unsuccessful residuals x1/x2 with their usability
+# guards, and which left guard all of its clause groups are guarded by.
+_WALKS = {
+    "svr": (True, False, "conv1"),
+    "clt": (False, True, "usb1"),
+    "p2p": (True, True, "usb1"),
+    "diag": (True, True, "conv1"),
+}
 
-    def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int]):
+
+class _Engine:
+    """The trace walk `walk` (a key of `_WALKS`) to `depth_cap` visible steps;
+    usability is decided exactly, or cut off at `bound` levels when one is
+    given.  A residual pair the walk does not read stays empty and its
+    guards stay true."""
+
+    def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int], walk: str):
         self.lts1 = lts1
         self.lts2 = lts2
         self.depth_cap = depth_cap
         self.bound = bound
+        self.weak, self.unsuccessful, self.left_guard = _WALKS[walk]
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
     def build_node(self, trace: Trace, w1: frozenset[int], w2: frozenset[int],
                    x1: frozenset[int], x2: frozenset[int],
-                   conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> _Node:
+                   conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> Optional[_Node]:
         """The node for `trace` from its residuals before closure, with the
-        parent's guards folded into its own."""
+        parent's guards folded into its own; None, before the right side is
+        computed, when the left guard fails."""
         l1, l2 = self.lts1, self.lts2
-        w1, w2 = l1.tau_closure(w1), l2.tau_closure(w2)
-        x1, x2 = l1.unsuccessful_closure(x1), l2.unsuccessful_closure(x2)
-        return _Node(
-            trace=trace,
-            w1=w1,
-            w2=w2,
-            x1=x1,
-            x2=x2,
-            conv1=conv1 and (not w1 or l1.converges_state_set(w1)),
-            conv2=conv2 and (not w2 or l2.converges_state_set(w2)),
-            usb1=usb1 and usable_set(l1, x1, self.bound)[0],
-            usb2=usb2 and usable_set(l2, x2, self.bound)[0],
-        )
+        if self.weak:
+            w1 = l1.tau_closure(w1)
+            conv1 = conv1 and (not w1 or l1.converges_state_set(w1))
+        if self.unsuccessful:
+            x1 = l1.unsuccessful_closure(x1)
+            usb1 = usb1 and usable_set(l1, x1, self.bound)[0]
+        if not (conv1 if self.left_guard == "conv1" else usb1):
+            return None
+        if self.weak:
+            w2 = l2.tau_closure(w2)
+            conv2 = conv2 and (not w2 or l2.converges_state_set(w2))
+        if self.unsuccessful:
+            x2 = l2.unsuccessful_closure(x2)
+            usb2 = usb2 and usable_set(l2, x2, self.bound)[0]
+        return _Node(trace, w1, w2, x1, x2, conv1, conv2, usb1, usb2)
 
     def usable_action(self, node: _Node, a: Action) -> bool:
         """Membership of `a` in the left process's usable actions after the
@@ -136,10 +155,27 @@ class _Engine:
         return frozenset(a for a in self.alphabet if self.usable_action(node, a))
 
     def nodes(self) -> Iterable[_Node]:
-        """Breadth-first trace walk with subtree pruning on stabilized nodes."""
+        """Breadth-first trace walk with subtree pruning on stabilized nodes.
+
+        The fields this walk reads are, at each node, a deterministic
+        function of the same fields at its parent and the action, and its
+        clauses read nothing else.  Breadth-first order with dedup, actions
+        in alphabet order, reaches each distinct node first by its
+        shortlex-least trace, so the first failing node is the
+        shortlex-least failing trace, whether or not the unread fields are
+        computed.  Dropping a node whose left guard fails keeps that: guards
+        are and-folded, so every node below it has the same false guard,
+        under which every clause group holds.  The failing trace, its ready
+        set and its usable actions are therefore those of the walk that
+        computes every field.
+        """
         l1, l2 = self.lts1, self.lts2
-        r1, r2 = frozenset({l1.root}), frozenset({l2.root})
-        root = self.build_node((), r1, r2, r1, r2, True, True, True, True)
+        roots, none = (frozenset({l1.root}), frozenset({l2.root})), (frozenset(), frozenset())
+        w1, w2 = roots if self.weak else none
+        x1, x2 = roots if self.unsuccessful else none
+        root = self.build_node((), w1, w2, x1, x2, True, True, True, True)
+        if root is None:
+            return
         queue = [root]
         seen = {self._node_key(root)}
         qi = 0
@@ -155,7 +191,7 @@ class _Engine:
                 ch = self.build_node(node.trace + (a,), l1.step(node.w1, a), l2.step(node.w2, a),
                                      l1.step(node.x1, a), l2.step(node.x2, a),
                                      node.conv1, node.conv2, node.usb1, node.usb2)
-                if not (ch.w1 or ch.w2 or ch.x1 or ch.x2):
+                if ch is None or not (ch.w1 or ch.w2 or ch.x1 or ch.x2):
                     continue
                 key = self._node_key(ch)
                 if key not in seen:
@@ -212,6 +248,10 @@ class _Engine:
 def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     if kind not in KINDS:
         raise ValueError(f"unknown preorder kind {kind!r}")
+    return _walk(kind, p, q, env, bound)
+
+
+def _walk(walk: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be a non-negative integer, got {bound}")
     lts1 = cached_lts(p, env)
@@ -224,7 +264,7 @@ def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     else:
         mode = "bounded"
         depth_cap = bound
-    return _Engine(lts1, lts2, depth_cap, bound), mode
+    return _Engine(lts1, lts2, depth_cap, bound, walk), mode
 
 
 def _decide(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]) -> RefinementVerdict:
@@ -287,7 +327,7 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
 
 
 def _diag(r1: Term, r2: Term, env: Env, relaxed: bool) -> bool:
-    engine, _ = _prepare("clt", r1, r2, env, None)
+    engine, _ = _walk("diag", r1, r2, env, None)
     return not any(
         engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed, None)
         for node in engine.nodes()

@@ -1,7 +1,19 @@
 import pytest
+from hypothesis import strategies as st
 
 from ccswb.oracle import EnumSpec, enumerate_terms
-from ccswb.syntax import EMPTY_ENV, parse_term
+from ccswb.syntax import (
+    DIV,
+    EMPTY_ENV,
+    NIL,
+    TAU,
+    UNIT,
+    Action,
+    Prefix,
+    internal_choice,
+    mk_sum,
+    parse_term,
+)
 
 
 def t(text, env=EMPTY_ENV):
@@ -18,3 +30,16 @@ def small_corpus():
 def chain_corpus():
     """Sum-free terms over {a, b} up to depth 3."""
     return list(enumerate_terms(EnumSpec(("a", "b"), 3, max_width=1)))
+
+
+_GUARDS = [TAU, Action("a"), Action("b"), Action("a", co=True), Action("b", co=True)]
+# finite terms over a, b and their complements, with tau, 1, div and internal choice
+FINITE_TERMS = st.recursive(
+    st.sampled_from([NIL, UNIT, DIV]),
+    lambda sub: st.one_of(
+        st.builds(Prefix, st.sampled_from(_GUARDS), sub),
+        st.lists(sub, min_size=2, max_size=3).map(mk_sum),
+        st.builds(internal_choice, sub, sub),
+    ),
+    max_leaves=10,
+)

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import t
+from conftest import FINITE_TERMS, t
+from ccswb import preorders
+from ccswb.lts import Lts
+from ccswb.oracle import refute_by_search
 from ccswb.preorders import (
+    KINDS,
     ModeError,
     SynthesisGap,
     check_witness,
@@ -217,3 +222,49 @@ def test_passes_takes_the_role_of_the_kind(kind, left, right, small_corpus):
         assert separates == check_witness(kind, p, q, r), pretty(r)
         separating += separates
     assert separating
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_server_walk_decides_no_usability(monkeypatch):
+    usable_calls = _count_calls(monkeypatch, preorders, "usable_set")
+    closure_calls = _count_calls(monkeypatch, Lts, "unsuccessful_closure")
+    assert leq("svr", t("a.(b.0 + c.1) + tau.a.b.0"), t("a.b.0")).holds
+    assert usable_calls == [] and closure_calls == []
+
+
+def test_client_walk_decides_no_convergence(monkeypatch):
+    calls = _count_calls(monkeypatch, Lts, "converges_state_set")
+    assert leq("clt", t("a.(~b.1 + c.0)"), t("a.~b.1")).holds
+    assert calls == []
+
+
+def test_client_walk_stops_below_an_unusable_left_root(monkeypatch):
+    calls = _count_calls(monkeypatch, preorders, "usable_set")
+    assert leq("clt", t("a.0"), t("a.b.0")).holds
+    assert len(calls) == 1
+
+
+def test_only_the_preorder_kinds_are_decided():
+    with pytest.raises(ValueError):
+        leq("diag", t("0"), t("0"))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(KINDS), FINITE_TERMS, FINITE_TERMS)
+def test_verdicts_agree_with_the_test_search(kind, p, q):
+    verdict = leq(kind, p, q)
+    if verdict.holds:
+        assert refute_by_search(kind, p, q, limit=300) is None
+    else:
+        synthesize_witness(kind, p, q, verdict=verdict)  # raises unless the test separates p from q

@@ -30,6 +30,7 @@ ENTRY_POINTS = {
     "cross_validate": lambda: oracle.cross_validate("svr", [BIG, SMALL], ENV, test_limit=10),
     "check_instances": lambda: equations.check_instances(
         "svr", [equations.GroundInstance("X", "eq", BIG, SMALL)], ENV),
+    "simplify_unusable": lambda: equations.simplify_unusable(t("c.a.b.1"), ENV),
     "search_satisfying_server": lambda: oracle.search_satisfying_server(BIG, ENV),
     "enumerate_computations": lambda: testing.enumerate_computations(SMALL, BIG, ENV),
 }

@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from conftest import t
+from conftest import FINITE_TERMS, t
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.syntax import (
     Action,
@@ -17,7 +17,6 @@ from ccswb.syntax import (
     TAU,
     UNIT,
     fresh_action,
-    internal_choice,
     is_ccsf,
     mk_sum,
     parse_defs,
@@ -138,20 +137,8 @@ def test_parse_pretty_round_trip_on_corpus():
         assert parse_term(pretty(term)) == term
 
 
-_GUARDS = [TAU, Action("a"), Action("b"), Action("a", co=True), Action("b", co=True)]
-_FINITE_TERMS = st.recursive(
-    st.sampled_from([NIL, UNIT, DIV]),
-    lambda sub: st.one_of(
-        st.builds(Prefix, st.sampled_from(_GUARDS), sub),
-        st.lists(sub, min_size=2, max_size=3).map(mk_sum),
-        st.builds(internal_choice, sub, sub),
-    ),
-    max_leaves=10,
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_FINITE_TERMS)
+@given(FINITE_TERMS)
 def test_parse_inverts_pretty(term):
     assert parse_term(pretty(term)) == term
 
