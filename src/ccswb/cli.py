@@ -101,6 +101,8 @@ def cmd_parse(args) -> int:
 
 def cmd_lts(args) -> int:
     env, names = _load(args)
+    if not (args.process or names):
+        raise SyntaxErr(f"{args.file} defines no process; name one with -p")
     t = _term(env, args.process or names[-1])
     lts = cached_lts(t, env)
     if args.dot:
@@ -347,7 +349,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args.state_cap = _state_cap(args)
         return args.fn(args)
-    except (SyntaxErr, FileNotFoundError, preorders.ModeError, usability.VisibleCycle,
+    except (SyntaxErr, OSError, UnicodeDecodeError, preorders.ModeError, usability.VisibleCycle,
             equations.NotCCSf) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -340,7 +340,7 @@ class Product:
             nxt: list[tuple[int, int]] = []
             nxt.extend((i2, j) for i2 in left.taus[i])
             nxt.extend((i, j2) for j2 in right.taus[j])
-            for a, tis in sorted(left.vis[i].items(), key=lambda kv: label_key(kv[0])):
+            for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
                 tjs = right.vis[j].get(a.complement(), ())
                 for i2 in tis:
                     for j2 in tjs:

@@ -303,6 +303,8 @@ def cross_validate(kind: str, corpus: Iterable[Term], env: Env = EMPTY_ENV, test
                 witness = None
             if witness is None and distinguishing:
                 witness = tests[(distinguishing & -distinguishing).bit_length() - 1]
-            agree = witness is not None and check_witness(kind, a, b, witness, env)
+            # verified either way: synthesize_witness checks its test, and a
+            # pool test in rows[a] & ~rows[b] passes with a and fails with b
+            agree = witness is not None
         report.records.append(SweepRecord(kind, a, b, verdict.holds, witness, agree))
     return report

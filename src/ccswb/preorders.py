@@ -1,18 +1,22 @@
 """Refinement preorders for servers, clients and peers, decided through their
 trace/ready-set characterisations, plus distinguishing-test synthesis.
 
-The decision walks the trace tree of both processes at once.  Per trace it
-carries the residuals its preorder reads, with their guards folded in along
-the trace: the weak residuals with convergence for servers, the unsuccessful
-residuals with usability for clients, both for peers.  A trace whose left
-guard fails is dropped with everything below it, where no clause can fail.
-For finite terms the walk is exhausted exactly; recursive terms get a
-depth-bounded verdict that is reported as such.
+The decision walks the trace tree of both processes at once.  One table,
+`_WALKS`, defines every walk (the three preorders, the classical server
+formulation and the two diagnostics) as clause groups, each one
+trace/ready-set clause under its own left guards.  From its groups alone a
+walk derives what it carries per trace, with the guards folded in along the
+trace: the weak residuals with convergence, the unsuccessful residuals with
+usability, or both.  A trace where no group's left guard holds is dropped
+with everything below it, where no clause can fail.  For finite terms the
+walk is exhausted exactly; recursive terms get a depth-bounded verdict that
+is reported as such.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .lts import Lts, Trace, cached_lts
 from .syntax import (
@@ -85,9 +89,10 @@ class RefinementVerdict:
         return out
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class _Node:
-    trace: Trace
+    """Nodes are equal when their residuals and guards are, whatever their traces."""
+    trace: Trace = field(compare=False)
     w1: frozenset[int]
     w2: frozenset[int]
     x1: frozenset[int]
@@ -98,29 +103,59 @@ class _Node:
     usb2: bool
 
 
-# Per walk: does it read the weak residuals w1/w2 with their convergence
-# guards, does it read the unsuccessful residuals x1/x2 with their usability
-# guards, and which left guard all of its clause groups are guarded by.
-_WALKS = {
-    "svr": (True, False, "conv1"),
-    "clt": (False, True, "usb1"),
-    "p2p": (True, True, "usb1"),
-    "diag": (True, True, "conv1"),
+class _Group(NamedTuple):
+    """The arguments of `_Engine.clauses`."""
+    part: str  # svr | clt | usmpo
+    left_guards: tuple[str, ...]  # conv1 | usb1
+    premise: str  # convergence | usability_flow
+    residual: str  # w | x
+    relaxed: bool
+    trailing: Optional[str]  # trace_flow | unsuccessful_trace | None
+
+
+_SVR = _Group("svr", ("conv1",), "convergence", "w", False, "trace_flow")
+_CLT = _Group("clt", ("usb1",), "usability_flow", "x", True, "unsuccessful_trace")
+
+# Every walk as its clause groups, checked in this order at each node.
+_WALKS: dict[str, tuple[_Group, ...]] = {
+    "svr": (_SVR,),
+    "clt": (_CLT,),
+    "p2p": (_CLT, _Group("usmpo", ("conv1", "usb1"), "convergence", "w", True, "trace_flow")),
+    "svr_classical": (_SVR._replace(trailing=None),),
+    "sbad": (_Group("clt", ("conv1",), "convergence", "x", False, None),),
+    "sbad_prime": (_Group("clt", ("conv1",), "convergence", "x", True, None),),
 }
+
+
+@cache
+def _plan(walk: str) -> tuple[bool, ...]:
+    """What `walk` computes, read off its groups: it decides a guard that a
+    group reads (as premise, left guard, or usability in a relaxed match),
+    computes w1/w2 and x1/x2 when it decides their guard or a group matches
+    them, and drops a node on conv1 or usb1 when every group lists it."""
+    groups = _WALKS[walk]
+    conv = any(g.premise == "convergence" or "conv1" in g.left_guards for g in groups)
+    usb = any(g.premise == "usability_flow" or "usb1" in g.left_guards or g.relaxed for g in groups)
+    return (conv, usb, conv or any(g.residual == "w" for g in groups),
+            usb or any(g.residual == "x" for g in groups),
+            *(all(guard in g.left_guards for g in groups) for guard in ("conv1", "usb1")))
 
 
 class _Engine:
     """The trace walk `walk` (a key of `_WALKS`) to `depth_cap` visible steps;
     usability is decided exactly, or cut off at `bound` levels when one is
-    given.  A residual pair the walk does not read stays empty and its
-    guards stay true."""
+    given.  The walk computes what `_plan(walk)` derives from its groups: a
+    residual pair it does not compute stays empty and a guard it does not
+    decide stays true."""
 
     def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int], walk: str):
         self.lts1 = lts1
         self.lts2 = lts2
         self.depth_cap = depth_cap
         self.bound = bound
-        self.weak, self.unsuccessful, self.left_guard = _WALKS[walk]
+        self.groups = _WALKS[walk]
+        self.conv, self.usb, self.weak, self.unsuccessful, self.conv_guard, self.usb_guard = \
+            _plan(walk)
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
     def build_node(self, trace: Trace, w1: frozenset[int], w2: frozenset[int],
@@ -128,94 +163,82 @@ class _Engine:
                    conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> Optional[_Node]:
         """The node for `trace` from its residuals before closure, with the
         parent's guards folded into its own; None, before the right side is
-        computed, when the left guard fails."""
-        l1, l2 = self.lts1, self.lts2
-        if self.weak:
-            w1 = l1.tau_closure(w1)
-            conv1 = conv1 and (not w1 or l1.converges_state_set(w1))
-        if self.unsuccessful:
-            x1 = l1.unsuccessful_closure(x1)
-            usb1 = usb1 and usable_set(l1, x1, self.bound)[0]
-        if not (conv1 if self.left_guard == "conv1" else usb1):
+        computed, when a left guard that every group lists is false."""
+        w1, x1, conv1, usb1 = self._close(self.lts1, w1, x1, conv1, usb1)
+        if (self.conv_guard and not conv1) or (self.usb_guard and not usb1):
             return None
-        if self.weak:
-            w2 = l2.tau_closure(w2)
-            conv2 = conv2 and (not w2 or l2.converges_state_set(w2))
-        if self.unsuccessful:
-            x2 = l2.unsuccessful_closure(x2)
-            usb2 = usb2 and usable_set(l2, x2, self.bound)[0]
+        w2, x2, conv2, usb2 = self._close(self.lts2, w2, x2, conv2, usb2)
         return _Node(trace, w1, w2, x1, x2, conv1, conv2, usb1, usb2)
+
+    def _close(self, lts: Lts, w: frozenset[int], x: frozenset[int], conv: bool,
+               usb: bool) -> tuple[frozenset[int], frozenset[int], bool, bool]:
+        """One side's residuals closed, and its guards folded with their own."""
+        if self.weak:
+            w = lts.tau_closure(w)
+            conv = conv and (not self.conv or not w or lts.converges_state_set(w))
+        if self.unsuccessful:
+            x = lts.unsuccessful_closure(x)
+            usb = usb and (not self.usb or usable_set(lts, x, self.bound)[0])
+        return w, x, conv, usb
 
     def usable_action(self, node: _Node, a: Action) -> bool:
         """Membership of `a` in the left process's usable actions after the
         current trace; none counts as usable unless the guard usb1 holds."""
         return node.usb1 and usable_set(self.lts1, self.lts1.step(node.x1, a), self.bound)[0]
 
-    def usable_actions_snapshot(self, node: _Node) -> frozenset[Action]:
-        return frozenset(a for a in self.alphabet if self.usable_action(node, a))
-
     def nodes(self) -> Iterable[_Node]:
         """Breadth-first trace walk with subtree pruning on stabilized nodes.
 
-        The fields this walk reads are, at each node, a deterministic
+        The fields this walk computes are, at each node, a deterministic
         function of the same fields at its parent and the action, and its
-        clauses read nothing else.  Breadth-first order with dedup, actions
-        in alphabet order, reaches each distinct node first by its
+        clause groups read nothing else.  Breadth-first order with dedup,
+        actions in alphabet order, reaches each distinct node first by its
         shortlex-least trace, so the first failing node is the
         shortlex-least failing trace, whether or not the unread fields are
-        computed.  Dropping a node whose left guard fails keeps that: guards
-        are and-folded, so every node below it has the same false guard,
-        under which every clause group holds.  The failing trace, its ready
-        set and its usable actions are therefore those of the walk that
-        computes every field.
+        computed.  Dropping a node where no group's left guard holds keeps
+        that: guards are and-folded, so every node below it has the same
+        false guard, under which every clause group holds.  The failing
+        trace, its ready set and its usable actions are therefore those of
+        the walk that computes every field.
         """
         l1, l2 = self.lts1, self.lts2
         roots, none = (frozenset({l1.root}), frozenset({l2.root})), (frozenset(), frozenset())
-        w1, w2 = roots if self.weak else none
-        x1, x2 = roots if self.unsuccessful else none
-        root = self.build_node((), w1, w2, x1, x2, True, True, True, True)
+        root = self.build_node((), *(roots if self.weak else none),
+                               *(roots if self.unsuccessful else none), True, True, True, True)
         if root is None:
             return
         queue = [root]
-        seen = {self._node_key(root)}
+        seen = {root}
         qi = 0
         while qi < len(queue):
             node = queue[qi]
             qi += 1
             yield node
-            if len(node.trace) >= self.depth_cap:
-                continue
-            if not (node.w1 or node.w2 or node.x1 or node.x2):
+            if len(node.trace) >= self.depth_cap or not (node.w1 or node.w2 or node.x1 or node.x2):
                 continue
             for a in self.alphabet:
-                ch = self.build_node(node.trace + (a,), l1.step(node.w1, a), l2.step(node.w2, a),
-                                     l1.step(node.x1, a), l2.step(node.x2, a),
+                w = (l1.step(node.w1, a), l2.step(node.w2, a)) if self.weak else none
+                x = (l1.step(node.x1, a), l2.step(node.x2, a)) if self.unsuccessful else none
+                ch = self.build_node(node.trace + (a,), *w, *x,
                                      node.conv1, node.conv2, node.usb1, node.usb2)
-                if ch is None or not (ch.w1 or ch.w2 or ch.x1 or ch.x2):
-                    continue
-                key = self._node_key(ch)
-                if key not in seen:
-                    seen.add(key)
+                if ch is not None and (ch.w1 or ch.w2 or ch.x1 or ch.x2) and ch not in seen:
+                    seen.add(ch)
                     queue.append(ch)
 
-    @staticmethod
-    def _node_key(node: _Node) -> tuple:
-        return (node.w1, node.w2, node.x1, node.x2, node.conv1, node.conv2, node.usb1, node.usb2)
+    def clauses(self, node: _Node, group: _Group) -> Optional[FailingClause]:
+        """The one trace/ready-set clause shape behind every walk.
 
-    # -- clause groups ------------------------------------------------------
-
-    def clauses(self, node: _Node, part: str, guard: bool, premise: str, residual: str,
-                relaxed: bool, trailing: Optional[str]) -> Optional[FailingClause]:
-        """The one trace/ready-set clause shape behind every preorder.
-
-        Under `guard` the right side must keep the `premise` guard
-        (usability_flow: usb2, convergence: conv2); each right ready set of
-        the `residual` pair (w or x) must be matched by a left one, included
-        in it or, when `relaxed`, included up to left actions that are not
-        usable; the `trailing` clause fails a right residual with no left one.
+        Under the group's left guards the right side must keep the `premise`
+        guard (usability_flow: usb2, convergence: conv2); each right ready
+        set of the `residual` pair (w or x) must be matched by a left one,
+        included in it or, when `relaxed`, included up to left actions that
+        are not usable; the `trailing` clause fails a right residual with no
+        left one.
         """
-        if not guard:
-            return None
+        part, left_guards, premise, residual, relaxed, trailing = group
+        for guard in left_guards:
+            if not getattr(node, guard):
+                return None
         if not (node.usb2 if premise == "usability_flow" else node.conv2):
             return FailingClause(premise, part, node.trace)
         r1, r2 = (node.w1, node.w2) if residual == "w" else (node.x1, node.x2)
@@ -227,31 +250,18 @@ class _Engine:
                     all(c in B or (relaxed and not self.usable_action(node, c)) for c in A)
                     for A in acc1
                 ):
-                    usable = self.usable_actions_snapshot(node) if relaxed else None
+                    usable = (frozenset(c for c in self.alphabet if self.usable_action(node, c))
+                              if relaxed else None)
                     return FailingClause("acceptance_match", part, node.trace, B, usable)
         if trailing is not None and r2 and not r1:
             return FailingClause(trailing, part, node.trace)
         return None
 
-    def clt_clauses(self, node: _Node) -> Optional[FailingClause]:
-        return self.clauses(node, "clt", node.usb1, "usability_flow", "x", True,
-                            "unsuccessful_trace")
 
-    def svr_clauses(self, node: _Node) -> Optional[FailingClause]:
-        return self.clauses(node, "svr", node.conv1, "convergence", "w", False, "trace_flow")
-
-    def usmpo_clauses(self, node: _Node) -> Optional[FailingClause]:
-        return self.clauses(node, "usmpo", node.conv1 and node.usb1, "convergence", "w", True,
-                            "trace_flow")
-
-
-def _prepare(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]):
-    if kind not in KINDS:
-        raise ValueError(f"unknown preorder kind {kind!r}")
-    return _walk(kind, p, q, env, bound)
-
-
-def _walk(walk: str, p: Term, q: Term, env: Env, bound: Optional[int]):
+def _first_failure(walk: str, p: Term, q: Term, env: Env,
+                   bound: Optional[int]) -> tuple[Optional[FailingClause], str]:
+    """The first clause of `walk` that fails on p and q, nodes in
+    breadth-first order and groups in table order, with the verdict mode."""
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be a non-negative integer, got {bound}")
     lts1 = cached_lts(p, env)
@@ -259,27 +269,23 @@ def _walk(walk: str, p: Term, q: Term, env: Env, bound: Optional[int]):
     if bound is None:
         if not (is_ccsf(p) and is_ccsf(q)):
             raise ModeError("exact decision requires finite terms; pass a bound")
-        mode = "exact"
-        depth_cap = max(visible_depth(p), visible_depth(q)) + 1
+        mode, depth_cap = "exact", max(visible_depth(p), visible_depth(q)) + 1
     else:
-        mode = "bounded"
-        depth_cap = bound
-    return _Engine(lts1, lts2, depth_cap, bound, walk), mode
+        mode, depth_cap = "bounded", bound
+    engine = _Engine(lts1, lts2, depth_cap, bound, walk)
+    for node in engine.nodes():
+        for group in engine.groups:
+            fail = engine.clauses(node, group)
+            if fail is not None:
+                return fail, mode
+    return None, mode
 
 
 def _decide(kind: str, p: Term, q: Term, env: Env, bound: Optional[int]) -> RefinementVerdict:
-    engine, mode = _prepare(kind, p, q, env, bound)
-    for node in engine.nodes():
-        fail: Optional[FailingClause] = None
-        if kind == "clt":
-            fail = engine.clt_clauses(node)
-        elif kind == "svr":
-            fail = engine.svr_clauses(node)
-        else:
-            fail = engine.clt_clauses(node) or engine.usmpo_clauses(node)
-        if fail is not None:
-            return RefinementVerdict(kind, False, mode, bound, fail)
-    return RefinementVerdict(kind, True, mode, bound)
+    if kind not in KINDS:
+        raise ValueError(f"unknown preorder kind {kind!r}")
+    fail, mode = _first_failure(kind, p, q, env, bound)
+    return RefinementVerdict(kind, fail is None, mode, bound, fail)
 
 
 def leq_svr(p: Term, q: Term, env: Env = EMPTY_ENV, bound: Optional[int] = None) -> RefinementVerdict:
@@ -305,11 +311,7 @@ def leq(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
 def leq_svr_classical(p: Term, q: Term, env: Env = EMPTY_ENV) -> bool:
     """Convergence-plus-ready-set-inclusion formulation, without the trace-flow
     clause; coincides with leq_svr on success-free finite terms."""
-    engine, _ = _prepare("svr", p, q, env, None)
-    for node in engine.nodes():
-        if engine.clauses(node, "svr", node.conv1, "convergence", "w", False, None) is not None:
-            return False
-    return True
+    return _first_failure("svr_classical", p, q, env, None)[0] is None
 
 
 def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
@@ -326,22 +328,14 @@ def leq_plus(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
 # ---------------------------------------------------------------------------
 
 
-def _diag(r1: Term, r2: Term, env: Env, relaxed: bool) -> bool:
-    engine, _ = _walk("diag", r1, r2, env, None)
-    return not any(
-        engine.clauses(node, "clt", node.conv1, "convergence", "x", relaxed, None)
-        for node in engine.nodes()
-    )
-
-
 def diag_sbad(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
     """Convergence-guarded matching of unsuccessful ready sets by inclusion."""
-    return _diag(r1, r2, env, relaxed=False)
+    return _first_failure("sbad", r1, r2, env, None)[0] is None
 
 
 def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
     """Same, with the inclusion relaxed through the left usable actions."""
-    return _diag(r1, r2, env, relaxed=True)
+    return _first_failure("sbad_prime", r1, r2, env, None)[0] is None
 
 
 # ---------------------------------------------------------------------------

@@ -181,18 +181,28 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["sweep", "--kind", "clt", "--pairs-cap", "-3"], {}),
     (["sweep", "--kind", "clt", "--test-limit", "0"], {}),
     (["sweep", "--kind", "clt", "--width", "0"], {}),
+    (["lts", "{empty}"], {}),
+    (["lts", "{dir}", "-p", "0"], {}),
+    (["must", "{defs}", "-s", "P", "-c", "1", "--dot", "{dir}"], {}),
+    (["lts", "{latin}", "-p", "0"], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
         "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
         "refines-bound-negative", "parse-cap-env-zero", "axioms-samples-zero",
         "axioms-alphabet-bad-name", "axioms-depth-negative", "sweep-alphabet-empty-name",
         "sweep-depth-negative", "sweep-pairs-cap-negative", "sweep-test-limit-zero",
-        "sweep-width-zero"])
+        "sweep-width-zero", "lts-no-process", "file-is-directory", "must-dot-directory",
+        "file-not-utf8"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.ccs"
     deep.write_text("def P = " + "a." * 3000 + "0\n")
+    empty = tmp_path / "empty.ccs"
+    empty.write_text("# no definitions\n")
+    latin = tmp_path / "latin.ccs"
+    latin.write_bytes("def P = caf\u00e9.0\n".encode("latin-1"))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    argv = [arg.format(defs=defs_file, deep=deep) for arg in argv]
+    argv = [arg.format(defs=defs_file, deep=deep, empty=empty, dir=tmp_path, latin=latin)
+            for arg in argv]
     assert run(argv) == 1
     err = capsys.readouterr().err
     # argparse names the subcommand whose argument it rejects ("ccswb usable: error:")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
-from ccswb.syntax import Action, Const, Env, NIL, OK, TAU, parse_defs, pretty
+from ccswb.syntax import Action, Const, Env, NIL, OK, TAU, label_key, parse_defs, pretty
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -215,6 +215,13 @@ def test_tau_cycle_sets():
     assert named(lts.tau_cyclic) == {"A", "B", "C"}
     assert named(lts.nonok_tau_cyclic) == {"C"}
     assert not lts.converges() and lts.diverges_unsuccessfully()
+
+
+def test_visible_edges_are_kept_in_label_order(small_corpus):
+    """`Product` reads each `Lts.vis[i]` in this order without re-sorting it."""
+    for term in small_corpus + [t("c.0 + ~b.0 + tau.a.0 + ~a.(b.0 + ~c.0 + a.1) + b.1 + a.0")]:
+        for vis in cached_lts(term).vis:
+            assert list(vis) == sorted(vis, key=label_key)
 
 
 def test_cached_lts_keys_environments_by_identity():

@@ -16,7 +16,7 @@ from ccswb.oracle import (
     search_satisfying_server,
     term_size,
 )
-from ccswb.preorders import ModeError, check_witness
+from ccswb.preorders import ModeError, SynthesisGap, check_witness
 from ccswb.syntax import Action, Const, Env, parse_defs, pretty
 
 
@@ -120,6 +120,21 @@ def test_cross_validate_small(small_corpus):
     assert report.ok and len(report.records) == 625
     refuted = [r for r in report.records if not r.holds]
     assert refuted and all(r.witness is not None for r in refuted)
+
+
+@pytest.mark.parametrize("source", ["synthesized", "pool"])
+def test_cross_validate_witnesses_separate_their_pairs(source, small_corpus, monkeypatch):
+    if source == "pool":
+        def gap(*args):
+            raise SynthesisGap("pool witnesses only")
+
+        monkeypatch.setattr(oracle, "synthesize_witness", gap)
+    for kind in ("svr", "clt", "p2p"):
+        report = cross_validate(kind, small_corpus[:12], test_limit=300)
+        witnessed = [r for r in report.records if r.witness is not None]
+        assert witnessed
+        for r in witnessed:
+            assert check_witness(kind, r.left, r.right, r.witness), r.to_json()
 
 
 def test_cross_validate_pair_cap_deterministic(small_corpus):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TERMS, t
 from ccswb import preorders
+from ccswb.equations import erase_units
 from ccswb.lts import Lts
 from ccswb.oracle import refute_by_search
 from ccswb.preorders import (
@@ -249,6 +250,30 @@ def test_client_walk_decides_no_convergence(monkeypatch):
     assert calls == []
 
 
+def test_walks_step_only_the_residual_pairs_they_read(monkeypatch):
+    calls = _count_calls(monkeypatch, Lts, "step")
+    assert leq("clt", t("a.(~b.1 + c.0)"), t("a.~b.1")).holds
+    assert calls and all(states for _, states, _ in calls)
+    calls.clear()
+    assert leq("svr", t("a.(b.0 + c.1) + tau.a.b.0"), t("a.b.0")).holds
+    assert len(calls) == 24  # the weak pairs only; the unsuccessful ones would double it
+
+
+def test_diagnostic_walk_decides_no_usability_it_does_not_read(monkeypatch):
+    calls = _count_calls(monkeypatch, preorders, "usable_set")
+    assert not diag_sbad(t("c.(a.1 + b.0)"), t("c.a.1"))
+    assert calls == []
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(FINITE_TERMS, FINITE_TERMS)
+def test_diagnostic_and_classical_walks(p, q):
+    if diag_sbad(p, q):
+        assert diag_sbad_prime(p, q)
+    p0, q0 = erase_units(p), erase_units(q)
+    assert leq_svr_classical(p0, q0) == leq_svr(p0, q0).holds
+
+
 def test_client_walk_stops_below_an_unusable_left_root(monkeypatch):
     calls = _count_calls(monkeypatch, preorders, "usable_set")
     assert leq("clt", t("a.0"), t("a.b.0")).holds
@@ -256,8 +281,11 @@ def test_client_walk_stops_below_an_unusable_left_root(monkeypatch):
 
 
 def test_only_the_preorder_kinds_are_decided():
-    with pytest.raises(ValueError):
-        leq("diag", t("0"), t("0"))
+    for kind in ("diag", "svr_classical", "sbad", "sbad_prime"):
+        with pytest.raises(ValueError):
+            leq(kind, t("0"), t("0"))
+        with pytest.raises(ValueError):
+            leq_plus(kind, t("0"), t("0"))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
