@@ -27,7 +27,13 @@ EXIT_DISAGREE = 3
 def _load(args) -> tuple[Env, list[str]]:
     """The definitions of `args.file`, under the run's state cap."""
     with open(args.file, "r", encoding="utf-8") as fh:
-        env, names = parse_defs(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            lines = exc.object[:exc.start].decode("utf-8").split("\n")
+            raise SyntaxErr(f"{args.file} is not UTF-8 text ({exc.reason})",
+                            len(lines), len(lines[-1]) + 1) from None
+    env, names = parse_defs(text)
     return replace(env, state_cap=args.state_cap), names
 
 
@@ -198,13 +204,10 @@ def cmd_normalize(args) -> int:
     # form is derived from the peer form, so the peer flag speaks for all three
     pnf, exact = equations.normalize_pnf_info(
         equations.erase_units(t) if args.theory == "svr" else t)
-    if args.theory == "clt":
-        nf = equations.pnf_to_cnf(pnf)
-        term = equations.cnf_to_term(nf)
-        errors = equations.check_cnf(nf)
-    else:
-        term = equations.pnf_to_term(pnf)
-        errors = equations.check_pnf(pnf) if args.theory == "p2p" else []
+    client = args.theory == "clt"
+    nf = equations.pnf_to_cnf(pnf) if client else pnf
+    term = equations.pnf_to_term(nf)
+    errors = (equations.check_cnf if client else equations.check_pnf)(nf)
     payload = {"theory": args.theory, "input": pretty(t), "normal_form": pretty(term),
                "valid": not errors, "exact": exact}
     _emit(args, payload, f"{pretty(t)}  --[{args.theory}]-->  {pretty(term)}"
@@ -349,7 +352,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args.state_cap = _state_cap(args)
         return args.fn(args)
-    except (SyntaxErr, OSError, UnicodeDecodeError, preorders.ModeError, usability.VisibleCycle,
+    except (SyntaxErr, OSError, preorders.ModeError, usability.VisibleCycle,
             equations.NotCCSf) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

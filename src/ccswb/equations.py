@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import islice
 from typing import Callable, Iterable, TypeVar, Union
 
+from .lts import can_ok
+from .oracle import EnumSpec, enumerate_terms
+from .preorders import leq_plus
 from .syntax import (
     DIV,
     EMPTY_ENV,
@@ -33,6 +38,7 @@ from .syntax import (
     mk_sum,
     pretty,
 )
+from .usability import usable
 
 #: ready-set members: visible actions plus the success marker
 FamLabel = Union[Action, Ok]
@@ -140,6 +146,7 @@ def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf]) ->
 
 
 _ZERO = PnfExt((), False)
+_ONE = PnfExt((), True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +261,7 @@ def normalize_pnf_info(t: Term) -> tuple[Pnf, bool]:
         if isinstance(t, Nil):
             return _ZERO, True
         if isinstance(t, Unit):
-            return PnfExt((), True), True
+            return _ONE, True
         if isinstance(t, Div):
             return PnfDiv(False), True
         if isinstance(t, Prefix):
@@ -298,39 +305,50 @@ def pnf_to_term(n: Pnf) -> Term:
     raise TypeError(n)
 
 
-def check_pnf(n: Pnf) -> list[str]:
-    """Structural validity report; empty means well formed."""
+def _check(n: Pnf, client: bool) -> list[str]:
+    """Structural validity report under the peer grammar, or under the client
+    grammar, where success stands only as the whole form 1 or as the
+    one-member branch {ok}; empty means well formed."""
     errors: list[str] = []
 
     def go(n: Pnf, path: str) -> None:
         if isinstance(n, PnfDiv):
-            return
-        if isinstance(n, PnfExt):
-            for a, c in n.branches:
-                if n.unit and not c.unit:
-                    errors.append(f"{path}: success summand without success under {a}")
-                go(c, f"{path}.{a}")
-            return
-        if isinstance(n, PnfTau):
-            if not n.family:
+            children: tuple[tuple[Action, Pnf], ...] = ()
+        elif isinstance(n, PnfExt):
+            children = n.branches
+        elif isinstance(n, PnfTau):
+            family = n.family
+            if not family:
                 errors.append(f"{path}: empty branch family")
-            if not is_saturated(n.family):
-                missing = saturate(n.family) - n.family
+            if client:
+                if any(OK in A and len(A) > 1 for A in family):
+                    errors.append(f"{path}: success marker inside a larger member")
+                family = frozenset(A for A in family if OK not in A)
+            missing = saturate(family) - family
+            if missing:
                 ex = sorted("{" + ",".join(sorted(map(str, A))) + "}" for A in missing)
                 errors.append(f"{path}: family not saturated, missing {', '.join(ex)}")
-            labels = {a for A in n.family for a in A if isinstance(a, Action)}
-            keys = {a for a, _ in n.leaves}
-            if labels != keys:
+            labels = {a for A in family for a in A if isinstance(a, Action)}
+            if labels != {a for a, _ in n.leaves}:
                 errors.append(f"{path}: leaves do not match the family labels")
-            for a, c in n.leaves:
-                if n.unit and not c.unit:
-                    errors.append(f"{path}: success summand without success under {a}")
-                go(c, f"{path}.{a}")
+            children = n.leaves
+        else:
+            errors.append(f"{path}: not a normal form node")
             return
-        errors.append(f"{path}: not a normal form node")
+        if client and n.unit and n != _ONE:
+            errors.append(f"{path}: success summand beside siblings")
+        for a, c in children:
+            if not client and n.unit and not c.unit:
+                errors.append(f"{path}: success summand without success under {a}")
+            go(c, f"{path}.{a}")
 
     go(n, "nf")
     return errors
+
+
+def check_pnf(n: Pnf) -> list[str]:
+    """Validity report under the peer grammar; empty means well formed."""
+    return _check(n, client=False)
 
 
 # ---------------------------------------------------------------------------
@@ -338,116 +356,38 @@ def check_pnf(n: Pnf) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-class Cnf:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class CnfDiv(Cnf):
-    pass
-
-
-@dataclass(frozen=True)
-class CnfUnit(Cnf):
-    pass
-
-
-@dataclass(frozen=True)
-class CnfTauUnit(Cnf):
-    pass
-
-
-@dataclass(frozen=True)
-class CnfExt(Cnf):
-    branches: tuple[tuple[Action, "Cnf"], ...]
-
-    def branch_map(self) -> dict[Action, "Cnf"]:
-        return dict(self.branches)
-
-
-@dataclass(frozen=True)
-class CnfTau(Cnf):
-    family: Family
-    leaves: tuple[tuple[Action, "Cnf"], ...]
-    tau_unit: bool
-
-    def leaf_map(self) -> dict[Action, "Cnf"]:
-        return dict(self.leaves)
-
-
-def pnf_to_cnf(n: Pnf) -> Cnf:
-    """Client normal form of a peer normal form."""
+def pnf_to_cnf(n: Pnf) -> Pnf:
+    """Client normal form of a peer normal form: every sibling of an
+    immediate success is absorbed (x + 1 = 1), so success is left only as
+    the whole form 1 or as the one-member branch {ok}."""
     if n.unit:
-        return CnfUnit()
+        return _ONE
     if isinstance(n, PnfDiv):
-        return CnfDiv()
+        return n
     if isinstance(n, PnfExt):
-        return CnfExt(_sorted_items({a: pnf_to_cnf(c) for a, c in n.branches}))
+        return PnfExt(tuple((a, pnf_to_cnf(c)) for a, c in n.branches), False)
     assert isinstance(n, PnfTau)
     plain = frozenset(A for A in n.family if OK not in A)
-    if not plain:
-        return CnfTauUnit()
+    # the members holding success collapse to the one-member branch {ok}
+    family = plain if plain == n.family else plain | {frozenset({OK})}
     lm = n.leaf_map()
     labels = {a for A in plain for a in A}
-    leaves = _sorted_items({a: pnf_to_cnf(lm[a]) for a in labels})
-    return CnfTau(plain, leaves, tau_unit=any(OK in A for A in n.family))
+    return PnfTau(family, _sorted_items({a: pnf_to_cnf(lm[a]) for a in labels}), False)
 
 
-def normalize_cnf(t: Term) -> Cnf:
+def normalize_cnf(t: Term) -> Pnf:
     """Client normal form: the peer normal form simplified by absorbing every
     sibling of an immediate success (x + 1 = 1)."""
     return pnf_to_cnf(normalize_pnf(t))
 
 
-def cnf_to_term(n: Cnf) -> Term:
-    if isinstance(n, CnfDiv):
-        return DIV
-    if isinstance(n, CnfUnit):
-        return UNIT
-    if isinstance(n, CnfTauUnit):
-        return Prefix(TAU, UNIT)
-    if isinstance(n, CnfExt):
-        return mk_sum([Prefix(a, cnf_to_term(c)) for a, c in n.branches])
-    if isinstance(n, CnfTau):
-        lm = n.leaf_map()
-        parts: list[Term] = []
-        for A in sorted(n.family, key=label_set_key):
-            parts.append(Prefix(TAU, mk_sum([Prefix(a, cnf_to_term(lm[a]))
-                                             for a in sorted(A, key=label_key)])))
-        if n.tau_unit:
-            parts.append(Prefix(TAU, UNIT))
-        return mk_sum(parts)
-    raise TypeError(n)
+#: client forms are peer-form trees and render the same way
+cnf_to_term = pnf_to_term
 
 
-def check_cnf(n: Cnf) -> list[str]:
-    errors: list[str] = []
-
-    def go(n: Cnf, path: str) -> None:
-        if isinstance(n, (CnfDiv, CnfUnit, CnfTauUnit)):
-            return
-        if isinstance(n, CnfExt):
-            for a, c in n.branches:
-                go(c, f"{path}.{a}")
-            return
-        if isinstance(n, CnfTau):
-            if not n.family:
-                errors.append(f"{path}: empty branch family")
-            for A in n.family:
-                if any(isinstance(x, Ok) for x in A):
-                    errors.append(f"{path}: success marker inside a client family")
-            if not is_saturated(n.family):
-                errors.append(f"{path}: family not saturated")
-            labels = {a for A in n.family for a in A}
-            if labels != {a for a, _ in n.leaves}:
-                errors.append(f"{path}: leaves do not match the family labels")
-            for a, c in n.leaves:
-                go(c, f"{path}.{a}")
-            return
-        errors.append(f"{path}: not a client normal form node")
-
-    go(n, "nf")
-    return errors
+def check_cnf(n: Pnf) -> list[str]:
+    """Validity report under the client grammar; empty means well formed."""
+    return _check(n, client=True)
 
 
 # ---------------------------------------------------------------------------
@@ -601,25 +541,10 @@ class GroundInstance:
 #: instances draw their terms from this many smallest terms of the corpus
 POOL_LIMIT = 400
 
-_POOL_CACHE: dict[tuple, tuple[list[Term], list[Term]]] = {}
-
-
-def _instance_pool(alphabet: tuple[str, ...], depth: int) -> tuple[list[Term], list[Term]]:
-    from .lts import can_ok
-    from .oracle import EnumSpec, enumerate_terms
-
-    key = (alphabet, depth)
-    got = _POOL_CACHE.get(key)
-    if got is None:
-        pool: list[Term] = []
-        for i, t in enumerate(enumerate_terms(EnumSpec(alphabet, depth, allow_unit=True,
-                                                       allow_div=True, max_width=2))):
-            if i >= POOL_LIMIT:
-                break
-            pool.append(t)
-        got = (pool, [t for t in pool if not can_ok(t)])
-        _POOL_CACHE[key] = got
-    return got
+@cache
+def _instance_pool(spec: EnumSpec) -> tuple[list[Term], list[Term]]:
+    pool = list(islice(enumerate_terms(spec), POOL_LIMIT))
+    return pool, [t for t in pool if not can_ok(t)]
 
 
 def instantiate_axioms(
@@ -634,8 +559,9 @@ def instantiate_axioms(
     variables only from terms that cannot immediately succeed."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    pool, nook_pool = _instance_pool(alphabet, depth)
-    guards = [TAU] + [g for name in sorted(alphabet) for g in (Action(name), Action(name, True))]
+    spec = EnumSpec(alphabet, depth, allow_unit=True, allow_div=True, max_width=2)
+    pool, nook_pool = _instance_pool(spec)
+    guards = spec.guards()
     rng = random.Random(seed)
     out: list[GroundInstance] = []
     for schema in THEORY_AXIOMS[theory]:
@@ -657,8 +583,6 @@ def check_instances(kind: str, instances: Iterable[GroundInstance],
                     env: Env = EMPTY_ENV) -> list[tuple[GroundInstance, str]]:
     """Check ground (in)equations under the precongruence of `kind`; returns
     the violations (instance, failed direction)."""
-    from .preorders import leq_plus
-
     failures: list[tuple[GroundInstance, str]] = []
     for inst in instances:
         if not leq_plus(kind, inst.lhs, inst.rhs, env).holds:
@@ -676,8 +600,6 @@ def check_instances(kind: str, instances: Iterable[GroundInstance],
 def simplify_unusable(t: Term, env: Env = EMPTY_ENV) -> Term:
     """Rewrite prefixed subterms that no partner can satisfy toward 0; under a
     prefix the unusable continuation is interchangeable with deadlock."""
-    from .usability import usable
-
     if not is_ccsf(t):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 

@@ -23,6 +23,7 @@ from .syntax import (
     label_key,
     mk_sum,
     pretty,
+    subterms,
     term_key,
     visible_depth,
 )
@@ -48,11 +49,7 @@ class EnumSpec:
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Prefix):
-        return 1 + term_size(t.body)
-    if isinstance(t, Sum):
-        return 1 + sum(term_size(p) for p in t.parts)
-    return 1
+    return sum(1 for _ in subterms(t))
 
 
 def _prefix_depth(t: Term) -> int:
@@ -158,8 +155,8 @@ def det_stable_servers(alphabet: Iterable[Action], max_depth: int, max_width: in
     yield from sorted(dict.fromkeys(levels[max_depth]), key=term_key)
 
 
-def search_satisfying_server(r: Term, env: Env = EMPTY_ENV, max_depth: Optional[int] = None,
-                             max_width: Optional[int] = None) -> Optional[Term]:
+def search_satisfying_server(r: Term, env: Env = EMPTY_ENV,
+                             max_depth: Optional[int] = None) -> Optional[Term]:
     """First enumerated deterministic stable server that must-satisfies `r`.
 
     A server branch nested below the client's visible depth can never be
@@ -170,13 +167,12 @@ def search_satisfying_server(r: Term, env: Env = EMPTY_ENV, max_depth: Optional[
     co_alpha = sorted({a.complement() for a in lts.alphabet()}, key=label_key)
     if max_depth is None:
         max_depth = min(4, visible_depth(r)) if is_ccsf(r) else 4
-    if max_width is None:
-        if all(len(edges) <= 1 for edges in lts.edges):
-            # a chain client meets one stable state per run; a second server
-            # branch can never fire
-            max_width = 1
-        else:
-            max_width = min(2, len(co_alpha)) if co_alpha else 1
+    if all(len(edges) <= 1 for edges in lts.edges):
+        # a chain client meets one stable state per run; a second server
+        # branch can never fire
+        max_width = 1
+    else:
+        max_width = min(2, len(co_alpha)) if co_alpha else 1
     for server in det_stable_servers(co_alpha, max_depth, max_width):
         if must(server, r, env).holds:
             return server

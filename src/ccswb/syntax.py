@@ -162,13 +162,16 @@ def internal_choice(left: Term, right: Term) -> Term:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including `t` itself (constants are not unfolded)."""
-    yield t
-    if isinstance(t, Prefix):
-        yield from subterms(t.body)
-    elif isinstance(t, Sum):
-        for p in t.parts:
-            yield from subterms(p)
+    """All subterms including `t` itself, in pre-order (constants are not
+    unfolded); an explicit stack, so any nesting depth is walked."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Prefix):
+            stack.append(t.body)
+        elif isinstance(t, Sum):
+            stack.extend(reversed(t.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +399,8 @@ def parse_term(text: str, env: Env = EMPTY_ENV) -> Term:
         raise r.error(f"trailing input {r.texts[r.i]!r}", r.i)
     unbound = {name for name in r.consts if name not in env}
     if unbound:
-        # Name the first unbound constant in `subterms` order.
-        stack = [t]
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, Const) and sub.name in unbound:
-                raise SyntaxErr(f"unbound constant {sub.name}")
-            if isinstance(sub, Prefix):
-                stack.append(sub.body)
-            elif isinstance(sub, Sum):
-                stack.extend(reversed(sub.parts))
+        first = next(sub for sub in subterms(t) if isinstance(sub, Const) and sub.name in unbound)
+        raise SyntaxErr(f"unbound constant {first.name}")
     return t
 
 

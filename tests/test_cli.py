@@ -90,6 +90,22 @@ def test_normalize_command(defs_file, capsys):
     assert payload["exact"] is True
 
 
+EX71_CLT = ("a.(tau.b.(tau.0 + tau.1) + tau.c.(tau.0 + tau.1) "
+            "+ tau.(b.(tau.0 + tau.1) + c.(tau.0 + tau.1)))")
+
+
+@pytest.mark.parametrize("process, theory, form", [
+    ("Ex71", "clt", EX71_CLT),
+    ("Ex71", "svr", "a.(tau.b.0 + tau.c.0 + tau.(b.0 + c.0))"),
+    ("tau.(1 + a.1) + tau.b.0", "clt", "tau.1 + tau.b.0 + tau.(a.1 + b.0)"),
+], ids=["ex71-clt", "ex71-svr", "absorbed-sibling-clt"])
+def test_normalize_client_and_server_forms(defs_file, capsys, process, theory, form):
+    assert run(["--json", "normalize", defs_file, "-p", process, "--theory", theory]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["normal_form"] == form
+    assert payload["valid"] is True and payload["exact"] is True
+
+
 def test_normalize_reports_a_shielded_merge(defs_file, capsys):
     shielded = "a.(b.0 + tau.1) + b.(a.0 + tau.1)"
     assert run(["--json", "normalize", defs_file, "-p", shielded]) == 0
@@ -208,3 +224,5 @@ def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monk
     # argparse names the subcommand whose argument it rejects ("ccswb usable: error:")
     assert any(re.match(r"(ccswb( [a-z-]+)?: )?error:", line) for line in err.splitlines()), err
     assert "Traceback" not in err
+    if str(latin) in argv:
+        assert f"error: 1:12: {latin} is not UTF-8 text" in err

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import t
+from conftest import FINITE_TERMS, t
 from ccswb.equations import (
     GroundInstance,
     NotCCSf,
@@ -26,7 +27,6 @@ from ccswb.equations import (
     saturate,
     simplify_unusable,
 )
-from ccswb.equations import CnfExt, CnfTauUnit, CnfUnit
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import leq_plus
 from ccswb.syntax import Action, Const, OK, pretty
@@ -135,11 +135,47 @@ def test_check_pnf_flags_missing_success_propagation():
 
 
 def test_cnf_examples():
-    assert normalize_cnf(t("1 + a.0")) == CnfUnit()
-    assert normalize_cnf(t("tau.(1 + a.1) + tau.1")) == CnfTauUnit()
+    one = PnfExt((), True)
+    assert normalize_cnf(t("1 + a.0")) == one
+    assert normalize_cnf(t("tau.(1 + a.1) + tau.1")) == PnfTau(frozenset({frozenset({OK})}), (),
+                                                                 False)
     n = normalize_cnf(t("a.1"))
-    assert isinstance(n, CnfExt) and n.branch_map()[a] == CnfUnit()
+    assert n == PnfExt(((a, one),), False)
     assert pretty(cnf_to_term(n)) == "a.1"
+    # the sibling of an immediate success is absorbed; the {ok} branch stays
+    n = normalize_cnf(t("tau.(1 + a.1) + tau.b.0"))
+    assert n == PnfTau(frozenset({frozenset({OK}), frozenset({b}), frozenset({a, b})}),
+                       ((a, one), (b, PnfExt((), False))), False)
+    assert pretty(cnf_to_term(n)) == "tau.1 + tau.b.0 + tau.(a.1 + b.0)"
+    assert cnf_to_term is pnf_to_term
+
+
+def test_check_cnf_flags_each_client_grammar_breach():
+    zero = PnfExt((), False)
+    ok = frozenset({OK})
+    cases = [
+        (PnfTau(frozenset({frozenset({a, OK})}), ((a, zero),), False),
+         "success marker inside a larger member"),
+        (PnfExt(((a, zero),), True), "success summand beside siblings"),
+        (PnfDiv(True), "success summand beside siblings"),
+        (PnfTau(frozenset({ok, frozenset({a}), frozenset({b})}), ((a, zero), (b, zero)), False),
+         "family not saturated, missing {a,b}"),
+        (PnfTau(frozenset({ok, frozenset({a})}), ((a, zero), (b, zero)), False),
+         "leaves do not match the family labels"),
+    ]
+    for bogus, message in cases:
+        assert any(message in e for e in check_cnf(bogus)), (bogus, check_cnf(bogus))
+    # a valid peer form keeps success inside a larger member; a client form may not
+    peer = normalize_pnf(t("tau.(1 + a.1) + tau.b.0"))
+    assert check_pnf(peer) == [] and check_cnf(peer) != []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FINITE_TERMS)
+def test_normal_forms_are_well_formed(term):
+    assert check_pnf(normalize_pnf(term)) == []
+    assert check_pnf(normalize_snf(term)) == []
+    assert check_cnf(normalize_cnf(term)) == []
 
 
 def test_cnf_soundness_on_corpus(small_corpus):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FINITE_TERMS, t
-from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.oracle import EnumSpec, enumerate_terms, term_size
 from ccswb.syntax import (
     Action,
     Const,
@@ -114,6 +114,22 @@ def test_deep_prefix_chains_parse():
         assert chain == leaf
     with pytest.raises(SyntaxErr, match="unbound constant A"):
         parse_term("a." * depth + "A")
+
+
+def test_deep_prefix_chains_walk():
+    # `subterms` keeps its own stack, so the static scans take any depth
+    depth = 10_000
+    term = parse_term("a." * depth + "b.1")
+    assert is_ccsf(term)
+    assert fresh_action([term]) == Action("f0")
+    assert term_size(term) == depth + 2
+
+
+def test_subterms_is_pre_order():
+    term = t("a.(b.0 + c.1) + tau.div")
+    assert [pretty(sub) for sub in subterms(term)] == [
+        "tau.div + a.(b.0 + c.1)", "tau.div", "div", "a.(b.0 + c.1)", "b.0 + c.1",
+        "b.0", "0", "c.1", "1"]
 
 
 def test_comments_and_blank_lines():
