@@ -33,7 +33,10 @@ def _load(args) -> tuple[Env, list[str]]:
             lines = exc.object[:exc.start].decode("utf-8").split("\n")
             raise SyntaxErr(f"{args.file} is not UTF-8 text ({exc.reason})",
                             len(lines), len(lines[-1]) + 1) from None
-    env, names = parse_defs(text)
+    try:
+        env, names = parse_defs(text)
+    except SyntaxErr as exc:
+        raise SyntaxErr(f"{args.file}{':' if exc.line else ': '}{exc}") from None
     return replace(env, state_cap=args.state_cap), names
 
 

@@ -2,7 +2,7 @@
 convergence and divergence predicates, and the parallel test composition."""
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
     OK,
@@ -178,6 +178,7 @@ class Lts:
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
         self._usable_memo: dict = {}
+        self._complements: Optional[dict[Action, Action]] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -196,6 +197,14 @@ class Lts:
         for vis in self.vis:
             out |= set(vis)
         return frozenset(out)
+
+    def complements(self) -> dict[Action, Action]:
+        """Each visible action's complement, tabled on first use (by a
+        `Product`), so graphs that are never composed pay nothing."""
+        co = self._complements
+        if co is None:
+            co = self._complements = {a: a.complement() for a in self.alphabet()}
+        return co
 
     # -- closures ---------------------------------------------------------
 
@@ -304,70 +313,84 @@ class Lts:
 
 
 class Product:
-    """Tau-edge graph of a parallel composition.
+    """Tau-edge graph of a parallel composition, built on demand.
 
     Edges are left moves, right moves, and complementary synchronisations;
     success of either component is recorded as a state flag, not an edge.
-    The state cap is the smaller of the two graphs' caps.
+    The constructor interns only the root; `succ(k)` expands a state the
+    first time it is asked for, so a search builds the states it visits and
+    their successors, and `explore()` builds the rest in breadth-first order.
+    The state cap, the smaller of the two graphs' caps, bounds the states
+    built.  A product is filled by the call that made it; only its `Lts`
+    graphs are shared.
     """
 
     def __init__(self, left: Lts, right: Lts):
-        cap = min(left.env.state_cap, right.env.state_cap)
         self.left_lts = left
         self.right_lts = right
+        self.cap = min(left.env.state_cap, right.env.state_cap)
         self.states: list[tuple[int, int]] = []
         self.index: dict[tuple[int, int], int] = {}
-        self.succ: list[tuple[int, ...]] = []
+        self.left_ok: list[bool] = []
+        self.right_ok: list[bool] = []
+        self._succ: list[Optional[tuple[int, ...]]] = []
+        self.root = self._intern((left.root, right.root))
 
-        def intern(st: tuple[int, int]) -> int:
-            k = self.index.get(st)
-            if k is None:
-                if len(self.states) >= cap:
-                    raise StateCapExceeded(cap)
-                k = len(self.states)
-                self.index[st] = k
-                self.states.append(st)
-                queue.append(k)
-            return k
+    def _intern(self, st: tuple[int, int]) -> int:
+        k = self.index.get(st)
+        if k is None:
+            k = len(self.states)
+            if k >= self.cap:
+                raise StateCapExceeded(self.cap)
+            self.index[st] = k
+            self.states.append(st)
+            self.left_ok.append(self.left_lts.ok[st[0]])
+            self.right_ok.append(self.right_lts.ok[st[1]])
+            self._succ.append(None)
+        return k
 
-        queue: list[int] = []
-        self.root = intern((left.root, right.root))
-        qi = 0
-        while qi < len(queue):
-            k = queue[qi]
-            qi += 1
+    def succ(self, k: int) -> tuple[int, ...]:
+        """Successors of state k, without repeats: left taus, right taus, then
+        synchronisations in the left graph's label order."""
+        out = self._succ[k]
+        if out is None:
+            left, right = self.left_lts, self.right_lts
             i, j = self.states[k]
-            nxt: list[tuple[int, int]] = []
-            nxt.extend((i2, j) for i2 in left.taus[i])
+            nxt = [(i2, j) for i2 in left.taus[i]]
             nxt.extend((i, j2) for j2 in right.taus[j])
-            for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
-                tjs = right.vis[j].get(a.complement(), ())
-                for i2 in tis:
-                    for j2 in tjs:
-                        nxt.append((i2, j2))
-            seen: set[int] = set()
-            ordered: list[int] = []
-            for st in nxt:
-                k2 = intern(st)
-                if k2 not in seen:
-                    seen.add(k2)
-                    ordered.append(k2)
-            # queue order equals intern order, so position k holds succ of state k
-            self.succ.append(tuple(ordered))
-        self.left_ok = [left.ok[i] for i, _ in self.states]
-        self.right_ok = [right.ok[j] for _, j in self.states]
+            rvis = right.vis[j]
+            if rvis:
+                co = left.complements()
+                for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
+                    tjs = rvis.get(co[a])
+                    if tjs:
+                        nxt.extend((i2, j2) for i2 in tis for j2 in tjs)
+            out = self._succ[k] = tuple(dict.fromkeys(map(self._intern, nxt)))
+        return out
+
+    def explore(self) -> Product:
+        """Expand every reachable state, in order of state number.  On a
+        product no search has touched, that numbers the states in
+        breadth-first order from the root, as `to_dot` shows them."""
+        k = 0
+        while k < len(self.states):
+            self.succ(k)
+            k += 1
+        return self
 
     def __len__(self) -> int:
+        """States built so far."""
         return len(self.states)
 
     def stable(self, k: int) -> bool:
-        return not self.succ[k]
+        return not self.succ(k)
 
     def pretty_state(self, k: int) -> tuple[str, str]:
         i, j = self.states[k]
         return (pretty(self.left_lts.terms[i]), pretty(self.right_lts.terms[j]))
 
     def to_dot(self) -> str:
+        self.explore()
         lines = ["digraph product {", "  rankdir=LR;"]
         for k in range(len(self.states)):
             l, r = self.pretty_state(k)
@@ -376,8 +399,8 @@ class Product:
             shape = "doublecircle" if self.right_ok[k] else "circle"
             extra = " penwidth=2" if k == self.root else ""
             lines.append(f'  s{k} [shape={shape} label="{label.replace(chr(34), chr(39))}"{extra}];')
-        for k, outs in enumerate(self.succ):
-            for k2 in outs:
+        for k in range(len(self.states)):
+            for k2 in self.succ(k):
                 lines.append(f'  s{k} -> s{k2} [label="tau"];')
         lines.append("}")
         return "\n".join(lines)
@@ -387,7 +410,8 @@ _LTS_CACHE: dict[tuple[Env, Term], Lts] = {}
 
 
 def cached_lts(t: Term, env: Env = EMPTY_ENV) -> Lts:
-    """Shared Lts instances; safe because Lts values are immutable once built.
+    """Shared Lts instances; safe because a graph is complete once built and
+    its memo tables fill idempotently.
     The key is the `env` object, compared by identity, and the term, so graphs
     of different environments or state caps stay apart."""
     key = (env, t)

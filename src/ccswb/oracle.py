@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .lts import cached_lts
-from .preorders import ModeError, SynthesisGap, check_witness, leq, passes, synthesize_witness
+from .preorders import ModeError, SynthesisGap, check_witness, leq, passes_graph, synthesize_witness
 from .syntax import (
     DIV,
     Sum,
@@ -243,13 +243,16 @@ def pass_table(kind: str, terms: list[Term], tests: list[Term],
     """Bitmask per term: which tests it passes in the role fixed by `kind`.
 
     Row inclusion over the test set is exactly the defining quantification of
-    the preorder, restricted to that finite set of tests.
+    the preorder, restricted to that finite set of tests.  Each graph is
+    looked up once per table, not once per cell.
     """
+    test_graphs = [cached_lts(t, env) for t in tests]
     rows: dict[Term, int] = {}
     for term in terms:
+        graph = cached_lts(term, env)
         bits = 0
-        for i, t in enumerate(tests):
-            if passes(kind, term, t, env):
+        for i, test in enumerate(test_graphs):
+            if passes_graph(kind, graph, test):
                 bits |= 1 << i
         rows[term] = bits
     return rows

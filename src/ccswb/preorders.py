@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .lts import Lts, Trace, cached_lts
+from .lts import Lts, Product, Trace, cached_lts
 from .syntax import (
     DIV,
     EMPTY_ENV,
@@ -37,7 +37,7 @@ from .syntax import (
     pretty,
     visible_depth,
 )
-from .testing import must, must_sc
+from .testing import find_counterexample
 from .usability import usable_set
 
 KINDS = ("svr", "clt", "p2p")
@@ -471,13 +471,16 @@ def passes(kind: str, p: Term, t: Term, env: Env) -> bool:
     """Does `p` pass the test `t` in the role fixed by `kind`: a server
     satisfies the client t, a client is satisfied by the server t, a peer
     and t satisfy each other?"""
-    if kind == "svr":
-        return must(p, t, env).holds
-    if kind == "clt":
-        return must(t, p, env).holds
-    if kind == "p2p":
-        return must_sc(p, t, env).holds
-    raise ValueError(f"unknown preorder kind {kind!r}")
+    return passes_graph(kind, cached_lts(p, env), cached_lts(t, env))
+
+
+def passes_graph(kind: str, p: Lts, t: Lts) -> bool:
+    """`passes` on built graphs: server `must(p, t)`, client `must(t, p)`,
+    peer `must_sc(p, t)`."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown preorder kind {kind!r}")
+    server, client = (t, p) if kind == "clt" else (p, t)
+    return find_counterexample(Product(server, client), symmetric=kind == "p2p") is None
 
 
 def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV) -> bool:

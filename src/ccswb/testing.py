@@ -63,11 +63,12 @@ class Verdict:
         return out
 
 
-def _bfs(succ: list[tuple[int, ...]], start: int, within: Callable[[int], bool],
+def _bfs(succ: Callable[[int], tuple[int, ...]], start: int, within: Callable[[int], bool],
          goal: Callable[[int], bool]) -> tuple[list[int], dict[int, int], Optional[int]]:
     """Breadth-first search from `start` through the states `within` admits,
     stopping at the first dequeued `goal` state.  Returns the visit order, the
-    parent map and that goal state (None when the search exhausts the region)."""
+    parent map and that goal state (None when the search exhausts the region).
+    Only dequeued states are passed to `succ`."""
     parent: dict[int, int] = {start: start}
     order = [start]
     qi = 0
@@ -76,7 +77,7 @@ def _bfs(succ: list[tuple[int, ...]], start: int, within: Callable[[int], bool],
         qi += 1
         if goal(k):
             return order, parent, k
-        for k2 in succ[k]:
+        for k2 in succ(k):
             if k2 not in parent and within(k2):
                 parent[k2] = k
                 order.append(k2)
@@ -95,7 +96,8 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
     """Shortest evidence that some maximal computation never lets `side` succeed.
 
     One search over the unsuccessful region finds the nearest deadlock; when
-    there is none, the first cyclic state it visited is the lasso entry."""
+    there is none, the first cyclic state it visited is the lasso entry.  The
+    search expands only states where `side` has not succeeded."""
     ok_flags = product.right_ok if side == "right" else product.left_ok
     if ok_flags[product.root]:
         return None
@@ -103,14 +105,14 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
     order, parent, dead = _bfs(succ, product.root, lambda k: not ok_flags[k], product.stable)
     if dead is not None:
         return Counterexample(product, tuple(_path(parent, dead)), "deadlock")
-    cyclic = on_cycle(order, lambda k: [k2 for k2 in succ[k] if not ok_flags[k2]])
+    cyclic = on_cycle(order, lambda k: [k2 for k2 in succ(k) if not ok_flags[k2]])
     c = next((k for k in order if k in cyclic), None)
     if c is None:
         return None
     entry = _path(parent, c)
     # shortest cycle from c back to c inside the cyclic states
     best: Optional[list[int]] = None
-    for k2 in succ[c]:
+    for k2 in succ(c):
         if k2 not in cyclic:
             continue
         if k2 == c:
@@ -129,18 +131,26 @@ def _product_of(p: Term, r: Term, env: Env) -> Product:
     return Product(cached_lts(p, env), cached_lts(r, env))
 
 
+def find_counterexample(product: Product, symmetric: bool) -> Optional[Counterexample]:
+    """Evidence that some maximal computation of `product` never lets the
+    client (right) succeed, or, when `symmetric`, never lets the server
+    (left) succeed; None when there is none.  Both searches share the
+    product, so the second expands only what the first left unbuilt."""
+    ce = find_unsuccessful_maximal(product, side="right")
+    if ce is None and symmetric:
+        ce = find_unsuccessful_maximal(product, side="left")
+    return ce
+
+
 def must(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
     """Every maximal computation of p || r lets the client r report success."""
-    ce = find_unsuccessful_maximal(_product_of(p, r, env), side="right")
+    ce = find_counterexample(_product_of(p, r, env), symmetric=False)
     return Verdict(ce is None, ce)
 
 
 def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
     """Every maximal computation lets both peers report success (not necessarily together)."""
-    product = _product_of(p, r, env)
-    ce = find_unsuccessful_maximal(product, side="right")
-    if ce is None:
-        ce = find_unsuccessful_maximal(product, side="left")
+    ce = find_counterexample(_product_of(p, r, env), symmetric=True)
     return Verdict(ce is None, ce)
 
 
@@ -152,8 +162,8 @@ def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
 def enumerate_computations(p: Term, r: Term,
                            env: Env = EMPTY_ENV) -> tuple[Product, list[tuple[int, ...]]]:
     """All maximal computations of an acyclic product, as state-id paths."""
-    product = _product_of(p, r, env)
-    if on_cycle([product.root], product.succ.__getitem__):
+    product = _product_of(p, r, env).explore()
+    if on_cycle([product.root], product.succ):
         raise NotAcyclic("product graph has a cycle")
     paths: list[tuple[int, ...]] = []
     walk: list[int] = [product.root]
@@ -165,7 +175,7 @@ def enumerate_computations(p: Term, r: Term,
             return
         if len(walk) > STEP_BOUND:
             raise BoundExceeded(f"computation longer than {STEP_BOUND} steps")
-        for k2 in product.succ[k]:
+        for k2 in product.succ(k):
             walk.append(k2)
             extend()
             walk.pop()

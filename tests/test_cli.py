@@ -36,6 +36,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["parse"], ["lts", "-p", "0"]])
+def test_parse_error_names_the_file(command, tmp_path, capsys):
+    path = tmp_path / "bad.ccs"
+    path.write_text("def P = a.0\ndef Q = a.$")
+    loop = tmp_path / "loop.ccs"  # an error with no position
+    loop.write_text("def P = Q\ndef Q = P")
+    assert run([command[0], str(path)] + command[1:]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2:11: unexpected character '$'\n"
+    assert run([command[0], str(loop)] + command[1:]) == 1
+    assert capsys.readouterr().err == f"error: {loop}: unguarded recursion through P\n"
+
+
 def test_must_command_json(defs_file, capsys):
     assert run(["--json", "must", defs_file, "-s", "Q", "-c", "Rtest"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -2,8 +2,9 @@
 
 Memo tables fill lazily and idempotently; no other state is shared between
 calls, so two threads working on one graph or normalizing side by side must
-see exactly the single-threaded answers.  A tiny switch interval makes the
-interpreter interleave the threads at almost every bytecode.
+see exactly the single-threaded answers.  A `Product` is filled by the call
+that made it; only its `Lts` graphs are shared.  A tiny switch interval
+makes the interpreter interleave the threads at almost every bytecode.
 """
 import sys
 import threading
@@ -14,6 +15,7 @@ from conftest import t
 from ccswb.equations import normalize_pnf_info
 from ccswb.lts import Lts
 from ccswb.syntax import Const, parse_defs
+from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set
 
 ACTIONS = ("a", "b", "c", "d")
@@ -84,3 +86,26 @@ def test_normalize_flags_from_two_threads(fast_switching):
     got_shielded, got_exact = _run_together(lambda: flags(shielded), lambda: flags(exact))
     assert got_shielded == [False] * 3000
     assert got_exact == [True] * 3000
+
+
+_SERVERS = "def S = a.S + b.T\ndef T = c.S + tau.T + d.1\ndef U = tau.U + a.0 + b.U"
+
+
+def test_must_over_shared_graphs_from_two_threads(fast_switching):
+    text = _recursive_client() + "\n" + _SERVERS
+    env, _ = parse_defs(text)
+    names = ["S", "T", "U", "P0", "P4", "P5", "P17"]
+    pairs = [(Const(p), Const(r)) for p in names for r in names if p != r]
+    pairs.append((t("a.b.0 + c.0"), Const("P3")))
+
+    def answers(env):
+        return [(must(p, r, env).to_json(), must_sc(p, r, env).to_json()) for p, r in pairs]
+
+    expected = answers(env)
+    assert any(not held["holds"] for held, _ in expected)
+    assert any(held["holds"] for held, _ in expected)
+    for _ in range(5):
+        # a fresh environment per round, so the two threads build, share and
+        # first fill the same cached graphs at once
+        shared, _ = parse_defs(text)
+        assert _run_together(lambda: answers(shared), lambda: answers(shared)) == [expected, expected]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, strategies as st
 
 from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
-from ccswb.syntax import Action, Const, Env, NIL, OK, TAU, label_key, parse_defs, pretty
+from ccswb.syntax import Action, Const, EMPTY_ENV, Env, NIL, OK, TAU, label_key, parse_defs, pretty
+from ccswb.testing import find_counterexample, must, must_sc
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
+
+DOT_DIGEST = "af1dcab2105dfdabd0b40cee1c5400493433b9e4ea50aaaef52b27f36706ccf3"
 
 
 def acc(term, trace):
@@ -62,22 +66,44 @@ def test_state_cap():
     left, right = cached_lts(chain, env), cached_lts(chain, env)
     assert len(left) == len(right) == 3
     with pytest.raises(StateCapExceeded):
-        Product(left, right)
+        Product(left, right).explore()
+
+
+def test_state_cap_bounds_the_states_a_search_builds():
+    env = Env(state_cap=3)
+    # the client succeeds at the root, so the search builds one state of nine
+    assert must(t("tau.tau.0"), t("1 + tau.tau.0"), env).holds
+    # every one of the nine states is unsuccessful and must be searched
+    with pytest.raises(StateCapExceeded):
+        must(t("tau.tau.0"), t("tau.tau.0"), env)
+    # the server side never succeeds, so its search needs all nine
+    with pytest.raises(StateCapExceeded):
+        must_sc(t("tau.tau.0"), t("1 + tau.tau.0"), env)
+    # the search expands no state where the client has succeeded
+    product = Product(cached_lts(t("~a.tau.tau.0")), cached_lts(t("a.1")))
+    assert find_counterexample(product, symmetric=False) is None and len(product) == 2
+
+
+def test_product_expands_on_demand():
+    p = Product(cached_lts(t("~a.0 + tau.0")), cached_lts(t("a.1")))
+    assert len(p) == 1 and p.states == [(p.left_lts.root, p.right_lts.root)]
+    assert len(p.succ(p.root)) == 2 and len(p) == 3
+    assert p.explore() is p and len(p) == 3
 
 
 def test_compose_examples():
-    p = Product(cached_lts(t("~a.0")), cached_lts(t("a.1")))
-    assert len(p) == 2 and p.succ[p.root] and p.right_ok[1] and not p.right_ok[p.root]
-    p = Product(cached_lts(t("0")), cached_lts(t("tau.0")))
-    assert len(p) == 2 and len(p.succ[p.root]) == 1
+    p = Product(cached_lts(t("~a.0")), cached_lts(t("a.1"))).explore()
+    assert len(p) == 2 and p.succ(p.root) and p.right_ok[1] and not p.right_ok[p.root]
+    p = Product(cached_lts(t("0")), cached_lts(t("tau.0"))).explore()
+    assert len(p) == 2 and len(p.succ(p.root)) == 1
     p = Product(cached_lts(t("~b.0")), cached_lts(t("a.0")))
     assert p.stable(p.root)
 
 
 def test_compose_is_symmetric_up_to_swap(small_corpus):
     for left, right in itertools.islice(zip(small_corpus, reversed(small_corpus)), 40):
-        pq = Product(cached_lts(left), cached_lts(right))
-        qp = Product(cached_lts(right), cached_lts(left))
+        pq = Product(cached_lts(left), cached_lts(right)).explore()
+        qp = Product(cached_lts(right), cached_lts(left)).explore()
         assert len(pq) == len(qp)
         remap = {pq.states[k]: k for k in range(len(pq))}
         for k in range(len(qp)):
@@ -85,8 +111,29 @@ def test_compose_is_symmetric_up_to_swap(small_corpus):
             m = remap[(j, i)]
             assert qp.left_ok[k] == pq.right_ok[m]
             assert qp.right_ok[k] == pq.left_ok[m]
-            assert {tuple(reversed(qp.states[x])) for x in qp.succ[k]} == \
-                   {pq.states[x] for x in pq.succ[m]}
+            assert {tuple(reversed(qp.states[x])) for x in qp.succ(k)} == \
+                   {pq.states[x] for x in pq.succ(m)}
+
+
+def _dot_corpus(small_corpus):
+    """Products of every small term with every third one, plus recursive
+    pairs with tau loops and synchronising loops."""
+    pairs = [(p, r, EMPTY_ENV) for p in small_corpus for r in small_corpus[::3]]
+    env, _ = parse_defs("def P = tau.Q + tau.R + ~a.P\ndef Q = tau.P + b.1\ndef R = ~b.R + 1\n"
+                        "def S = a.S + a.1 + tau.0")
+    names = [Const(n) for n in ("P", "Q", "R", "S")]
+    pairs += [(p, r, env) for p in names for r in names]
+    return pairs
+
+
+def test_product_dot_is_unchanged(small_corpus):
+    """A digest of `to_dot` over a fixed corpus, pinned from the eager
+    construction that `explore` replaced: state numbering, flags and edge
+    order are byte-identical."""
+    digest = hashlib.sha256()
+    for p, r, env in _dot_corpus(small_corpus):
+        digest.update(Product(cached_lts(p, env), cached_lts(r, env)).to_dot().encode())
+    assert digest.hexdigest() == DOT_DIGEST
 
 
 def test_weak_after():

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import t
-from ccswb import lts, oracle
+from conftest import FINITE_TERMS, t
+from ccswb import lts, oracle, preorders
 from ccswb.oracle import (
     EnumSpec,
     count_terms,
@@ -16,8 +17,8 @@ from ccswb.oracle import (
     search_satisfying_server,
     term_size,
 )
-from ccswb.preorders import ModeError, SynthesisGap, check_witness
-from ccswb.syntax import Action, Const, Env, parse_defs, pretty
+from ccswb.preorders import KINDS, ModeError, SynthesisGap, check_witness, passes
+from ccswb.syntax import EMPTY_ENV, Action, Const, Env, parse_defs, pretty
 
 
 def test_enumeration_base_cases():
@@ -100,6 +101,32 @@ def test_pass_table_rows_are_the_definitional_preorder(small_corpus):
     rows = pass_table("clt", [t("0"), t("1"), t("a.1")], tests)
     assert rows[t("0")] == 0  # no server satisfies the deadlocked client
     assert rows[t("1")] == (1 << len(tests)) - 1  # everything satisfies success
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(FINITE_TERMS, min_size=1, max_size=3, unique=True),
+       st.lists(FINITE_TERMS, min_size=1, max_size=4))
+def test_pass_table_rows_are_per_cell_passes(terms, tests):
+    for kind in KINDS:
+        rows = pass_table(kind, terms, tests)
+        assert rows == {p: sum(1 << i for i, r in enumerate(tests) if passes(kind, p, r, EMPTY_ENV))
+                        for p in terms}
+
+
+def test_pass_table_looks_each_graph_up_once(small_corpus, monkeypatch):
+    calls = []
+
+    def counted(term, env):
+        calls.append(term)
+        return lts.cached_lts(term, env)
+
+    monkeypatch.setattr(oracle, "cached_lts", counted)
+    monkeypatch.setattr(preorders, "cached_lts", None)  # no per-cell lookup
+    terms, tests = small_corpus[:5], small_corpus[5:25]
+    for kind in KINDS:
+        calls.clear()
+        pass_table(kind, terms, tests)
+        assert calls == tests + terms
 
 
 def test_pass_table_rejects_an_unknown_kind():

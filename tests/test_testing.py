@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import t
+from conftest import FINITE_TERMS, t
+from ccswb.lts import Product, cached_lts
 from ccswb.syntax import Const, parse_defs
 from ccswb.testing import (
     STEP_BOUND,
@@ -11,6 +13,7 @@ from ccswb.testing import (
     NotAcyclic,
     client_successful,
     enumerate_computations,
+    find_unsuccessful_maximal,
     must,
     must_by_enumeration,
     must_sc,
@@ -68,12 +71,36 @@ def test_evidence_replays_through_the_product(small_corpus):
         product = ce.product
         assert ce.path[0] == product.root
         for here, there in zip(ce.path, ce.path[1:]):
-            assert there in product.succ[here]
+            assert there in product.succ(here)
         assert not any(product.right_ok[k] for k in ce.path)
         if ce.shape == "deadlock":
             assert product.stable(ce.path[-1])
         else:
             assert ce.path[ce.loop_start] == ce.path[-1]
+
+
+def _search(product, side):
+    """A search's evidence, with states named by their component states,
+    which do not depend on the order the product was built in."""
+    ce = find_unsuccessful_maximal(product, side)
+    if ce is None:
+        return None
+    return [product.states[k] for k in ce.path], ce.shape, ce.loop_start
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FINITE_TERMS, FINITE_TERMS)
+def test_lazy_search_matches_the_explored_product(p, r):
+    left, right = cached_lts(p), cached_lts(r)
+    explored = Product(left, right).explore()
+    want = {side: _search(explored, side) for side in ("right", "left")}
+    for side in ("right", "left"):
+        lazy = Product(left, right)
+        assert _search(lazy, side) == want[side]
+        assert len(lazy) <= len(explored)
+    # mustSC runs the left search on the product the right search started
+    shared = Product(left, right)
+    assert [_search(shared, side) for side in ("right", "left")] == [want["right"], want["left"]]
 
 
 def test_enumerate_computations_single_sync():
