@@ -219,13 +219,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
-    kind_of = {"svr": "SVR", "clt": "CLT", "p2p": "P2P"}
-    theory = kind_of[args.theory]
     env = Env(state_cap=args.state_cap)
     reports = []
     bad = 0
-    for name, axset in ((theory, equations.THEORY_AXIOMS[theory]),
-                        ("Derived", equations.THEORY_AXIOMS["Derived"])):
+    for name in (args.theory.upper(), "Derived"):
         if name == "Derived" and args.theory == "svr":
             continue
         insts = equations.instantiate_axioms(name, args.alphabet, depth=args.depth,

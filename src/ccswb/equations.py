@@ -513,11 +513,11 @@ DERIVED_AXIOMS: tuple[AxiomSchema, ...] = (
                            _p(TAU, mk_sum([s["x"], s["y"], UNIT, s["z"]]))]))),
 )
 
+_POSTULATED = STANDARD_AXIOMS + SVR_AXIOMS + CLT_AXIOMS + P2P_AXIOMS
+
 THEORY_AXIOMS: dict[str, tuple[AxiomSchema, ...]] = {
     "STD": STANDARD_AXIOMS,
-    "SVR": STANDARD_AXIOMS + SVR_AXIOMS,
-    "CLT": STANDARD_AXIOMS + CLT_AXIOMS,
-    "P2P": STANDARD_AXIOMS + (CLT_AXIOMS[0], CLT_AXIOMS[1]) + P2P_AXIOMS,
+    **{kind.upper(): tuple(a for a in _POSTULATED if kind in a.theories) for kind in ALL},
     "Derived": DERIVED_AXIOMS,
 }
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Optional
 
 from .lts import cached_lts
 from .preorders import ModeError, SynthesisGap, check_witness, leq, passes_graph, synthesize_witness
 from .syntax import (
     DIV,
-    Sum,
     EMPTY_ENV,
     NIL,
     TAU,
@@ -41,23 +41,13 @@ class EnumSpec:
     max_width: int = 2
 
     def guards(self) -> list:
-        out = [TAU]
-        for name in sorted(self.alphabet):
-            out.append(Action(name))
-            out.append(Action(name, co=True))
-        return sorted(out, key=label_key)
+        """tau, then every action of the alphabet in both polarities, each once."""
+        return sorted({TAU, *(Action(name, co) for name in self.alphabet for co in (False, True))},
+                      key=label_key)
 
 
 def term_size(t: Term) -> int:
     return sum(1 for _ in subterms(t))
-
-
-def _prefix_depth(t: Term) -> int:
-    if isinstance(t, Prefix):
-        return 1 + _prefix_depth(t.body)
-    if isinstance(t, Sum):
-        return max(_prefix_depth(p) for p in t.parts)
-    return 0
 
 
 def _max_size(spec: EnumSpec) -> int:
@@ -82,42 +72,34 @@ def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
         atoms.append(UNIT)
     if spec.allow_div:
         atoms.append(DIV)
-    # pieces = candidate sum parts (no Nil, no nested sums), grouped by size
-    pieces_by_size: dict[int, list[Term]] = {1: [t for t in atoms if not isinstance(t, type(NIL))]}
-    by_size: dict[int, list[Term]] = {1: sorted(atoms, key=term_key)}
-    yield from by_size[1]
+    # the terms of the last size, each with its prefix depth
+    level = {t: 0 for t in sorted(atoms, key=term_key)}
+    yield from level
+    # every sum part (a term that is neither 0 nor a sum) with its prefix
+    # depth, by increasing size; the first ends[s] parts have size <= s
+    parts = [(t, 0) for t in atoms if t is not NIL]
+    ends = [0, len(parts)]
+
+    def pick(start: int, target: int, room: int) -> Iterator[tuple]:
+        # at most `room` parts at increasing positions from `start`, sizes
+        # summing to `target`: each set of parts comes out once
+        for i in range(max(start, ends[target - 1]), ends[target]):
+            yield (parts[i],)
+        if room > 1:
+            for s in range(1, target // 2 + 1):
+                for i in range(max(start, ends[s - 1]), ends[s]):
+                    for rest in pick(i + 1, target - s, room - 1):
+                        yield (parts[i],) + rest
+
     for n in range(2, _max_size(spec) + 1):
-        fresh: list[Term] = []
-        for t in by_size.get(n - 1, ()):
-            if _prefix_depth(t) < spec.max_depth:
-                fresh.extend(Prefix(g, t) for g in guards)
-        pieces_by_size[n] = list(fresh)
-        if spec.max_width >= 2:
-            sums: list[Term] = []
-            sizes = [s for s in sorted(pieces_by_size) if s <= n - 2]
-
-            def pick(target: int, chosen: list[Term], lo_key: tuple) -> None:
-                if len(chosen) >= 2 and target == 0:
-                    sums.append(mk_sum(chosen))
-                    return
-                if target <= 0 or len(chosen) >= spec.max_width:
-                    return
-                for s in sizes:
-                    if s > target:
-                        continue
-                    for piece in pieces_by_size.get(s, ()):
-                        k = (s,) + term_key(piece)
-                        if k <= lo_key:
-                            continue
-                        chosen.append(piece)
-                        pick(target - s, chosen, k)
-                        chosen.pop()
-
-            pick(n - 1, [], ())
-            fresh = fresh + sums
-        uniq = sorted(set(fresh), key=term_key)
-        by_size[n] = uniq
-        yield from uniq
+        fresh = [(Prefix(g, t), d + 1) for t, d in level.items() if d < spec.max_depth
+                 for g in guards]
+        sums = [(mk_sum(t for t, _ in chosen), max(d for _, d in chosen))
+                for chosen in pick(0, n - 1, spec.max_width) if len(chosen) > 1]
+        parts.extend(fresh)
+        ends.append(len(parts))
+        level = dict(fresh + sums)
+        yield from sorted(level, key=term_key)
 
 
 def count_terms(spec: EnumSpec) -> int:
@@ -134,25 +116,13 @@ def det_stable_servers(alphabet: Iterable[Action], max_depth: int, max_width: in
     """Tau-free deterministic sums of distinct prefixes: the canonical shape
     of satisfying servers, used by the bounded usability oracle."""
     acts = sorted(alphabet, key=label_key)
-    levels: list[list[Term]] = [[NIL]]
-    for d in range(1, max_depth + 1):
-        prev = levels[d - 1]
-        out: list[Term] = [NIL]
-
-        def combos(start: int, chosen: list[Term]) -> None:
-            if chosen:
-                out.append(mk_sum(list(chosen)))
-            if len(chosen) >= max_width:
-                return
-            for i in range(start, len(acts)):
-                for cont in prev:
-                    chosen.append(Prefix(acts[i], cont))
-                    combos(i + 1, chosen)
-                    chosen.pop()
-
-        combos(0, [])
-        levels.append(list(dict.fromkeys(out)))
-    yield from sorted(dict.fromkeys(levels[max_depth]), key=term_key)
+    level: set[Term] = {NIL}
+    for _ in range(max_depth):
+        level = {NIL} | {mk_sum(map(Prefix, chosen, conts))
+                         for k in range(1, max_width + 1)
+                         for chosen in combinations(acts, k)
+                         for conts in product(level, repeat=k)}
+    yield from sorted(level, key=term_key)
 
 
 def search_satisfying_server(r: Term, env: Env = EMPTY_ENV,
@@ -195,9 +165,7 @@ def refute_by_search(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
     else:
         depth = 3
     spec = EnumSpec(alphabet=names, max_depth=depth, allow_unit=True, allow_div=True, max_width=2)
-    for i, t in enumerate(enumerate_terms(spec)):
-        if limit is not None and i >= limit:
-            break
+    for t in islice(enumerate_terms(spec), limit):
         if check_witness(kind, p, q, t, env):
             return t
     return None
@@ -276,11 +244,7 @@ def cross_validate(kind: str, corpus: Iterable[Term], env: Env = EMPTY_ENV, test
     depth = min(3, max((visible_depth(t) for t in terms), default=0) + 2)
     test_spec = EnumSpec(alphabet=names or ("a",), max_depth=depth,
                          allow_unit=True, allow_div=True, max_width=2)
-    tests = []
-    for i, t in enumerate(enumerate_terms(test_spec)):
-        if i >= test_limit:
-            break
-        tests.append(t)
+    tests = list(islice(enumerate_terms(test_spec), test_limit))
     rows = pass_table(kind, terms, tests, env)
     pairs = [(a, b) for a in terms for b in terms]
     if pair_cap is not None and len(pairs) > pair_cap:

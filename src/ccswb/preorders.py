@@ -485,4 +485,5 @@ def passes_graph(kind: str, p: Lts, t: Lts) -> bool:
 
 def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV) -> bool:
     """Does `t` pass with p and fail with q, in the roles fixed by `kind`?"""
-    return passes(kind, p, t, env) and not passes(kind, q, t, env)
+    graph, test = cached_lts(p, env), cached_lts(t, env)
+    return passes_graph(kind, graph, test) and not passes_graph(kind, cached_lts(q, env), test)

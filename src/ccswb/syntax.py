@@ -27,7 +27,8 @@ class Action:
     co: bool = False
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        # a keyword name would print as text that parses as something else
+        if not _NAME_RE.match(self.name) or self.name in _KEYWORDS:
             raise ValueError(f"bad action name {self.name!r}")
 
     def complement(self) -> "Action":

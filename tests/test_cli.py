@@ -192,6 +192,7 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env", [
     (["accsets", "{defs}", "-p", "P", "--trace", "~"], {}),
     (["accsets", "{defs}", "-p", "P", "--trace", "a.b"], {}),
+    (["accsets", "{defs}", "-p", "P", "--trace", "tau"], {}),
     (["--state-cap", "0", "lts", "{defs}", "-p", "P"], {}),
     (["--state-cap", "-3", "lts", "{defs}", "-p", "P"], {}),
     (["lts", "{defs}", "-p", "P"], {"CCSWB_STATE_CAP": "abc"}),
@@ -203,8 +204,10 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["parse", "{defs}"], {"CCSWB_STATE_CAP": "0"}),
     (["check-axioms", "--theory", "clt", "--samples", "0"], {}),
     (["check-axioms", "--theory", "clt", "--alphabet", "A"], {}),
+    (["check-axioms", "--theory", "clt", "--alphabet", "div"], {}),
     (["check-axioms", "--theory", "clt", "--depth", "-1"], {}),
     (["sweep", "--kind", "clt", "--alphabet", "a,,b"], {}),
+    (["sweep", "--kind", "svr", "--alphabet", "tau"], {}),
     (["sweep", "--kind", "clt", "--depth", "-1"], {}),
     (["sweep", "--kind", "clt", "--pairs-cap", "-3"], {}),
     (["sweep", "--kind", "clt", "--test-limit", "0"], {}),
@@ -213,10 +216,11 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["lts", "{dir}", "-p", "0"], {}),
     (["must", "{defs}", "-s", "P", "-c", "1", "--dot", "{dir}"], {}),
     (["lts", "{latin}", "-p", "0"], {}),
-], ids=["trace-bare-tilde", "trace-dotted", "cap-zero", "cap-negative", "cap-env-text",
-        "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
+], ids=["trace-bare-tilde", "trace-dotted", "trace-keyword", "cap-zero", "cap-negative",
+        "cap-env-text", "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
         "refines-bound-negative", "parse-cap-env-zero", "axioms-samples-zero",
-        "axioms-alphabet-bad-name", "axioms-depth-negative", "sweep-alphabet-empty-name",
+        "axioms-alphabet-bad-name", "axioms-alphabet-keyword", "axioms-depth-negative",
+        "sweep-alphabet-empty-name", "sweep-alphabet-keyword",
         "sweep-depth-negative", "sweep-pairs-cap-negative", "sweep-test-limit-zero",
         "sweep-width-zero", "lts-no-process", "file-is-directory", "must-dot-directory",
         "file-not-utf8"])

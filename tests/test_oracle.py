@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -23,17 +24,53 @@ from ccswb.syntax import EMPTY_ENV, Action, Const, Env, parse_defs, pretty
 
 def test_enumeration_base_cases():
     assert [pretty(x) for x in enumerate_terms(EnumSpec(("a",), 0))] == ["0", "1"]
+    assert count_terms(EnumSpec(("a",), 0, allow_div=True)) == 4  # 0, 1, div, 1 + div
     got = {pretty(x) for x in enumerate_terms(EnumSpec(("a",), 1, max_width=1))}
     assert got == {"0", "1", "tau.0", "tau.1", "a.0", "a.1", "~a.0", "~a.1"}
 
 
-def test_enumeration_counts_are_stable():
-    # frozen on first run; exhaustiveness and duplicate-freedom regression
+def _digest(terms) -> tuple[int, str]:
+    lines = [pretty(x) for x in terms]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_PINNED_ENUMERATIONS = [
+    # (spec, terms taken or None for all, (count, sha256 of the printed terms))
     # atoms {0,1}, six single prefixes, C(7,2) two-part sums
-    assert count_terms(EnumSpec(("a",), 1, max_width=2)) == 29
-    assert count_terms(EnumSpec(("a", "b"), 1, max_width=2)) == 67
-    assert count_terms(EnumSpec(("a", "b"), 2, max_width=1)) == 62
-    assert count_terms(EnumSpec(("a",), 2, max_width=2, allow_div=True)) == 51361
+    (EnumSpec(("a",), 1, max_width=2), None,
+     (29, "67493a39530e57e8ac407ac6708a39f2606ca43ec3058c7c183f5910c72a887d")),
+    (EnumSpec(("a", "b"), 1, max_width=2), None,
+     (67, "5924abb896ee0a15e314e18ea675b8a2a7bf65d1ef74cb3117feef7cefbf7de1")),
+    (EnumSpec(("a", "b"), 2, max_width=1), None,
+     (62, "615e4b894c9cd06e89050b7becbc89bd888ed0753eeb9f32e504c8e420d83016")),
+    (EnumSpec(("a",), 1, allow_div=True, max_width=3), None,
+     (470, "c8ca90a5bf11dc30e73ee9dd9ccc6b696ee32eb2aa556e6a8ff3ec759349bbf7")),
+    (EnumSpec(("a", "b", "c"), 1, max_width=3), None,
+     (576, "46fbd0c51e194f6685f974e9dd8188a6d87ec130ba4bfc8eea4684291b91d916")),
+    (EnumSpec(("a",), 2, allow_unit=False, max_width=3), None,
+     (2325, "fda05a1aa449d4eab802590d4509243bb44c96b0c71632235b0fa0fc3b42635e")),
+    # the two specs of the benchmark's enum workload
+    (EnumSpec(("a",), 2, allow_div=True, max_width=2), None,
+     (51361, "08a8b6511b3bd44c6859533352fa151bce700abedd14f646271ba0804fd022c3")),
+    (EnumSpec(("a", "b"), 2, max_width=2), None,
+     (56617, "153c20ec966896e1b996495dfea578f9a8806803946351eb20e0b8b24611f975")),
+    # the benchmark's deep xval pool
+    (EnumSpec(("a", "b"), 3, max_width=2), 4000,
+     (4000, "df4b6563407ba5cfe391473fbce7e3967bf0b18f448e04c07a3ff122c40f5265")),
+]
+
+
+def test_enumeration_counts_are_stable():
+    # frozen digests of the printed terms: exhaustiveness, duplicate-freedom
+    # and output order regression
+    for spec, limit, pinned in _PINNED_ENUMERATIONS:
+        assert _digest(itertools.islice(enumerate_terms(spec), limit)) == pinned, spec
+
+
+def test_a_repeated_action_name_enumerates_nothing_new():
+    assert EnumSpec(("a", "a"), 1).guards() == EnumSpec(("a",), 1).guards()
+    assert list(enumerate_terms(EnumSpec(("a", "a"), 1, max_width=2))) == \
+        list(enumerate_terms(EnumSpec(("a",), 1, max_width=2)))
 
 
 def test_enumeration_matches_reference_construction():
@@ -78,6 +115,13 @@ def test_det_stable_servers():
     assert servers == ["0", "~a.0", "~a.~a.0"]
     wide = list(det_stable_servers([Action("a", co=True), Action("b", co=True)], 1, 2))
     assert t("~a.0 + ~b.0") in wide
+
+
+def test_det_stable_servers_are_pinned():
+    acts = [Action("a"), Action("b", co=True), Action("c")]
+    grid = [s for k in range(1, 4) for depth in range(3) for width in range(3)
+            for s in det_stable_servers(acts[:k], depth, width)]
+    assert _digest(grid) == (257, "1e564e1416260aad28dfef0a005a4b349831e39aa2e589ebfa500574e0ad246d")
 
 
 def test_search_finds_the_standard_witnesses():

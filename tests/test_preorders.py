@@ -113,6 +113,13 @@ def test_reflexive_and_transitive(small_corpus):
                         assert leq(kind, p, r).holds
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(KINDS), FINITE_TERMS)
+def test_preorders_are_reflexive(kind, p):
+    assert leq(kind, p, p).holds
+    assert leq_plus(kind, p, p).holds
+
+
 def test_diagnostic_relations():
     r = t("c.(a.1 + b.0)")
     assert not diag_sbad(r, t("c.a.1"))

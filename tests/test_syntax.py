@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TERMS, t
 from ccswb.oracle import EnumSpec, enumerate_terms, term_size
@@ -11,6 +11,7 @@ from ccswb.syntax import (
     DIV,
     EMPTY_ENV,
     NIL,
+    Nil,
     Prefix,
     Sum,
     SyntaxErr,
@@ -23,6 +24,7 @@ from ccswb.syntax import (
     parse_term,
     pretty,
     subterms,
+    term_key,
     visible_depth,
 )
 
@@ -173,6 +175,27 @@ def test_sum_canonicalization():
     assert t("a.0 + b.0") == t("b.0 + a.0")
     assert t("a.0 + (b.0 + c.0)") == t("(a.0 + b.0) + c.0")
     assert t("a.0 + a.0") == t("a.0")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(FINITE_TERMS, max_size=4), st.data())
+def test_mk_sum_is_canonical(parts, data):
+    total = mk_sum(parts)
+    assert mk_sum(data.draw(st.permutations(parts))) == total
+    k = data.draw(st.integers(0, len(parts)))
+    assert mk_sum([mk_sum(parts[:k]), mk_sum(parts[k:])]) == total
+    assert mk_sum([total]) == total == mk_sum([total, total])
+    if isinstance(total, Sum):
+        keys = [term_key(p) for p in total.parts]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert not any(isinstance(p, (Sum, Nil)) for p in total.parts)
+
+
+@pytest.mark.parametrize("name", ["tau", "div", "def"])
+def test_keywords_are_not_action_names(name):
+    # `tau.0` would print as an internal step, `div.0` and `def.0` not parse
+    with pytest.raises(ValueError):
+        Action(name)
 
 
 def test_is_ccsf():
