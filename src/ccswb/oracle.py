@@ -59,6 +59,20 @@ def _max_size(spec: EnumSpec) -> int:
     return s
 
 
+def _pick(parts: list[tuple[Term, int]], ends: list[int], start: int, target: int,
+          room: int) -> Iterator[tuple]:
+    """At most `room` of `parts` at increasing positions from `start`, sizes
+    summing to `target`, where the first ends[s] parts have size <= s: each
+    set of parts comes out once."""
+    for i in range(max(start, ends[target - 1]), ends[target]):
+        yield (parts[i],)
+    if room > 1:
+        for s in range(1, target // 2 + 1):
+            for i in range(max(start, ends[s - 1]), ends[s]):
+                for rest in _pick(parts, ends, i + 1, target - s, room - 1):
+                    yield (parts[i],) + rest
+
+
 def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
     """All CCSf terms within the spec, smallest first, lazily.
 
@@ -80,22 +94,11 @@ def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
     parts = [(t, 0) for t in atoms if t is not NIL]
     ends = [0, len(parts)]
 
-    def pick(start: int, target: int, room: int) -> Iterator[tuple]:
-        # at most `room` parts at increasing positions from `start`, sizes
-        # summing to `target`: each set of parts comes out once
-        for i in range(max(start, ends[target - 1]), ends[target]):
-            yield (parts[i],)
-        if room > 1:
-            for s in range(1, target // 2 + 1):
-                for i in range(max(start, ends[s - 1]), ends[s]):
-                    for rest in pick(i + 1, target - s, room - 1):
-                        yield (parts[i],) + rest
-
     for n in range(2, _max_size(spec) + 1):
         fresh = [(Prefix(g, t), d + 1) for t, d in level.items() if d < spec.max_depth
                  for g in guards]
         sums = [(mk_sum(t for t, _ in chosen), max(d for _, d in chosen))
-                for chosen in pick(0, n - 1, spec.max_width) if len(chosen) > 1]
+                for chosen in _pick(parts, ends, 0, n - 1, spec.max_width) if len(chosen) > 1]
         parts.extend(fresh)
         ends.append(len(parts))
         level = dict(fresh + sums)

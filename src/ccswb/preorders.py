@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .lts import Lts, Product, Trace, cached_lts
 from .syntax import (
     DIV,
     EMPTY_ENV,
-    NIL,
     TAU,
     UNIT,
     Action,
@@ -116,7 +115,9 @@ class _Group(NamedTuple):
 _SVR = _Group("svr", ("conv1",), "convergence", "w", False, "trace_flow")
 _CLT = _Group("clt", ("usb1",), "usability_flow", "x", True, "unsuccessful_trace")
 
-# Every walk as its clause groups, checked in this order at each node.
+# Every walk as its clause groups, checked in this order at each node.  The
+# trace_flow clause is kept as the paper states it, though on a finite graph
+# it never fails first (see `leq_svr_classical`), so no test is built for it.
 _WALKS: dict[str, tuple[_Group, ...]] = {
     "svr": (_SVR,),
     "clt": (_CLT,),
@@ -310,7 +311,9 @@ def leq(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
 
 def leq_svr_classical(p: Term, q: Term, env: Env = EMPTY_ENV) -> bool:
     """Convergence-plus-ready-set-inclusion formulation, without the trace-flow
-    clause; coincides with leq_svr on success-free finite terms."""
+    clause; coincides with leq_svr on every finite graph, where a convergent
+    non-empty right residual holds a stable state, so the acceptance match
+    fails wherever trace flow would."""
     return _first_failure("svr_classical", p, q, env, None)[0] is None
 
 
@@ -343,102 +346,59 @@ def diag_sbad_prime(r1: Term, r2: Term, env: Env = EMPTY_ENV) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _witness_or_nil(lts: Lts, states: frozenset[int]) -> Term:
-    ok, wit = usable_set(lts, states)
-    if not ok or wit is None:
-        raise SynthesisGap("left residual unexpectedly unusable during synthesis")
-    return wit
-
-
-def _pick(actions: Iterable[Action]) -> Action:
-    return sorted(actions, key=label_key)[0]
-
-
-def _chain(s: Trace, upto: int, escape: Callable[[int], list[Term]], end: Term) -> Term:
-    """Wrap `end` in stages upto-1 ... 0; stage k offers escape(k) next to the
-    complement of s[k] leading to the next stage."""
-    t = end
-    for k in reversed(range(upto)):
-        t = mk_sum(escape(k) + [Prefix(s[k].complement(), t)])
-    return t
-
-
-def _match_branches(lts1: Lts, clause: FailingClause, ready: Iterable[frozenset[Action]],
-                    x: frozenset[int], lift: Callable[[Term], Term]) -> Term:
-    """Answer each left ready set on one of its usable actions that the
-    refuting right ready set lacks, continuing with a left witness."""
-    assert clause.ready_set is not None and clause.usable_actions is not None
-    branches: dict[Action, Term] = {}
-    for A in ready:
-        a = _pick((A & clause.usable_actions) - clause.ready_set)
-        if a not in branches:
-            branches[a] = lift(_witness_or_nil(lts1, lts1.step(x, a)))
-    return mk_sum(Prefix(a.complement(), cont) for a, cont in branches.items())
-
-
-def _with_unit(t: Term) -> Term:
-    return mk_sum([UNIT, t])
-
-
-def _svr_witness(lts1: Lts, clause: FailingClause) -> Term:
+def _witness(kind: str, lts1: Lts, clause: FailingClause) -> Term:
+    """The test the refuting `clause` of walk `kind` yields, built along its
+    trace s from the left graph alone.  Stage k offers the complement of
+    s[k], leading to the next stage, next to the escape tau.serve(x_k),
+    where x_k is the left unsuccessful residual after s[:k]; the clause
+    picks only the end.  `serve` decides what a left residual is offered: a
+    server test reports success, a client test is a usability witness of
+    it, a peer test both.  In p2p's client group a stage offers success
+    instead, plus the escape when x_k is non-empty, and the acceptance end
+    and the whole chain also offer success."""
     s = clause.trace
-    if clause.clause == "convergence":
-        end: Term = Prefix(TAU, UNIT)
-    elif clause.clause == "acceptance_match":
-        assert clause.ready_set is not None
-        end = mk_sum(Prefix(a.complement(), UNIT)
-                     for A in lts1.ready_sets_of(lts1.weak_after(s)) for a in A - clause.ready_set)
-    elif clause.clause == "trace_flow":
-        end = NIL
-    else:
-        raise SynthesisGap(f"no server synthesis for clause {clause.clause}")
-    return _chain(s, len(s), lambda k: [Prefix(TAU, UNIT)], end)
+    # a server test offers success whatever the left side reaches: it reads no left residual
+    xs = [frozenset()] * (len(s) + 1) if kind == "svr" else lts1.residuals(s, True)
+    x = xs[len(s)]
+    peer_clt = kind == "p2p" and clause.part == "clt"
 
-
-def _clt_witness(lts1: Lts, clause: FailingClause, peer: bool) -> Term:
-    """Client chains; the peer variants can also succeed at every stage."""
-    s = clause.trace
-    xs = lts1.residuals(s, True)
-    lift = _with_unit if peer else (lambda t: t)
-
-    def escape(k: int) -> list[Term]:
-        if not peer:
-            return [Prefix(TAU, _witness_or_nil(lts1, xs[k]))]
-        return [UNIT] + ([Prefix(TAU, lift(_witness_or_nil(lts1, xs[k])))] if xs[k] else [])
+    def serve(states: frozenset[int]) -> Term:
+        if kind == "svr":
+            return UNIT
+        ok, wit = usable_set(lts1, states)
+        if not ok or wit is None:
+            raise SynthesisGap("left residual unexpectedly unusable during synthesis")
+        return mk_sum([UNIT, wit]) if kind == "p2p" else wit
 
     upto = len(s)
-    if clause.clause == "usability_flow":
-        end: Term = lift(_witness_or_nil(lts1, xs[upto]))
-    elif clause.clause == "acceptance_match":
-        end = lift(_match_branches(lts1, clause, lts1.ready_sets_of(xs[upto]), xs[upto], lift))
+    if clause.clause == "convergence":
+        t = Prefix(TAU, serve(x))
+    elif clause.clause == "usability_flow":
+        t = serve(x)
     elif clause.clause == "unsuccessful_trace":
         # diverge after the last prefix the left side can still take unsuccessfully
         upto = 1 + max((k for k in range(len(s) + 1) if xs[k]), default=-1)
-        end = DIV
-    else:
-        raise SynthesisGap(f"no {'peer' if peer else 'client'} synthesis for clause {clause.clause}")
-    return lift(_chain(s, upto, escape, end))
-
-
-def _p2p_usmpo_witness(lts1: Lts, clause: FailingClause) -> Term:
-    """Peer chains with tau-guarded success escapes; sound under the
-    convergence half of the guard."""
-    s = clause.trace
-    xs = lts1.residuals(s, True)
-
-    def commit(k: int) -> Term:
-        return Prefix(TAU, _with_unit(_witness_or_nil(lts1, xs[k])))
-
-    if clause.clause == "convergence":
-        end: Term = commit(len(s))
+        t = DIV
     elif clause.clause == "acceptance_match":
-        end = _match_branches(lts1, clause, lts1.ready_sets_of(lts1.weak_after(s)),
-                              xs[len(s)], _with_unit)
-    elif clause.clause == "trace_flow":
-        end = NIL
+        # answer each left ready set on actions the refuting right ready set
+        # lacks: a server test on every one, the others on the least usable one,
+        # continuing with what serve offers after it
+        B, usable = clause.ready_set, clause.usable_actions
+        assert B is not None
+        ready = lts1.ready_sets_of(x if clause.part == "clt" else lts1.weak_after(s))
+        if usable is None:
+            t = mk_sum(Prefix(a.complement(), UNIT) for A in ready for a in A - B)
+        else:
+            t = mk_sum(Prefix(a.complement(), serve(lts1.step(x, a)))
+                       for a in {min((A & usable) - B, key=label_key) for A in ready})
+        if peer_clt:
+            t = mk_sum([UNIT, t])
     else:
-        raise SynthesisGap(f"no peer synthesis for clause {clause.clause}")
-    return _chain(s, len(s), lambda k: [commit(k)], end)
+        raise SynthesisGap(f"no {kind} synthesis for clause {clause.clause}")
+    for k in reversed(range(upto)):
+        escape = [Prefix(TAU, serve(xs[k]))] if xs[k] or not peer_clt else []
+        t = mk_sum(([UNIT] if peer_clt else []) + escape + [Prefix(s[k].complement(), t)])
+    return mk_sum([UNIT, t]) if peer_clt else t
 
 
 def synthesize_witness(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
@@ -452,13 +412,7 @@ def synthesize_witness(kind: str, p: Term, q: Term, env: Env = EMPTY_ENV,
     if verdict.holds or verdict.failing_clause is None:
         raise ValueError("synthesis needs a refuted verdict")
     clause = verdict.failing_clause
-    lts1 = cached_lts(p, env)
-    if kind == "svr":
-        t = _svr_witness(lts1, clause)
-    elif clause.part == "clt":
-        t = _clt_witness(lts1, clause, peer=kind == "p2p")
-    else:
-        t = _p2p_usmpo_witness(lts1, clause)
+    t = _witness(kind, cached_lts(p, env), clause)
     if not check_witness(kind, p, q, t, env):
         raise SynthesisGap(
             f"synthesized test failed verification: kind={kind} clause={clause.clause} "

@@ -110,21 +110,11 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
     if c is None:
         return None
     entry = _path(parent, c)
-    # shortest cycle from c back to c inside the cyclic states
-    best: Optional[list[int]] = None
-    for k2 in succ(c):
-        if k2 not in cyclic:
-            continue
-        if k2 == c:
-            best = [c]
-            break
-        _, back, found = _bfs(succ, k2, cyclic.__contains__, lambda k: k == c)
-        if found is not None:
-            path = _path(back, c)
-            if best is None or len(path) < len(best):
-                best = path
-    assert best is not None
-    return Counterexample(product, tuple(entry + best), "lasso", loop_start=len(entry) - 1)
+    # the shortest loop: a path from c inside the cyclic states to a state with c as a successor
+    _, back, last = _bfs(succ, c, cyclic.__contains__, lambda k: c in succ(k))
+    assert last is not None
+    return Counterexample(product, tuple(entry + _path(back, last)[1:] + [c]), "lasso",
+                          loop_start=len(entry) - 1)
 
 
 def _product_of(p: Term, r: Term, env: Env) -> Product:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -65,6 +66,21 @@ def test_enumeration_counts_are_stable():
     # and output order regression
     for spec, limit, pinned in _PINNED_ENUMERATIONS:
         assert _digest(itertools.islice(enumerate_terms(spec), limit)) == pinned, spec
+
+
+@pytest.mark.parametrize("spec, limit", [
+    (EnumSpec(("a", "b"), 3, allow_div=True, max_width=2), 700),  # the xval test pool
+    (EnumSpec(("a", "b"), 3, max_width=2), 4000),  # the deep xval pool
+])
+def test_an_early_stop_leaves_no_cyclic_garbage(spec, limit):
+    # the enumerator's state is freed with the generator, without the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(itertools.islice(enumerate_terms(spec), limit))) == limit
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_repeated_action_name_enumerates_nothing_new():

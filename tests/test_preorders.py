@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from conftest import FINITE_TERMS, t
 from ccswb import preorders
 from ccswb.equations import erase_units
 from ccswb.lts import Lts
-from ccswb.oracle import refute_by_search
+from ccswb.oracle import EnumSpec, enumerate_terms, refute_by_search
 from ccswb.preorders import (
     KINDS,
     ModeError,
@@ -170,6 +171,40 @@ def test_witness_synthesis_basic():
         assert check_witness(kind, p, q, w), (kind, left, right, pretty(w))
 
 
+# sha256 per kind over "pretty(p)|pretty(q)|pretty(witness)" lines, one per
+# refuted ordered pair of the corpus below, in corpus order
+WITNESS_DIGESTS = {
+    "svr": "2c51d894a9562b623e7dc16a656e67337d23688072bd105df5960368483741ae",
+    "clt": "ce769766abb8c1dbd0d02d1959b6fe7d31a8bfd96a28d9701f962ccd3344f2d4",
+    "p2p": "0740f3d9833eebbde7443cb442a71fd6d1bc47e462c35cbde890c0fc32b3080a",
+}
+
+
+def test_synthesized_witnesses_are_pinned(small_corpus):
+    extra = enumerate_terms(EnumSpec(("a",), 1, allow_div=True, max_width=2))
+    terms = list(dict.fromkeys([*small_corpus, *extra]))
+    assert len(terms) == 144
+    reached = set()
+    for kind in KINDS:
+        digest = hashlib.sha256()
+        for p in terms:
+            for q in terms:
+                verdict = leq(kind, p, q)
+                if not verdict.holds:
+                    fc = verdict.failing_clause
+                    reached.add((kind, fc.part, fc.clause))
+                    w = synthesize_witness(kind, p, q, verdict=verdict)
+                    digest.update(f"{pretty(p)}|{pretty(q)}|{pretty(w)}\n".encode())
+        assert digest.hexdigest() == WITNESS_DIGESTS[kind], kind
+    # every (kind, part, clause) that can fail first
+    assert reached == {
+        ("svr", "svr", "convergence"), ("svr", "svr", "acceptance_match"),
+        *((kind, "clt", clause) for kind in ("clt", "p2p")
+          for clause in ("usability_flow", "acceptance_match", "unsuccessful_trace")),
+        ("p2p", "usmpo", "convergence"), ("p2p", "usmpo", "acceptance_match"),
+    }
+
+
 def test_witness_for_usability_flow_uses_the_client_machinery():
     # refuting a.1 <=clt a.0 must produce a server passed by a.1 only
     v = leq_clt(t("a.1"), t("a.0"))
@@ -277,8 +312,20 @@ def test_diagnostic_walk_decides_no_usability_it_does_not_read(monkeypatch):
 def test_diagnostic_and_classical_walks(p, q):
     if diag_sbad(p, q):
         assert diag_sbad_prime(p, q)
+    assert leq_svr_classical(p, q) == leq_svr(p, q).holds
     p0, q0 = erase_units(p), erase_units(q)
     assert leq_svr_classical(p0, q0) == leq_svr(p0, q0).holds
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FINITE_TERMS, FINITE_TERMS)
+def test_trace_flow_never_fails_first(p, q):
+    # a convergent non-empty right residual of a finite graph holds a stable
+    # state, so its ready sets fail the acceptance match before trace flow can
+    for kind in KINDS:
+        for decide in (leq, leq_plus):
+            fail = decide(kind, p, q).failing_clause
+            assert fail is None or fail.clause != "trace_flow", (kind, pretty(p), pretty(q))
 
 
 def test_client_walk_stops_below_an_unusable_left_root(monkeypatch):
