@@ -1,14 +1,17 @@
 """Process-term syntax: actions, terms, definition environments, parser and printer.
 
-Terms are immutable, and compared and hashed by value.  Sums are
+Terms are immutable and interned: each is built through one unique table,
+so equal terms are the same object and are compared by identity.  Sums are
 canonicalized at construction time (flattened, deduplicated, sorted) so
-structural equality is a decidable stand-in for syntactic identity modulo
+identity is a decidable stand-in for syntactic identity modulo
 commutative-monoid laws.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import sys
+import threading
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Union
 
 
@@ -76,45 +79,225 @@ def label_set_key(labels: Iterable[Label]) -> tuple:
 
 
 class Term:
-    """Base class for process terms."""
+    """Base class for process terms.
 
-    __slots__ = ()
+    Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): every node is built through one unique table, so
+    two terms are equal exactly when they are the same object, and `==` is
+    identity.  Each node computes once, from its children, its hash (the value
+    a frozen dataclass of the same fields has, so sets and dicts of terms
+    iterate in the same order as by value), its `term_key` and its visible
+    depth (-1 when a constant occurs); its action names are computed on first
+    use.  Assigning a field raises, and `copy`, `deepcopy` and `pickle` go back
+    through the constructor, so they return the interned term.
+    """
+
+    __slots__ = ("_hash", "_key", "_depth", "_names")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
-class Unit(Term):
-    """The success process `1`."""
+_set = object.__setattr__
+_NO_NAMES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
 
 
-@dataclass(frozen=True)
-class Nil(Term):
+def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
+    t = object.__new__(cls)
+    _set(t, "_hash", h)
+    _set(t, "_key", key)
+    _set(t, "_depth", depth)
+    _set(t, "_names", names)
+    return t
+
+
+# The unique table.  Lookups that hit take no lock; a miss and a sweep hold
+# `_LOCK`, so a live term never gets a duplicate.  Values are strong: when
+# the entries have doubled since the last sweep, `_sweep` drops those only
+# the table refers to.
+_LOCK = threading.Lock()
+# Prefix tables are keyed by the guard's id: an action's (name, co), which
+# hashes and compares without a Python-level call, or the guard itself.
+_PREFIXES: dict[object, dict[Term, "Prefix"]] = {}  # guard id -> body -> term
+_GUARD_KEYS: dict[object, tuple] = {}  # guard id -> label_key
+_SUMS: dict[tuple[Term, ...], "Sum"] = {}
+_CONSTS: dict[str, "Const"] = {}
+_MIN_SWEEP = 4096
+_size = 0
+_limit = _MIN_SWEEP
+
+
+def _added() -> None:
+    """Count one new entry; sweep when the table has doubled (lock held)."""
+    global _size, _limit
+    _size += 1
+    if _size > _limit:
+        _sweep()
+        _limit = max(2 * _size, _MIN_SWEEP)
+
+
+def _sweep() -> None:
+    """Drop every entry that only the table refers to (lock held).
+
+    An entry is popped before its count is read and put back when the term
+    is still live, so a lock-free lookup either holds the term (and so keeps
+    it) or misses and waits for the lock.  A dropped term frees its
+    children's references, so they are checked next."""
+    global _size
+    probe = object()
+    alone = sys.getrefcount(probe)  # what a term only this frame holds reads
+    tables = [*_PREFIXES.values(), _SUMS, _CONSTS]
+    work = [t for table in tables for t in table.values() if sys.getrefcount(t) == alone + 1]
+    while work:
+        t = work.pop()
+        if isinstance(t, Prefix):
+            g = t.guard
+            table, key = _PREFIXES[(g.name, g.co) if isinstance(g, Action) else g], t.body
+        elif isinstance(t, Sum):
+            table, key = _SUMS, t.parts
+        elif isinstance(t, Const):
+            table, key = _CONSTS, t.name
+        else:
+            continue  # a leaf has no entry
+        if sys.getrefcount(t) > alone + 1:
+            continue  # held elsewhere, or again in `work`
+        del table[key]
+        if sys.getrefcount(t) > alone:
+            table[key] = t
+            continue
+        _size -= 1
+        if isinstance(t, Prefix):
+            work.append(key)
+        elif isinstance(t, Sum):
+            work.extend(key)
+
+
+class _Leaf(Term):
+    """A constant process; one instance per class."""
+
+    __slots__ = ()
+    _rank: int
+
+    def __new__(cls) -> "_Leaf":
+        t = cls.__dict__.get("_instance")
+        if t is None:
+            with _LOCK:
+                t = cls.__dict__.get("_instance")
+                if t is None:
+                    t = _node(cls, hash(()), (cls._rank,), 0, _NO_NAMES)
+                    cls._instance = t
+        return t
+
+
+class Nil(_Leaf):
     """The empty sum `0`."""
 
+    __slots__ = ()
+    _rank = 0
 
-@dataclass(frozen=True)
-class Div(Term):
+
+class Unit(_Leaf):
+    """The success process `1`."""
+
+    __slots__ = ()
+    _rank = 1
+
+
+class Div(_Leaf):
     """The purely divergent process `div` (a tau self-loop)."""
 
+    __slots__ = ()
+    _rank = 2
 
-@dataclass(frozen=True)
+
 class Prefix(Term):
+    __slots__ = ("guard", "body")
+    __match_args__ = ("guard", "body")
     guard: Union[Tau, Action]
     body: Term
 
+    def __new__(cls, guard: Union[Tau, Action], body: Term) -> "Prefix":
+        gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
+        table = _PREFIXES.get(gid)
+        if table is not None:
+            t = table.get(body)
+            if t is not None:
+                return t
+        with _LOCK:
+            table = _PREFIXES.get(gid)
+            if table is None:
+                table = _PREFIXES[gid] = {}
+                _GUARD_KEYS[gid] = label_key(guard)
+            t = table.get(body)
+            if t is None:
+                depth = body._depth
+                if depth >= 0 and isinstance(guard, Action):
+                    depth += 1
+                t = _node(cls, hash((guard, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
+                _set(t, "guard", guard)
+                _set(t, "body", body)
+                table[body] = t
+                _added()
+            return t
 
-@dataclass(frozen=True)
+
 class Sum(Term):
     """A canonical external sum: flattened, deduplicated, sorted, arity >= 2."""
 
+    __slots__ = ("parts",)
+    __match_args__ = ("parts",)
     parts: tuple[Term, ...]
 
+    def __new__(cls, parts: tuple[Term, ...]) -> "Sum":
+        t = _SUMS.get(parts)
+        if t is not None:
+            return t
+        with _LOCK:
+            t = _SUMS.get(parts)
+            if t is None:
+                depths = [p._depth for p in parts]
+                depth = -1 if min(depths) < 0 else max(depths)
+                t = _node(cls, hash((parts,)), (5, tuple(p._key for p in parts)), depth, None)
+                _set(t, "parts", parts)
+                _SUMS[parts] = t
+                _added()
+            return t
 
-@dataclass(frozen=True)
+
 class Const(Term):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
+
+    def __new__(cls, name: str) -> "Const":
+        t = _CONSTS.get(name)
+        if t is not None:
+            return t
+        with _LOCK:
+            t = _CONSTS.get(name)
+            if t is None:
+                t = _node(cls, hash((name,)), (4, name), -1, (frozenset(), frozenset({name})))
+                _set(t, "name", name)
+                _CONSTS[name] = t
+                _added()
+            return t
 
 
 UNIT = Unit()
@@ -124,19 +307,7 @@ DIV = Div()
 
 def term_key(t: Term) -> tuple:
     """Total order on terms used for canonical sum ordering."""
-    if isinstance(t, Nil):
-        return (0,)
-    if isinstance(t, Unit):
-        return (1,)
-    if isinstance(t, Div):
-        return (2,)
-    if isinstance(t, Prefix):
-        return (3, label_key(t.guard), term_key(t.body))
-    if isinstance(t, Const):
-        return (4, t.name)
-    if isinstance(t, Sum):
-        return (5, tuple(term_key(p) for p in t.parts))
-    raise TypeError(f"not a term: {t!r}")
+    return t._key
 
 
 def mk_sum(parts: Iterable[Term]) -> Term:
@@ -449,23 +620,36 @@ def parse_defs(text: str) -> tuple[Env, list[str]]:
 
 
 def pretty(t: Term) -> str:
-    """Render a term; parse_term(pretty(t)) == t for canonical terms."""
-    if isinstance(t, Nil):
-        return "0"
-    if isinstance(t, Unit):
-        return "1"
-    if isinstance(t, Div):
-        return "div"
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Prefix):
-        body = pretty(t.body)
-        if isinstance(t.body, Sum):
-            body = f"({body})"
-        return f"{t.guard}.{body}"
-    if isinstance(t, Sum):
-        return " + ".join(pretty(p) for p in t.parts)
-    raise TypeError(f"not a term: {t!r}")
+    """Render a term; parse_term(pretty(t)) is t for canonical terms.  An
+    explicit stack of terms and text, so any nesting depth is rendered."""
+    out: list[str] = []
+    stack: list[Union[Term, str]] = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Prefix):
+            out.append(f"{t.guard}.")
+            if isinstance(t.body, Sum):
+                out.append("(")
+                stack.append(")")
+            stack.append(t.body)
+        elif isinstance(t, Sum):
+            for p in reversed(t.parts[1:]):
+                stack.append(p)
+                stack.append(" + ")
+            stack.append(t.parts[0])
+        elif isinstance(t, Nil):
+            out.append("0")
+        elif isinstance(t, Unit):
+            out.append("1")
+        elif isinstance(t, Div):
+            out.append("div")
+        elif isinstance(t, Const):
+            out.append(t.name)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -475,29 +659,51 @@ def pretty(t: Term) -> str:
 
 def is_ccsf(t: Term) -> bool:
     """Finite terms: no named constants anywhere (div is allowed)."""
-    return not any(isinstance(s, Const) for s in subterms(t))
+    return t._depth >= 0
+
+
+def _names(t: Term) -> tuple[frozenset[str], frozenset[str]]:
+    """The action names and the constant names occurring in `t`, cached on
+    each node on first use; an explicit stack, so any nesting depth is
+    walked."""
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if s._names is not None:
+            stack.pop()
+            continue
+        if isinstance(s, Prefix):
+            below = s.body._names
+            if below is None:
+                stack.append(s.body)
+                continue
+            g = s.guard
+            if isinstance(g, Action) and g.name not in below[0]:
+                below = (below[0] | {g.name}, below[1])
+        else:
+            missing = [p for p in s.parts if p._names is None]
+            if missing:
+                stack.extend(missing)
+                continue
+            below = (frozenset().union(*(p._names[0] for p in s.parts)),
+                     frozenset().union(*(p._names[1] for p in s.parts)))
+        _set(s, "_names", below)
+        stack.pop()
+    return t._names
 
 
 def action_names(ts: Iterable[Term], env: Env = EMPTY_ENV) -> set[str]:
     """Action names occurring in the terms or in any reachable definition."""
     names: set[str] = set()
-    consts: set[str] = set()
-
-    def scan(t: Term) -> None:
-        for sub in subterms(t):
-            if isinstance(sub, Prefix) and isinstance(sub.guard, Action):
-                names.add(sub.guard.name)
-            elif isinstance(sub, Const):
-                consts.add(sub.name)
-
-    for t in ts:
-        scan(t)
     done: set[str] = set()
-    while consts - done:
-        name = (consts - done).pop()
-        done.add(name)
-        if name in env:
-            scan(env.lookup(name))
+    pending = list(ts)
+    while pending:
+        found, consts = _names(pending.pop())
+        names |= found
+        for name in consts - done:
+            done.add(name)
+            if name in env:
+                pending.append(env.lookup(name))
     return names
 
 
@@ -512,11 +718,6 @@ def fresh_action(ts: Iterable[Term], env: Env = EMPTY_ENV) -> Action:
 
 def visible_depth(t: Term) -> int:
     """Maximum nesting of visible prefixes (finite terms only)."""
-    if isinstance(t, Prefix):
-        d = visible_depth(t.body)
-        return d + 1 if isinstance(t.guard, Action) else d
-    if isinstance(t, Sum):
-        return max(visible_depth(p) for p in t.parts)
-    if isinstance(t, Const):
+    if t._depth < 0:
         raise ValueError("visible_depth is defined for finite terms only")
-    return 0
+    return t._depth

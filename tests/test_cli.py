@@ -4,6 +4,10 @@ import re
 import pytest
 
 from ccswb.cli import run
+from ccswb.lts import Lts
+from ccswb.preorders import leq
+from ccswb.syntax import parse_defs, pretty
+from ccswb.testing import must
 
 DEFS = """
 # fixtures from the running examples
@@ -225,8 +229,10 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
         "sweep-width-zero", "lts-no-process", "file-is-directory", "must-dot-directory",
         "file-not-utf8"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
+    # ordering two chains that share a prefix past the recursion limit
+    # compares nested order keys
     deep = tmp_path / "deep.ccs"
-    deep.write_text("def P = " + "a." * 3000 + "0\n")
+    deep.write_text("def P = " + "a." * 3000 + "b.0 + " + "a." * 3000 + "c.0\n")
     empty = tmp_path / "empty.ccs"
     empty.write_text("# no definitions\n")
     latin = tmp_path / "latin.ccs"
@@ -242,3 +248,28 @@ def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monk
     assert "Traceback" not in err
     if str(latin) in argv:
         assert f"error: 1:12: {latin} is not UTF-8 text" in err
+
+
+def test_deep_chains_run_end_to_end(tmp_path, capsys):
+    depth = 10_000
+    text = "def P = " + "a." * depth + "1\ndef C = " + "~a." * depth + "1\n"
+    env, _ = parse_defs(text)
+    p, c = env.lookup("P"), env.lookup("C")
+    assert len(Lts(p, env)) == depth + 2
+    assert must(p, c, env).holds
+    assert leq("clt", p, p, env, bound=3).holds
+    assert not leq("svr", p, c, env, bound=3).holds
+    assert pretty(p) == "a." * depth + "1"
+    path = tmp_path / "deep.ccs"
+    path.write_text(text)
+    assert run(["lts", str(path), "-p", "P"]) == 0
+    assert run(["must", str(path), "-s", "P", "-c", "C"]) == 0
+    # ordering two chains that share a prefix past the recursion limit
+    # compares nested order keys
+    shared = tmp_path / "shared.ccs"
+    shared.write_text("def P = " + "a." * depth + "b.0 + " + "a." * depth + "c.0\n")
+    capsys.readouterr()
+    for argv in (["lts", str(shared), "-p", "P"], ["must", str(shared), "-s", "P", "-c", "1"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: term nested too deeply") and "Traceback" not in err

@@ -6,15 +6,18 @@ see exactly the single-threaded answers.  A `Product` is filled by the call
 that made it; only its `Lts` graphs are shared.  A tiny switch interval
 makes the interpreter interleave the threads at almost every bytecode.
 """
+import itertools
 import sys
 import threading
 
 import pytest
 
 from conftest import t
+from ccswb import syntax
 from ccswb.equations import normalize_pnf_info
 from ccswb.lts import Lts
-from ccswb.syntax import Const, parse_defs
+from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.syntax import Const, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set
 
@@ -62,6 +65,27 @@ def _run_together(*jobs):
         th.join(timeout=120)
         assert not th.is_alive()
     return results
+
+
+def test_two_threads_intern_the_same_terms(fast_switching):
+    # the unique table is shared: lookups that hit take no lock, while misses
+    # and sweeps take one, so both threads must get the very same objects
+    spec = EnumSpec(("a", "b"), 2, allow_div=True, max_width=2)
+    texts = [pretty(term) for term in itertools.islice(enumerate_terms(spec), 20_000)]
+
+    def build():
+        out = []
+        for i, text in enumerate(texts):
+            out.append(parse_term(text))
+            if i % 2_000 == 0:
+                with syntax._LOCK:
+                    syntax._sweep()
+        return out
+
+    first, second = _run_together(build, build)
+    assert len(first) == len(second) == 20_000
+    assert all(x is y for x, y in zip(first, second))
+    assert [pretty(x) for x in first] == texts
 
 
 def test_shared_graph_usable_set_from_two_threads(fast_switching):

@@ -114,6 +114,30 @@ def test_reflexive_and_transitive(small_corpus):
                         assert leq(kind, p, r).holds
 
 
+@pytest.fixture(scope="module")
+def criterion_4_universe():
+    wide = enumerate_terms(EnumSpec(("a", "b"), 1, max_width=2))
+    chains = enumerate_terms(EnumSpec(("a", "b"), 2, max_width=1))
+    return list(dict.fromkeys([*wide, *chains]))
+
+
+@pytest.mark.parametrize("relation, kind, chained", [
+    (leq, "svr", 8_157), (leq, "clt", 378_917), (leq, "p2p", 305_745),
+    (leq_plus, "svr", 6_449), (leq_plus, "clt", 124_938), (leq_plus, "p2p", 46_530),
+], ids=["leq-svr", "leq-clt", "leq-p2p", "leq_plus-svr", "leq_plus-clt", "leq_plus-p2p"])
+def test_transitive_over_the_criterion_4_universe(relation, kind, chained, criterion_4_universe):
+    """Every chained triple p <= q <= r of the whole relation has p <= r."""
+    universe = criterion_4_universe
+    assert len(universe) == 117
+    above = {p: {q for q in universe if relation(kind, p, q).holds} for p in universe}
+    triples = 0
+    for p in universe:
+        for q in above[p]:
+            triples += len(above[q])
+            assert above[q] <= above[p], (pretty(p), pretty(q))
+    assert triples == chained
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.sampled_from(KINDS), FINITE_TERMS)
 def test_preorders_are_reflexive(kind, p):

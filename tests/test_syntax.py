@@ -1,9 +1,13 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TERMS, t
+from ccswb import syntax
 from ccswb.oracle import EnumSpec, enumerate_terms, term_size
 from ccswb.syntax import (
     Action,
@@ -17,6 +21,7 @@ from ccswb.syntax import (
     SyntaxErr,
     TAU,
     UNIT,
+    Unit,
     fresh_action,
     is_ccsf,
     mk_sum,
@@ -220,3 +225,58 @@ def test_visible_depth():
     assert visible_depth(t("a.(b.0 + c.1)")) == 2
     assert visible_depth(t("tau.tau.1")) == 0
     assert visible_depth(DIV) == 0
+
+
+def _check_interned(term, rng):
+    """One object per term: rebuilding, copying or unpickling a term gives
+    that object back, and nothing can change it."""
+    assert parse_term(pretty(term)) is term
+    assert copy.copy(term) is term and copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+    for sub in subterms(term):
+        # the hash a frozen dataclass of the same fields has
+        assert hash(sub) == hash(tuple(getattr(sub, f) for f in sub.__match_args__))
+    if isinstance(term, Sum):
+        parts = list(term.parts)
+        rng.shuffle(parts)
+        assert mk_sum(parts) is term
+    for name in term.__match_args__ + ("_hash",):
+        with pytest.raises(AttributeError):
+            setattr(term, name, NIL)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FINITE_TERMS, st.randoms(use_true_random=False))
+def test_terms_are_interned(term, rng):
+    _check_interned(term, rng)
+
+
+def test_the_criterion_4_universe_is_interned():
+    wide = enumerate_terms(EnumSpec(("a", "b"), 1, max_width=2))
+    chains = enumerate_terms(EnumSpec(("a", "b"), 2, max_width=1))
+    universe = list(dict.fromkeys([*wide, *chains]))
+    assert len(universe) == 117
+    rng = random.Random(4)
+    for term in universe:
+        _check_interned(term, rng)
+    assert Unit() is UNIT and Const("A") is Const("A")
+
+
+def test_the_unique_table_stays_bounded():
+    def entries():
+        return sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS) + len(syntax._CONSTS)
+
+    a = Action("a")
+    kept = t("a.(b.0 + tau.1)")
+    for i in range(75_000):
+        # four new terms, dropped at once: a constant, two prefixes, a sum
+        c = Const(f"X{i}")
+        total = mk_sum([Prefix(a, c), Prefix(TAU, c)])
+    del c, total
+    before = entries()
+    with syntax._LOCK:
+        syntax._sweep()
+    alive = entries()
+    # the last sweep ran while the loop held at most four of its terms
+    assert before <= 2 * (max(alive, syntax._MIN_SWEEP) + 4)
+    assert t("a.(b.0 + tau.1)") is kept
