@@ -8,6 +8,7 @@ commutative-monoid laws.
 """
 from __future__ import annotations
 
+import operator
 import re
 import sys
 import threading
@@ -115,16 +116,22 @@ class Term:
         return pretty(self)
 
 
-_set = object.__setattr__
 _NO_NAMES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
+# A new node's fields are stored through their slot descriptors, which the
+# frozen `__setattr__` does not see.
+_set_hash = Term._hash.__set__
+_set_key = Term._key.__set__
+_set_depth = Term._depth.__set__
+_set_names = Term._names.__set__
+_depth_of = operator.attrgetter("_depth")
 
 
 def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
     t = object.__new__(cls)
-    _set(t, "_hash", h)
-    _set(t, "_key", key)
-    _set(t, "_depth", depth)
-    _set(t, "_names", names)
+    _set_hash(t, h)
+    _set_key(t, key)
+    _set_depth(t, depth)
+    _set_names(t, names)
     return t
 
 
@@ -133,11 +140,17 @@ def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
 # the entries have doubled since the last sweep, `_sweep` drops those only
 # the table refers to.
 _LOCK = threading.Lock()
-# Prefix tables are keyed by the guard's id: an action's (name, co), which
-# hashes and compares without a Python-level call, or the guard itself.
-_PREFIXES: dict[object, dict[Term, "Prefix"]] = {}  # guard id -> body -> term
+# Keys hash without a Python-level call.  A prefix is keyed by its guard's
+# id (an action's (name, co), or the guard itself) and its body's `id`, which
+# stays the body's while the entry holds it.  A sum is keyed by its own hash
+# and a lookup checks the parts.  Sums that differ only in `0`, `1` and `div`
+# leaves hash alike, so a sum whose key another live sum holds goes to
+# `_SUM_CLASHES`, keyed by its parts, and only while that other sum holds the
+# key: a lookup that finds its key free has missed.
+_PREFIXES: dict[object, dict[int, "Prefix"]] = {}  # guard id -> id(body) -> term
 _GUARD_KEYS: dict[object, tuple] = {}  # guard id -> label_key
-_SUMS: dict[tuple[Term, ...], "Sum"] = {}
+_SUMS: dict[int, "Sum"] = {}
+_SUM_CLASHES: dict[tuple[Term, ...], "Sum"] = {}
 _CONSTS: dict[str, "Const"] = {}
 _MIN_SWEEP = 4096
 _size = 0
@@ -161,32 +174,40 @@ def _sweep() -> None:
     it) or misses and waits for the lock.  A dropped term frees its
     children's references, so they are checked next."""
     global _size
+    getrc = sys.getrefcount
     probe = object()
-    alone = sys.getrefcount(probe)  # what a term only this frame holds reads
-    tables = [*_PREFIXES.values(), _SUMS, _CONSTS]
-    work = [t for table in tables for t in table.values() if sys.getrefcount(t) == alone + 1]
+    alone = getrc(probe)  # what a term only this frame holds reads
+    prefixes = {_GUARD_KEYS[gid]: table for gid, table in _PREFIXES.items()}  # by guard key
+    work = [t for table in (*prefixes.values(), _SUMS, _SUM_CLASHES, _CONSTS)
+            for t in table.values() if getrc(t) == alone + 1]
     while work:
         t = work.pop()
-        if isinstance(t, Prefix):
-            g = t.guard
-            table, key = _PREFIXES[(g.name, g.co) if isinstance(g, Action) else g], t.body
-        elif isinstance(t, Sum):
-            table, key = _SUMS, t.parts
-        elif isinstance(t, Const):
+        if getrc(t) > alone + 1:
+            continue  # held elsewhere, or again in `work`
+        cls = type(t)
+        if cls is Sum:
+            table, key = _SUMS, t._hash
+            if table.get(key) is not t:
+                table, key = _SUM_CLASHES, t.parts
+        elif cls is Prefix:
+            table, key = prefixes[t._key[1]], id(t.body)
+        elif cls is Const:
             table, key = _CONSTS, t.name
         else:
-            continue  # a leaf has no entry
-        if sys.getrefcount(t) > alone + 1:
-            continue  # held elsewhere, or again in `work`
+            continue
         del table[key]
-        if sys.getrefcount(t) > alone:
+        if getrc(t) > alone:
             table[key] = t
             continue
         _size -= 1
-        if isinstance(t, Prefix):
-            work.append(key)
-        elif isinstance(t, Sum):
-            work.extend(key)
+        if cls is Sum:
+            work.extend(t.parts)
+        elif cls is Prefix:
+            work.append(t.body)
+        key = None  # hold no child: its count is read next
+    for parts, t in list(_SUM_CLASHES.items()):
+        if t._hash not in _SUMS:  # a clash whose key was freed takes it
+            _SUMS[t._hash] = _SUM_CLASHES.pop(parts)
 
 
 class _Leaf(Term):
@@ -237,25 +258,43 @@ class Prefix(Term):
         gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
         table = _PREFIXES.get(gid)
         if table is not None:
-            t = table.get(body)
+            t = table.get(id(body))
             if t is not None:
                 return t
+        else:
+            table = _prefix_table(guard)
+        return _new_prefix(body, table, guard, gid)
+
+
+def _prefix_table(guard: Union[Tau, Action]) -> dict[int, Prefix]:
+    """The unique table of the prefixes under `guard`, made on first use and
+    never dropped."""
+    gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
+    table = _PREFIXES.get(gid)
+    if table is None:
         with _LOCK:
             table = _PREFIXES.get(gid)
             if table is None:
                 table = _PREFIXES[gid] = {}
                 _GUARD_KEYS[gid] = label_key(guard)
-            t = table.get(body)
-            if t is None:
-                depth = body._depth
-                if depth >= 0 and isinstance(guard, Action):
-                    depth += 1
-                t = _node(cls, hash((guard, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
-                _set(t, "guard", guard)
-                _set(t, "body", body)
-                table[body] = t
-                _added()
-            return t
+    return table
+
+
+def _new_prefix(body: Term, table: dict[int, Prefix], guard: Union[Tau, Action], gid: object) -> Prefix:
+    """The prefix `guard.body` once lock-free lookups have missed.  The node
+    is built first; a thread that loses the race for the entry drops it."""
+    depth = body._depth
+    if depth >= 0 and isinstance(guard, Action):
+        depth += 1
+    # an action hashes as the tuple of its fields, its id
+    t = _node(Prefix, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
+    _set_guard(t, guard)
+    _set_body(t, body)
+    with _LOCK:
+        found = table.setdefault(id(body), t)
+        if found is t:
+            _added()
+        return found
 
 
 class Sum(Term):
@@ -266,19 +305,29 @@ class Sum(Term):
     parts: tuple[Term, ...]
 
     def __new__(cls, parts: tuple[Term, ...]) -> "Sum":
-        t = _SUMS.get(parts)
+        h = hash((parts,))
+        t = _SUMS.get(h)
         if t is not None:
-            return t
+            if t.parts == parts:
+                return t
+            t = _SUM_CLASHES.get(parts)
+            if t is not None:
+                return t
+        depth = min(map(_depth_of, parts))
+        if depth >= 0:
+            depth = max(map(_depth_of, parts))
+        node = _node(cls, h, (5, tuple(map(term_key, parts))), depth, None)
+        _set_parts(node, parts)
         with _LOCK:
-            t = _SUMS.get(parts)
-            if t is None:
-                depths = [p._depth for p in parts]
-                depth = -1 if min(depths) < 0 else max(depths)
-                t = _node(cls, hash((parts,)), (5, tuple(p._key for p in parts)), depth, None)
-                _set(t, "parts", parts)
-                _SUMS[parts] = t
-                _added()
-            return t
+            t = _SUMS.setdefault(h, node)
+            if t is not node:
+                if t.parts == parts:
+                    return t
+                t = _SUM_CLASHES.setdefault(parts, node)  # another sum holds the key
+                if t is not node:
+                    return t
+            _added()
+            return node
 
 
 class Const(Term):
@@ -293,8 +342,8 @@ class Const(Term):
         with _LOCK:
             t = _CONSTS.get(name)
             if t is None:
-                t = _node(cls, hash((name,)), (4, name), -1, (frozenset(), frozenset({name})))
-                _set(t, "name", name)
+                t = _node(cls, hash((name,)), (4, name), -1, None)
+                _set_name(t, name)
                 _CONSTS[name] = t
                 _added()
             return t
@@ -303,29 +352,31 @@ class Const(Term):
 UNIT = Unit()
 NIL = Nil()
 DIV = Div()
+_set_guard = Prefix.guard.__set__
+_set_body = Prefix.body.__set__
+_set_parts = Sum.parts.__set__
+_set_name = Const.name.__set__
 
-
-def term_key(t: Term) -> tuple:
-    """Total order on terms used for canonical sum ordering."""
-    return t._key
+#: Total order on terms used for canonical sum ordering: `term_key(t)` is the
+#: key each term caches, read without a Python-level call.
+term_key = operator.attrgetter("_key")
 
 
 def mk_sum(parts: Iterable[Term]) -> Term:
     """Smart constructor for external choice: flatten, drop 0, dedupe, sort."""
     flat: list[Term] = []
     for p in parts:
-        if isinstance(p, Sum):
+        if type(p) is Sum:
             flat.extend(p.parts)
-        elif isinstance(p, Nil):
-            continue
-        else:
+        elif p is not NIL:
             flat.append(p)
-    uniq = sorted(set(flat), key=term_key)
-    if not uniq:
-        return NIL
-    if len(uniq) == 1:
-        return uniq[0]
-    return Sum(tuple(uniq))
+    # sorted first: equal terms, being one object, then sit side by side
+    flat.sort(key=term_key)
+    if any(map(operator.is_, flat, flat[1:])):
+        flat = list(dict.fromkeys(flat))
+    if len(flat) < 2:
+        return flat[0] if flat else NIL
+    return Sum(tuple(flat))
 
 
 def internal_choice(left: Term, right: Term) -> Term:
@@ -394,18 +445,17 @@ class Env:
 
     def check_guarded(self) -> None:
         # A constant must not reach itself without crossing a prefix; the
-        # one-step transition relation would otherwise be ill-founded.
-        exposed: dict[str, set[str]] = {}
+        # one-step transition relation would otherwise be ill-founded.  Only
+        # the definitions that expose a constant are kept.
+        exposed: dict[str, list[str]] = {}
         for name, body in self.defs:
-            seen: set[str] = set()
             stack = [body]
             while stack:
                 t = stack.pop()
-                if isinstance(t, Const):
-                    seen.add(t.name)
-                elif isinstance(t, Sum):
+                if type(t) is Sum:
                     stack.extend(t.parts)
-            exposed[name] = seen
+                elif type(t) is Const:
+                    exposed.setdefault(name, []).append(t.name)
         for start in exposed:
             stack, visited = [start], set()
             while stack:
@@ -425,140 +475,166 @@ EMPTY_ENV = Env()
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
-# Each match is one token with the whitespace before it; alternatives are
-# ordered by frequency, `(+)` before `(`, and `bad` catches anything else.
+# One pass finds every token: each match is a token after the blanks and the
+# comment before it.  Line ends are those of `str.splitlines`, and a `#`
+# comment runs to the line end.  Read from the text with a line end added,
+# every match ends in a token, so no character is skipped; a character no
+# other alternative takes is a token of its own (`bad` unless listed).
+_LINE_END = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-    (?P<const>[A-Z][A-Za-z0-9_]*)
-  | (?P<act>[a-z][a-z0-9_]*)
-  | (?P<dot>\.)
-  | (?P<plus>\+)
-  | (?P<eq>=)
-  | (?P<tilde>~)
-  | (?P<oplus>\(\+\))
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<zero>0)
-  | (?P<one>1)
-  | (?P<bad>.)
-    )""",
-    re.VERBOSE,
+    rf"[^\S{_LINE_END}]*(?:\#[^{_LINE_END}]*)?"
+    r"([A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|\(\+\)|\r\n|.)",
+    re.DOTALL,
 )
-
-# Only an `act` token can spell a keyword, so the token text alone decides.
-_KEYWORDS = {"def": "def", "tau": "tau", "div": "div"}
+_KINDS = {".": "dot", "+": "plus", "=": "eq", "~": "tilde", "(+)": "oplus", "(": "lpar",
+          ")": "rpar", "0": "zero", "1": "one", "\r\n": "eol",
+          **dict.fromkeys("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", "eol"),
+          # only an `act` token can spell a keyword
+          "def": "def", "tau": "tau", "div": "div"}
+_KEYWORDS = frozenset(("def", "tau", "div"))
+# any other token is a name, whose first letter gives its kind, or `bad`
+_NAME_KINDS = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "const"),
+               **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "act")}
 _LEAVES = {"zero": NIL, "one": UNIT, "div": DIV}
 
 
-def _lex(text: str, eol: bool) -> tuple[list[str], list[str], list[int], list[int]]:
-    """Tokens as parallel lists of kind, text, line and column, closed by an
-    `eof` token at line 0; with `eol`, every line ends in an `eol` token."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        # Without trailing whitespace every match ends in a token.
-        for m in _TOKEN_RE.finditer(line.rstrip()):
-            kind = m.lastgroup
-            tok = m[kind]
-            if kind == "bad":
-                raise SyntaxErr(f"unexpected character {tok!r}", lineno, m.start(kind) + 1)
-            kinds.append(_KEYWORDS.get(tok, kind))
-            texts.append(tok)
-            lines.append(lineno)
-            cols.append(m.start(kind) + 1)
-        if eol:
-            kinds.append("eol")
-            texts.append("")
-            lines.append(lineno)
-            cols.append(len(line) + 1)
+def _lex(text: str, eol: bool) -> tuple[list[str], list[str]]:
+    """Tokens as parallel lists of kind and text, closed by an `eof` token;
+    with `eol`, every line ends in an `eol` token.  Positions are found only
+    for an error (`_position`)."""
+    texts = _TOKEN_RE.findall(text + "\n")
+    kind_of = {tok: _KINDS.get(tok) or _NAME_KINDS.get(tok[0], "bad") for tok in set(texts)}
+    if "bad" in kind_of.values():
+        i = min(texts.index(tok) for tok, kind in kind_of.items() if kind == "bad")
+        raise SyntaxErr(f"unexpected character {texts[i]!r}", *_position(text, i, True))
+    if not eol:
+        texts = [tok for tok in texts if kind_of[tok] != "eol"]
+    kinds = list(map(kind_of.__getitem__, texts))
     kinds.append("eof")
     texts.append("")
-    lines.append(0)
-    cols.append(0)
-    return kinds, texts, lines, cols
+    return kinds, texts
+
+
+def _position(text: str, i: int, eol: bool) -> tuple[int, int]:
+    """1-based line and column of token `i` of `_lex(text, eol)`, from the
+    same matches; (0, 0) for `eof`.  A line end sits where its line's
+    comment starts, or where the line ends."""
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text + "\n"):
+        at_end = _KINDS.get(m[1]) == "eol"
+        if eol or not at_end:
+            if i == 0:
+                col = m.start(1) - start
+                if at_end:
+                    col = len(text[start:m.start(1)].split("#", 1)[0])
+                return line, col + 1
+            i -= 1
+        if at_end:
+            line, start = line + 1, m.end()
+    return 0, 0
 
 
 class _Reader:
-    """Recursive descent over one token list.  `Action` and `Const` objects
-    are shared within the parse, and `uses` holds the token index of every
-    constant use in reading order."""
+    """Reads terms from one token list.  `Action` and `Const` objects are
+    shared within the parse, and each guard is read with its prefix table."""
 
     def __init__(self, text: str, eol: bool):
-        self.kinds, self.texts, self.lines, self.cols = _lex(text, eol)
+        self.text, self.eol = text, eol
+        self.kinds, self.texts = _lex(text, eol)
         self.i = 0
-        self.actions: dict[tuple[str, bool], Action] = {}
+        self.tau = (_prefix_table(TAU), TAU)
+        self.acts: dict[str, tuple[dict, Action]] = {}  # name -> (its prefix table, Action(name))
+        self.coacts: dict[str, tuple[dict, Action]] = {}
         self.consts: dict[str, Const] = {}
-        self.uses: list[int] = []
 
     def error(self, message: str, i: int) -> SyntaxErr:
-        return SyntaxErr(message, self.lines[i], self.cols[i])
+        return SyntaxErr(message, *_position(self.text, i, self.eol))
+
+    def shown(self, i: int) -> str:
+        """How messages name token `i`: its text, or its kind at a line end."""
+        kind = self.kinds[i]
+        return kind if kind == "eol" or kind == "eof" else self.texts[i]
 
     def expected(self, kind: str, i: int) -> SyntaxErr:
-        return self.error(f"expected {kind}, found {self.texts[i] or self.kinds[i]!r}", i)
+        return self.error(f"expected {kind}, found {self.shown(i)!r}", i)
 
-    # term := ichoice ('+' ichoice)*
-    # ichoice := pre ('(+)' pre)*
+    def guard(self, name: str, co: bool) -> tuple[dict, Action]:
+        act = Action(name, co)
+        entry = (self.coacts if co else self.acts)[name] = (_prefix_table(act), act)
+        return entry
+
+    def const(self, name: str) -> Const:
+        t = self.consts[name] = Const(name)
+        return t
+
     def term(self) -> Term:
-        kinds = self.kinds
-        parts = []
-        while True:
-            t = self.pre()
-            while kinds[self.i] == "oplus":
-                self.i += 1
-                t = internal_choice(t, self.pre())
-            parts.append(t)
-            if kinds[self.i] != "plus":
-                return mk_sum(parts) if len(parts) > 1 else parts[0]
-            self.i += 1
-
-    # pre := ('tau' '.' | ACT '.' | '~' ACT '.')* atom
-    # atom := '0' | '1' | 'div' | CONST | '(' term ')'
-    def pre(self) -> Term:
-        kinds, texts, actions = self.kinds, self.texts, self.actions
+        """Read one term, ending before the first token that cannot continue it:
+            term := ichoice ('+' ichoice)*      ichoice := pre ('(+)' pre)*
+            pre := guard* atom                  guard := ('tau' | ACT | '~' ACT) '.'
+            atom := '0' | '1' | 'div' | CONST | '(' term ')'
+        One loop reads every nesting depth: an open parenthesis stacks the
+        guards, parts and pending `(+)` operand of the enclosing term."""
+        kinds, texts, acts, coacts, consts = self.kinds, self.texts, self.acts, self.coacts, self.consts
         i = self.i
-        guards: list[Union[Tau, Action]] = []
+        stack: list[tuple[list, list[Term], Union[Term, None]]] = []
+        parts: list[Term] = []
+        guards: list[tuple] = []
+        left = None
         while True:
-            kind = kinds[i]
-            if kind == "tau":
-                guards.append(TAU)
-            elif kind == "act" or kind == "tilde":
-                co = kind == "tilde"
-                if co:
+            while True:
+                kind = kinds[i]
+                if kind == "act":
+                    g = acts.get(texts[i]) or self.guard(texts[i], False)
+                elif kind == "tau":
+                    g = self.tau
+                elif kind == "tilde":
                     i += 1
                     if kinds[i] != "act":
                         raise self.expected("act", i)
-                key = (texts[i], co)
-                act = actions.get(key)
-                if act is None:
-                    act = actions[key] = Action(*key)
-                guards.append(act)
+                    g = coacts.get(texts[i]) or self.guard(texts[i], True)
+                else:
+                    break
+                i += 1
+                if kinds[i] != "dot":
+                    raise self.expected("dot", i)
+                i += 1
+                guards.append(g)
+            if kind == "const":
+                t = consts.get(texts[i]) or self.const(texts[i])
+            elif kind == "lpar":
+                stack.append((guards, parts, left))
+                guards, parts, left = [], [], None
+                i += 1
+                continue
+            elif kind in _LEAVES:
+                t = _LEAVES[kind]
             else:
-                break
+                raise self.error(f"unexpected {self.shown(i)!r}", i)
             i += 1
-            if kinds[i] != "dot":
-                raise self.expected("dot", i)
-            i += 1
-        self.i = i + 1
-        if kind == "const":
-            self.uses.append(i)
-            t = self.consts.get(texts[i])
-            if t is None:
-                t = self.consts[texts[i]] = Const(texts[i])
-        elif kind in _LEAVES:
-            t = _LEAVES[kind]
-        elif kind == "lpar":
-            t = self.term()
-            if kinds[self.i] != "rpar":
-                raise self.expected("rpar", self.i)
-            self.i += 1
-        else:
-            raise self.error(f"unexpected {texts[i] or kind!r}", i)
-        for guard in reversed(guards):
-            t = Prefix(guard, t)
-        return t
+            while True:
+                # `t` is a whole atom: put its guards on it, then see what follows
+                while guards:
+                    table, guard = guards.pop()
+                    t = table.get(id(t)) or Prefix(guard, t)
+                if left is not None:
+                    t, left = internal_choice(left, t), None
+                kind = kinds[i]
+                if kind == "oplus":
+                    left = t
+                    i += 1
+                    break
+                parts.append(t)
+                if kind == "plus":
+                    i += 1
+                    break
+                t = mk_sum(parts) if len(parts) > 1 else parts[0]
+                if not stack:
+                    self.i = i
+                    return t
+                if kind != "rpar":
+                    raise self.expected("rpar", i)
+                i += 1
+                guards, parts, left = stack.pop()
 
 
 def parse_term(text: str, env: Env = EMPTY_ENV) -> Term:
@@ -607,9 +683,9 @@ def parse_defs(text: str) -> tuple[Env, list[str]]:
         bodies[name] = body
     env = Env(tuple(bodies.items()))
     if any(name not in env for name in r.consts):
-        for j in r.uses:
-            if texts[j] not in env:
-                raise r.error(f"unbound constant {texts[j]}", j)
+        # the first use in reading order; a definition's own name is bound
+        j = next(j for j, kind in enumerate(kinds) if kind == "const" and texts[j] not in env)
+        raise r.error(f"unbound constant {texts[j]}", j)
     env.check_guarded()
     return env, list(bodies)
 
@@ -680,6 +756,8 @@ def _names(t: Term) -> tuple[frozenset[str], frozenset[str]]:
             g = s.guard
             if isinstance(g, Action) and g.name not in below[0]:
                 below = (below[0] | {g.name}, below[1])
+        elif isinstance(s, Const):
+            below = (frozenset(), frozenset({s.name}))
         else:
             missing = [p for p in s.parts if p._names is None]
             if missing:
@@ -687,7 +765,7 @@ def _names(t: Term) -> tuple[frozenset[str], frozenset[str]]:
                 continue
             below = (frozenset().union(*(p._names[0] for p in s.parts)),
                      frozenset().union(*(p._names[1] for p in s.parts)))
-        _set(s, "_names", below)
+        _set_names(s, below)
         stack.pop()
     return t._names
 

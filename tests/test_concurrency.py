@@ -6,9 +6,12 @@ see exactly the single-threaded answers.  A `Product` is filled by the call
 that made it; only its `Lts` graphs are shared.  A tiny switch interval
 makes the interpreter interleave the threads at almost every bytecode.
 """
+import importlib.util
 import itertools
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -21,6 +24,7 @@ from ccswb.syntax import Const, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ACTIONS = ("a", "b", "c", "d")
 N_CONSTS = 40
 
@@ -86,6 +90,42 @@ def test_two_threads_intern_the_same_terms(fast_switching):
     assert len(first) == len(second) == 20_000
     assert all(x is y for x, y in zip(first, second))
     assert [pretty(x) for x in first] == texts
+
+
+def test_two_threads_parse_one_file_while_sweeps_run(fast_switching):
+    # both readers build the same new prefixes and sums at once, while a
+    # third thread sweeps the unique table: every body must be one object
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text = gen.protocol_case(5)[0]
+    # renamed copies, so each parse builds terms no earlier one left behind
+    texts = [text.replace("S", f"S{k}w").replace("C", f"C{k}w") for k in range(3)]
+    sweeping = threading.Event()
+    finished = []
+
+    def parse():
+        assert sweeping.wait(timeout=60)
+        try:
+            return [parse_defs(text) for text in texts]
+        finally:
+            finished.append(True)
+
+    def sweep():
+        sweeps = 0
+        sweeping.set()
+        while len(finished) < 2:
+            with syntax._LOCK:
+                syntax._sweep()
+            sweeps += 1
+            time.sleep(1e-3)  # let the readers reach the lock between sweeps
+        return sweeps
+
+    first, second, sweeps = _run_together(parse, parse, sweep)
+    assert sweeps > 1
+    for (env1, names), (env2, _) in zip(first, second):
+        assert all(env1.lookup(name) is env2.lookup(name) for name in names)
 
 
 def test_shared_graph_usable_set_from_two_threads(fast_switching):

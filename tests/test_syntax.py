@@ -1,7 +1,12 @@
+import ast
 import copy
+import hashlib
+import importlib.util
 import itertools
+import os
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +72,7 @@ def test_parse_errors_carry_positions():
         parse_defs("def A = A + a.0")
 
 
-@pytest.mark.parametrize("parse, text, message, line, col", [
+_ERROR_CASES = [
     (parse_defs, "def P = a.0\ndef P = b.0", "2:5: duplicate definition of P", 2, 5),
     (parse_defs, "def P = a.Q", "1:11: unbound constant Q", 1, 11),
     (parse_defs, "def P = a.0\n\n  def Q = b.(P + R)  # R\n", "3:18: unbound constant R", 3, 18),
@@ -86,10 +91,14 @@ def test_parse_errors_carry_positions():
     (parse_term, "a.0 b.0", "1:5: trailing input 'b'", 1, 5),
     (parse_term, "a.A + ~b.B", "unbound constant A", 0, 0),
     (parse_term, "B + A", "unbound constant A", 0, 0),
-], ids=["duplicate", "unbound", "unbound-after-blank-line", "dollar", "bad-char-line-2",
-        "def-div", "unguarded", "tilde-tau", "trailing", "missing-rpar", "missing-def",
-        "dot-at-eol", "tilde-no-dot", "term-empty", "term-comment-only", "term-trailing",
-        "term-unbound", "term-unbound-sum-order"])
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", _ERROR_CASES, ids=[
+    "duplicate", "unbound", "unbound-after-blank-line", "dollar", "bad-char-line-2",
+    "def-div", "unguarded", "tilde-tau", "trailing", "missing-rpar", "missing-def",
+    "dot-at-eol", "tilde-no-dot", "term-empty", "term-comment-only", "term-trailing",
+    "term-unbound", "term-unbound-sum-order"])
 def test_parse_error_messages_and_positions(parse, text, message, line, col):
     with pytest.raises(SyntaxErr) as exc:
         parse(text)
@@ -121,6 +130,21 @@ def test_deep_prefix_chains_parse():
         assert chain == leaf
     with pytest.raises(SyntaxErr, match="unbound constant A"):
         parse_term("a." * depth + "A")
+
+
+def test_deep_parentheses_parse():
+    # the reader stacks open parentheses itself, so nesting depth is not
+    # bounded by the recursion limit
+    depth = 10_000
+    assert parse_term("(" * depth + "a.0" + ")" * depth) is parse_term("a.0")
+    env, _ = parse_defs("def P = " + "a.(" * depth + "P" + ")" * depth + "\n")
+    chain = env.lookup("P")
+    for _ in range(depth):
+        assert isinstance(chain, Prefix) and chain.guard == Action("a")
+        chain = chain.body
+    assert chain == Const("P")
+    with pytest.raises(SyntaxErr, match="expected rpar, found 'eof'"):
+        parse_term("(" * depth + "a.0" + ")" * (depth - 1))
 
 
 def test_deep_prefix_chains_walk():
@@ -264,7 +288,8 @@ def test_the_criterion_4_universe_is_interned():
 
 def test_the_unique_table_stays_bounded():
     def entries():
-        return sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS) + len(syntax._CONSTS)
+        return (sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS)
+                + len(syntax._SUM_CLASHES) + len(syntax._CONSTS))
 
     a = Action("a")
     kept = t("a.(b.0 + tau.1)")
@@ -280,3 +305,178 @@ def test_the_unique_table_stays_bounded():
     # the last sweep ran while the loop held at most four of its terms
     assert before <= 2 * (max(alive, syntax._MIN_SWEEP) + 4)
     assert t("a.(b.0 + tau.1)") is kept
+
+
+def test_sums_whose_table_keys_clash_stay_distinct():
+    # `1` and `div` hash alike, so these sums share a table key
+    g = Action("clash")
+    one, div = Prefix(g, UNIT), Prefix(g, DIV)
+    with_one, with_div = mk_sum([UNIT, one]), mk_sum([DIV, one])
+    assert hash(with_one) == hash(with_div) and with_one is not with_div
+    assert one is not div and Prefix(g, UNIT) is one and Prefix(g, DIV) is div
+    assert mk_sum([one, UNIT]) is with_one and Sum(with_div.parts) is with_div
+    assert syntax._SUMS[hash(with_one)] is with_one
+    assert syntax._SUM_CLASHES[with_div.parts] is with_div
+    # once the sum holding the key is dropped, a sweep gives the key to the other
+    del with_one
+    with syntax._LOCK:
+        syntax._sweep()
+    assert syntax._SUMS[hash(with_div)] is with_div and not syntax._SUM_CLASHES.get(with_div.parts)
+    assert mk_sum([one, DIV]) is with_div
+    again = mk_sum([one, UNIT])
+    assert again is mk_sum([UNIT, one]) and again is not with_div and pretty(again) == "1 + clash.1"
+    # and a dropped clash leaves the clash table
+    parts = again.parts
+    assert syntax._SUM_CLASHES[parts] is again
+    del again
+    with syntax._LOCK:
+        syntax._sweep()
+    assert parts not in syntax._SUM_CLASHES
+
+
+# ---------------------------------------------------------------------------
+# Pinned parser behaviour: every error message, line and column over a
+# mutated corpus, and the parsed environments of protocols pool files
+# ---------------------------------------------------------------------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(_ROOT, "perfbench", "gen.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+_gen = _load_gen()
+_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# stray characters: most are bad, the last two are blanks inside a line
+_STRAY_CHARS = ["$", "@", "!", "%", "-", "?", "{", "\u00e9", "\x00", "\x1f", "\xa0"]
+
+
+def _error_corpus() -> dict[str, list[str]]:
+    """Inputs by mutation family: slices of protocols pool files and the error
+    cases above, with bad characters, truncations, other line ends, tabs and
+    comments holding `(+)`."""
+    rng = random.Random(15)
+    bases = [text for _, text, *_ in _ERROR_CASES]
+    bases.append("# header (+)\ndef P = a.(b.P + tau.1) (+) ~c.Q  # tail\n\ndef Q = div + ~a.(0 + 1)\n")
+    for i in range(3):
+        # closed files, so most mutations parse or fail late
+        bases.append("\n".join(_gen._server(random.Random(i), "S", 8)) + "\n")
+        bases.append("\n".join(_gen._client(random.Random(i), "C", 5)))
+    for case in range(0, 600, 97):
+        lines = _gen.protocol_case(case)[0].splitlines(keepends=True)
+        for start in (0, 5, len(lines) - 9):
+            bases.append("".join(lines[start:start + 8]))
+    families: dict[str, list[str]] = {name: [] for name in (
+        "plain", "bad-char", "truncated", "line-ends", "tabs", "comments")}
+    for text in bases:
+        families["plain"].append(text)
+        for _ in range(12):
+            k = rng.randrange(len(text) + 1)
+            families["bad-char"].append(text[:k] + rng.choice(_STRAY_CHARS) + text[k:])
+        for _ in range(8):
+            families["truncated"].append(text[:rng.randrange(len(text) + 1)])
+        for end in _LINE_ENDS:
+            changed = text.replace("\n", end)
+            k = rng.randrange(len(changed) + 1)
+            families["line-ends"].append(changed)
+            families["line-ends"].append(changed[:k] + "$" + changed[k:])
+            families["line-ends"].append(changed[:k])
+        tabbed = "".join("\t" if c == " " and rng.random() < 0.5 else c for c in text)
+        families["tabs"].append(tabbed)
+        k = rng.randrange(len(tabbed) + 1)
+        families["tabs"].append(tabbed[:k] + "\t$" + tabbed[k:])
+        commented = "".join(line + (" # p (+) q.$" if rng.random() < 0.5 else "")
+                            for line in text.split("\n"))
+        families["comments"].append(commented)
+        families["comments"].append(text.replace("\n", "  #(+)(\n", 1))
+        families["comments"].append(commented[:rng.randrange(len(commented) + 1)])
+    return families
+
+
+def _outcome(parse, text: str) -> str:
+    try:
+        result = parse(text)
+    except SyntaxErr as exc:
+        return f"error {str(exc)!r} {exc.line} {exc.col}"
+    if parse is parse_term:
+        return "term " + pretty(result)
+    env, names = result
+    return "defs " + ";".join(f"{name}={pretty(env.lookup(name))}" for name in names)
+
+
+# sha256 of the outcomes of each family: a changed message, line or column
+# changes it
+_CORPUS_DIGESTS = {
+    "plain": "14159a5a7ab5a1e83cd85502726e6d6bb5234b141e02607bed5e4c567c263129",
+    "bad-char": "eb74f0955fa24a0f982e31810741fbeea748f1b36943e276c9a817914f669dda",
+    "truncated": "7fe43987d44db83216c66c106537deeb7eb5ae02e51dbabba6fe62e27ba70e95",
+    "line-ends": "b2800ca220a5d45eadecf4d0ecf4e5ee3578881eb704dda93b2225a8d630b24a",
+    "tabs": "c6b2e42b09bfaf6b33e44d64bf42c0376f21727477f8f3bdb984db4b914fd30c",
+    "comments": "8575e40a65dc46a9620f0b520b97da4bd6d876b2dd27044700e4c79988b634a7",
+}
+
+
+@pytest.mark.parametrize("family", list(_CORPUS_DIGESTS))
+def test_error_corpus_is_pinned(family):
+    texts = _error_corpus()[family]
+    outcomes = [_outcome(parse, text) for text in texts for parse in (parse_defs, parse_term)]
+    assert sum(o.startswith("error") for o in outcomes) > len(texts) // 2
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _CORPUS_DIGESTS[family]
+
+
+_PIECES = ["def", " ", "P", "Q", "Div", "=", "a", "b1", "tau", "div", ".", "~", "+", "(+)", "(",
+           ")", "0", "1", "2", "$", "#", "# c (+) d", "\t", "\n", "\r\n", "\r", "\x0c", "\x85",
+           "\u2028", "\x1f", "\u00e9", "eol"]
+
+
+def _named_token(message: str):
+    """The token text an error message names, or None when it names none."""
+    for pattern in (r"unexpected character (.+)", r"expected \w+, found (.+)",
+                    r"unexpected (.+)", r"trailing input (.+)"):
+        m = re.fullmatch(pattern, message)
+        if m:
+            return ast.literal_eval(m[1])
+    m = re.fullmatch(r"(?:duplicate definition of|unbound constant) (\w+)", message)
+    if m:
+        return m[1]
+    return "Div" if message.startswith("Div is reserved") else None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+       st.sampled_from([parse_defs, parse_term]))
+def test_error_positions_point_at_the_named_token(text, parse):
+    try:
+        parse(text)
+    except SyntaxErr as exc:
+        if not exc.line:
+            return
+        message = str(exc).split(": ", 1)[1]
+        token = _named_token(message)
+        rest = text.splitlines()[exc.line - 1][exc.col - 1:]
+        if token == "eol":
+            # a line end sits where its line's comment starts, or where the line ends
+            assert rest == "" or rest.startswith(("#", "eol")), (text, message)
+        elif token is not None:
+            assert rest.startswith(token), (text, message)
+
+
+# sha256 of `def N = pretty(body)` over every tenth pool case, in file order
+_POOL_DIGEST = "566a94160717a004b5ebdee87094d2f6cc4252a8ac3e223caa5473393a8716ca"
+
+
+def test_pool_parses_are_pinned_and_interned():
+    lines = []
+    for case in range(0, _gen.POOL, 10):
+        text = _gen.protocol_case(case)[0]
+        env, names = parse_defs(text)
+        again, _ = parse_defs(text)
+        assert all(again.lookup(name) is env.lookup(name) for name in names)
+        lines += [f"def {name} = {pretty(env.lookup(name))}" for name in names]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _POOL_DIGEST
