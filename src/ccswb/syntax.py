@@ -140,17 +140,12 @@ def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
 # the entries have doubled since the last sweep, `_sweep` drops those only
 # the table refers to.
 _LOCK = threading.Lock()
-# Keys hash without a Python-level call.  A prefix is keyed by its guard's
-# id (an action's (name, co), or the guard itself) and its body's `id`, which
-# stays the body's while the entry holds it.  A sum is keyed by its own hash
-# and a lookup checks the parts.  Sums that differ only in `0`, `1` and `div`
-# leaves hash alike, so a sum whose key another live sum holds goes to
-# `_SUM_CLASHES`, keyed by its parts, and only while that other sum holds the
-# key: a lookup that finds its key free has missed.
+# A prefix table is keyed by the guard's id (an action's (name, co), or the
+# guard itself) and then by its body's `id`, which stays the body's while the
+# entry holds it; neither key needs a Python-level hash call.
 _PREFIXES: dict[object, dict[int, "Prefix"]] = {}  # guard id -> id(body) -> term
 _GUARD_KEYS: dict[object, tuple] = {}  # guard id -> label_key
-_SUMS: dict[int, "Sum"] = {}
-_SUM_CLASHES: dict[tuple[Term, ...], "Sum"] = {}
+_SUMS: dict[tuple[Term, ...], "Sum"] = {}
 _CONSTS: dict[str, "Const"] = {}
 _MIN_SWEEP = 4096
 _size = 0
@@ -178,7 +173,7 @@ def _sweep() -> None:
     probe = object()
     alone = getrc(probe)  # what a term only this frame holds reads
     prefixes = {_GUARD_KEYS[gid]: table for gid, table in _PREFIXES.items()}  # by guard key
-    work = [t for table in (*prefixes.values(), _SUMS, _SUM_CLASHES, _CONSTS)
+    work = [t for table in (*prefixes.values(), _SUMS, _CONSTS)
             for t in table.values() if getrc(t) == alone + 1]
     while work:
         t = work.pop()
@@ -186,9 +181,7 @@ def _sweep() -> None:
             continue  # held elsewhere, or again in `work`
         cls = type(t)
         if cls is Sum:
-            table, key = _SUMS, t._hash
-            if table.get(key) is not t:
-                table, key = _SUM_CLASHES, t.parts
+            table, key = _SUMS, t.parts
         elif cls is Prefix:
             table, key = prefixes[t._key[1]], id(t.body)
         elif cls is Const:
@@ -205,9 +198,6 @@ def _sweep() -> None:
         elif cls is Prefix:
             work.append(t.body)
         key = None  # hold no child: its count is read next
-    for parts, t in list(_SUM_CLASHES.items()):
-        if t._hash not in _SUMS:  # a clash whose key was freed takes it
-            _SUMS[t._hash] = _SUM_CLASHES.pop(parts)
 
 
 class _Leaf(Term):
@@ -255,46 +245,35 @@ class Prefix(Term):
     body: Term
 
     def __new__(cls, guard: Union[Tau, Action], body: Term) -> "Prefix":
-        gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
-        table = _PREFIXES.get(gid)
-        if table is not None:
-            t = table.get(id(body))
-            if t is not None:
-                return t
-        else:
-            table = _prefix_table(guard)
-        return _new_prefix(body, table, guard, gid)
+        return _prefix(guard, body)
 
 
-def _prefix_table(guard: Union[Tau, Action]) -> dict[int, Prefix]:
-    """The unique table of the prefixes under `guard`, made on first use and
-    never dropped."""
+def _prefix(guard: Union[Tau, Action], body: Term) -> Prefix:
+    """`Prefix(guard, body)` without the cost of a class call, which the
+    reader saves on every prefix it reads."""
     gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
     table = _PREFIXES.get(gid)
-    if table is None:
-        with _LOCK:
-            table = _PREFIXES.get(gid)
-            if table is None:
-                table = _PREFIXES[gid] = {}
-                _GUARD_KEYS[gid] = label_key(guard)
-    return table
-
-
-def _new_prefix(body: Term, table: dict[int, Prefix], guard: Union[Tau, Action], gid: object) -> Prefix:
-    """The prefix `guard.body` once lock-free lookups have missed.  The node
-    is built first; a thread that loses the race for the entry drops it."""
-    depth = body._depth
-    if depth >= 0 and isinstance(guard, Action):
-        depth += 1
-    # an action hashes as the tuple of its fields, its id
-    t = _node(Prefix, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
-    _set_guard(t, guard)
-    _set_body(t, body)
+    if table is not None:
+        t = table.get(id(body))
+        if t is not None:
+            return t
     with _LOCK:
-        found = table.setdefault(id(body), t)
-        if found is t:
+        table = _PREFIXES.get(gid)
+        if table is None:
+            _GUARD_KEYS[gid] = label_key(guard)
+            table = _PREFIXES[gid] = {}
+        t = table.get(id(body))
+        if t is None:
+            depth = body._depth
+            if depth >= 0 and isinstance(guard, Action):
+                depth += 1
+            # an action hashes as the tuple of its fields, its id
+            t = _node(Prefix, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
+            _set_guard(t, guard)
+            _set_body(t, body)
+            table[id(body)] = t
             _added()
-        return found
+        return t
 
 
 class Sum(Term):
@@ -305,29 +284,21 @@ class Sum(Term):
     parts: tuple[Term, ...]
 
     def __new__(cls, parts: tuple[Term, ...]) -> "Sum":
-        h = hash((parts,))
-        t = _SUMS.get(h)
+        t = _SUMS.get(parts)
         if t is not None:
-            if t.parts == parts:
-                return t
-            t = _SUM_CLASHES.get(parts)
-            if t is not None:
-                return t
+            return t
+        # the node is built before the lock is taken; a thread that loses
+        # the race for the entry drops its own
         depth = min(map(_depth_of, parts))
         if depth >= 0:
             depth = max(map(_depth_of, parts))
-        node = _node(cls, h, (5, tuple(map(term_key, parts))), depth, None)
+        node = _node(cls, hash((parts,)), (5, tuple(map(term_key, parts))), depth, None)
         _set_parts(node, parts)
         with _LOCK:
-            t = _SUMS.setdefault(h, node)
-            if t is not node:
-                if t.parts == parts:
-                    return t
-                t = _SUM_CLASHES.setdefault(parts, node)  # another sum holds the key
-                if t is not node:
-                    return t
-            _added()
-            return node
+            t = _SUMS.setdefault(parts, node)
+            if t is node:
+                _added()
+            return t
 
 
 class Const(Term):
@@ -479,11 +450,13 @@ EMPTY_ENV = Env()
 # comment before it.  Line ends are those of `str.splitlines`, and a `#`
 # comment runs to the line end.  Read from the text with a line end added,
 # every match ends in a token, so no character is skipped; a character no
-# other alternative takes is a token of its own (`bad` unless listed).
+# other alternative takes is a token of its own (`bad` unless listed).  The
+# alternatives start with distinct characters, except that `(+)` and `\r\n`
+# come before the single `(` and `\r`; the most common are tried first.
 _LINE_END = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _TOKEN_RE = re.compile(
     rf"[^\S{_LINE_END}]*(?:\#[^{_LINE_END}]*)?"
-    r"([A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|\(\+\)|\r\n|.)",
+    r"(\(\+\)|[.+=~()01\n]|[a-z][a-z0-9_]*|[A-Z][A-Za-z0-9_]*|\r\n|.)",
     re.DOTALL,
 )
 _KINDS = {".": "dot", "+": "plus", "=": "eq", "~": "tilde", "(+)": "oplus", "(": "lpar",
@@ -536,15 +509,14 @@ def _position(text: str, i: int, eol: bool) -> tuple[int, int]:
 
 class _Reader:
     """Reads terms from one token list.  `Action` and `Const` objects are
-    shared within the parse, and each guard is read with its prefix table."""
+    shared within the parse."""
 
     def __init__(self, text: str, eol: bool):
         self.text, self.eol = text, eol
         self.kinds, self.texts = _lex(text, eol)
         self.i = 0
-        self.tau = (_prefix_table(TAU), TAU)
-        self.acts: dict[str, tuple[dict, Action]] = {}  # name -> (its prefix table, Action(name))
-        self.coacts: dict[str, tuple[dict, Action]] = {}
+        self.acts: dict[str, Action] = {}  # name -> Action(name)
+        self.coacts: dict[str, Action] = {}  # name -> Action(name, True)
         self.consts: dict[str, Const] = {}
 
     def error(self, message: str, i: int) -> SyntaxErr:
@@ -558,10 +530,9 @@ class _Reader:
     def expected(self, kind: str, i: int) -> SyntaxErr:
         return self.error(f"expected {kind}, found {self.shown(i)!r}", i)
 
-    def guard(self, name: str, co: bool) -> tuple[dict, Action]:
-        act = Action(name, co)
-        entry = (self.coacts if co else self.acts)[name] = (_prefix_table(act), act)
-        return entry
+    def guard(self, name: str, co: bool) -> Action:
+        act = (self.coacts if co else self.acts)[name] = Action(name, co)
+        return act
 
     def const(self, name: str) -> Const:
         t = self.consts[name] = Const(name)
@@ -578,7 +549,7 @@ class _Reader:
         i = self.i
         stack: list[tuple[list, list[Term], Union[Term, None]]] = []
         parts: list[Term] = []
-        guards: list[tuple] = []
+        guards: list[Union[Tau, Action]] = []
         left = None
         while True:
             while True:
@@ -586,7 +557,7 @@ class _Reader:
                 if kind == "act":
                     g = acts.get(texts[i]) or self.guard(texts[i], False)
                 elif kind == "tau":
-                    g = self.tau
+                    g = TAU
                 elif kind == "tilde":
                     i += 1
                     if kinds[i] != "act":
@@ -614,8 +585,7 @@ class _Reader:
             while True:
                 # `t` is a whole atom: put its guards on it, then see what follows
                 while guards:
-                    table, guard = guards.pop()
-                    t = table.get(id(t)) or Prefix(guard, t)
+                    t = _prefix(guards.pop(), t)
                 if left is not None:
                     t, left = internal_choice(left, t), None
                 kind = kinds[i]

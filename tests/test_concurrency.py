@@ -128,6 +128,29 @@ def test_two_threads_parse_one_file_while_sweeps_run(fast_switching):
         assert all(env1.lookup(name) is env2.lookup(name) for name in names)
 
 
+def test_two_threads_parse_new_action_names_at_once(fast_switching):
+    # each round's action names occur nowhere else, so both readers find no
+    # prefix table for them and make the tables at the same moment
+    texts = ["def P = " + " + ".join(f"new{r}x{k}.0" for k in range(10)) for r in range(1000)]
+    barrier = threading.Barrier(2)
+
+    def parse():
+        bodies = []
+        try:
+            for text in texts:
+                barrier.wait(timeout=60)
+                bodies.append(parse_defs(text)[0].lookup("P"))
+        except BaseException:
+            barrier.abort()  # the other reader stops at its next round
+            raise
+        return bodies
+
+    first, second = _run_together(parse, parse)
+    assert isinstance(first, list) and isinstance(second, list), (first, second)
+    assert len(first) == len(second) == 1000
+    assert all(x is y for x, y in zip(first, second))
+
+
 def test_shared_graph_usable_set_from_two_threads(fast_switching):
     env, _ = parse_defs(_recursive_client())
     expected = usable_set(Lts(Const("P0"), env), frozenset({0}), 5)

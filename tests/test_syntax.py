@@ -288,8 +288,7 @@ def test_the_criterion_4_universe_is_interned():
 
 def test_the_unique_table_stays_bounded():
     def entries():
-        return (sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS)
-                + len(syntax._SUM_CLASHES) + len(syntax._CONSTS))
+        return sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS) + len(syntax._CONSTS)
 
     a = Action("a")
     kept = t("a.(b.0 + tau.1)")
@@ -307,31 +306,23 @@ def test_the_unique_table_stays_bounded():
     assert t("a.(b.0 + tau.1)") is kept
 
 
-def test_sums_whose_table_keys_clash_stay_distinct():
-    # `1` and `div` hash alike, so these sums share a table key
+def test_sums_that_hash_alike_stay_distinct():
+    # `1` and `div` hash alike, and so do these sums
     g = Action("clash")
     one, div = Prefix(g, UNIT), Prefix(g, DIV)
     with_one, with_div = mk_sum([UNIT, one]), mk_sum([DIV, one])
     assert hash(with_one) == hash(with_div) and with_one is not with_div
     assert one is not div and Prefix(g, UNIT) is one and Prefix(g, DIV) is div
     assert mk_sum([one, UNIT]) is with_one and Sum(with_div.parts) is with_div
-    assert syntax._SUMS[hash(with_one)] is with_one
-    assert syntax._SUM_CLASHES[with_div.parts] is with_div
-    # once the sum holding the key is dropped, a sweep gives the key to the other
+    # a sweep that drops one of them leaves the other interned
+    parts = with_one.parts
     del with_one
     with syntax._LOCK:
         syntax._sweep()
-    assert syntax._SUMS[hash(with_div)] is with_div and not syntax._SUM_CLASHES.get(with_div.parts)
+    assert parts not in syntax._SUMS and syntax._SUMS[with_div.parts] is with_div
     assert mk_sum([one, DIV]) is with_div
     again = mk_sum([one, UNIT])
     assert again is mk_sum([UNIT, one]) and again is not with_div and pretty(again) == "1 + clash.1"
-    # and a dropped clash leaves the clash table
-    parts = again.parts
-    assert syntax._SUM_CLASHES[parts] is again
-    del again
-    with syntax._LOCK:
-        syntax._sweep()
-    assert parts not in syntax._SUM_CLASHES
 
 
 # ---------------------------------------------------------------------------
