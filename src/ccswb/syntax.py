@@ -245,35 +245,29 @@ class Prefix(Term):
     body: Term
 
     def __new__(cls, guard: Union[Tau, Action], body: Term) -> "Prefix":
-        return _prefix(guard, body)
-
-
-def _prefix(guard: Union[Tau, Action], body: Term) -> Prefix:
-    """`Prefix(guard, body)` without the cost of a class call, which the
-    reader saves on every prefix it reads."""
-    gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
-    table = _PREFIXES.get(gid)
-    if table is not None:
-        t = table.get(id(body))
-        if t is not None:
-            return t
-    with _LOCK:
+        gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
         table = _PREFIXES.get(gid)
-        if table is None:
-            _GUARD_KEYS[gid] = label_key(guard)
-            table = _PREFIXES[gid] = {}
-        t = table.get(id(body))
-        if t is None:
-            depth = body._depth
-            if depth >= 0 and isinstance(guard, Action):
-                depth += 1
-            # an action hashes as the tuple of its fields, its id
-            t = _node(Prefix, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
-            _set_guard(t, guard)
-            _set_body(t, body)
-            table[id(body)] = t
-            _added()
-        return t
+        if table is not None:
+            t = table.get(id(body))
+            if t is not None:
+                return t
+        with _LOCK:
+            table = _PREFIXES.get(gid)
+            if table is None:
+                _GUARD_KEYS[gid] = label_key(guard)
+                table = _PREFIXES[gid] = {}
+            t = table.get(id(body))
+            if t is None:
+                depth = body._depth
+                if depth >= 0 and isinstance(guard, Action):
+                    depth += 1
+                # an action hashes as the tuple of its fields, its id
+                t = _node(cls, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
+                _set_guard(t, guard)
+                _set_body(t, body)
+                table[id(body)] = t
+                _added()
+            return t
 
 
 class Sum(Term):
@@ -585,7 +579,7 @@ class _Reader:
             while True:
                 # `t` is a whole atom: put its guards on it, then see what follows
                 while guards:
-                    t = _prefix(guards.pop(), t)
+                    t = Prefix(guards.pop(), t)
                 if left is not None:
                     t, left = internal_choice(left, t), None
                 kind = kinds[i]
