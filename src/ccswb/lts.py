@@ -2,6 +2,7 @@
 convergence and divergence predicates, and the parallel test composition."""
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
@@ -117,17 +118,27 @@ def on_cycle(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> f
     return frozenset(out)
 
 
+_SERIALS = itertools.count()
+
+
 class Lts:
     """Reachable transition graph of a term, states deduplicated structurally.
 
     Constants are kept folded: a state is the term as written, and its moves
     come from unfolding the definition on demand.  At most `env.state_cap`
     states are built.
+
+    Each graph has a serial number, never reused, and one verdict row per
+    tested side (`rows["right"]`, `rows["left"]`) for the pairs it serves
+    in: bits 2s and 2s+1 of a row say that the pair with the client of
+    serial s is known, and that it fails (see `preorders.passes_graph`).
     """
 
     def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
         cap = env.state_cap
         self.env = env
+        self.serial = next(_SERIALS)
+        self.rows = {"right": 0, "left": 0}
         self.terms: list[Term] = []
         self.index: dict[Term, int] = {}
         self.edges: list[list[tuple[Label, int]]] = []
@@ -312,6 +323,22 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
+def moves(left: Lts, right: Lts, i: int, j: int) -> list[tuple[int, int]]:
+    """The composition rule: the tau moves of the pair (i, j), as left taus,
+    right taus, then synchronisations in the left graph's label order.  A
+    pair can appear more than once."""
+    nxt = [(i2, j) for i2 in left.taus[i]]
+    nxt.extend((i, j2) for j2 in right.taus[j])
+    rvis = right.vis[j]
+    if rvis:
+        co = left.complements()
+        for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
+            tjs = rvis.get(co[a])
+            if tjs:
+                nxt.extend((i2, j2) for i2 in tis for j2 in tjs)
+    return nxt
+
+
 class Product:
     """Tau-edge graph of a parallel composition, built on demand.
 
@@ -350,21 +377,10 @@ class Product:
         return k
 
     def succ(self, k: int) -> tuple[int, ...]:
-        """Successors of state k, without repeats: left taus, right taus, then
-        synchronisations in the left graph's label order."""
+        """Successors of state k: its `moves`, in that order, without repeats."""
         out = self._succ[k]
         if out is None:
-            left, right = self.left_lts, self.right_lts
-            i, j = self.states[k]
-            nxt = [(i2, j) for i2 in left.taus[i]]
-            nxt.extend((i, j2) for j2 in right.taus[j])
-            rvis = right.vis[j]
-            if rvis:
-                co = left.complements()
-                for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
-                    tjs = rvis.get(co[a])
-                    if tjs:
-                        nxt.extend((i2, j2) for i2 in tis for j2 in tjs)
+            nxt = moves(self.left_lts, self.right_lts, *self.states[k])
             out = self._succ[k] = tuple(dict.fromkeys(map(self._intern, nxt)))
         return out
 

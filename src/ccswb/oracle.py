@@ -27,7 +27,7 @@ from .syntax import (
     term_key,
     visible_depth,
 )
-from .testing import must
+from .testing import has_unsuccessful_maximal
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def search_satisfying_server(r: Term, env: Env = EMPTY_ENV,
     else:
         max_width = min(2, len(co_alpha)) if co_alpha else 1
     for server in det_stable_servers(co_alpha, max_depth, max_width):
-        if must(server, r, env).holds:
+        if not has_unsuccessful_maximal(cached_lts(server, env), lts, "right"):
             return server
     return None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .lts import Product, cached_lts, on_cycle
+from .lts import Lts, Product, StateCapExceeded, cached_lts, moves, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
 
 #: longest maximal computation the enumeration oracle walks
@@ -115,6 +115,50 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
     assert last is not None
     return Counterexample(product, tuple(entry + _path(back, last)[1:] + [c]), "lasso",
                           loop_start=len(entry) - 1)
+
+
+def has_unsuccessful_maximal(left: Lts, right: Lts, side: str) -> bool:
+    """`find_unsuccessful_maximal(Product(left, right), side) is not None`,
+    decided without evidence.
+
+    One depth-first search over the pairs of the two graphs, entering only
+    pairs where `side` has not succeeded, answers at the first stable pair
+    or the first move back to a pair still on its stack: either is a
+    maximal unsuccessful computation.  It keeps no product, parent map or
+    path.  The pairs it enters count against the smaller of the two graphs'
+    caps."""
+    ok = right.ok if side == "right" else left.ok
+    at = 1 if side == "right" else 0
+    root = (left.root, right.root)
+    if ok[root[at]]:
+        return False
+    cap = min(left.env.state_cap, right.env.state_cap)
+    nxt = moves(left, right, *root)
+    if not nxt:
+        return True
+    entered = {root: True}  # True while the pair is on the stack
+    stack = [(root, iter(nxt))]
+    while stack:
+        here, it = stack[-1]
+        for there in it:
+            if ok[there[at]]:
+                continue
+            state = entered.get(there)
+            if state is None:
+                if len(entered) >= cap:
+                    raise StateCapExceeded(cap)
+                nxt = moves(left, right, *there)
+                if not nxt:
+                    return True
+                entered[there] = True
+                stack.append((there, iter(nxt)))
+                break
+            if state:
+                return True
+        else:
+            stack.pop()
+            entered[here] = False
+    return False
 
 
 def _product_of(p: Term, r: Term, env: Env) -> Product:

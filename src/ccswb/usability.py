@@ -22,7 +22,7 @@ from .syntax import (
     mk_sum,
     pretty,
 )
-from .testing import must
+from .testing import has_unsuccessful_maximal
 
 
 class VisibleCycle(RuntimeError):
@@ -110,7 +110,8 @@ def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[b
 
 def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> UsabilityReport:
     """Is there any server that must-satisfies `r`?  Exact unless `depth`
-    given.  A witness server is re-checked with `must` before it is returned."""
+    given.  A witness server is re-checked, with the verdict `must` would
+    give, before it is returned."""
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be a non-negative integer, got {depth}")
     lts = cached_lts(r, env)
@@ -120,7 +121,7 @@ def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> Usabil
             "exact usability undecided: non-ok region has a visible-action cycle; rerun bounded"
         )
     ok, wit = usable_set(lts, frozenset({lts.root}), depth)
-    if ok and not must(wit, r, env).holds:
+    if ok and has_unsuccessful_maximal(cached_lts(wit, env), lts, "right"):
         raise RuntimeError(f"internal error: witness server failed verification for {r}")
     return UsabilityReport(ok, wit, mode, depth)
 

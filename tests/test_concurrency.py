@@ -18,8 +18,9 @@ import pytest
 from conftest import t
 from ccswb import syntax
 from ccswb.equations import normalize_pnf_info
+from ccswb.preorders import KINDS
 from ccswb.lts import Lts
-from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
 from ccswb.syntax import Const, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set
@@ -196,3 +197,21 @@ def test_must_over_shared_graphs_from_two_threads(fast_switching):
         # first fill the same cached graphs at once
         shared, _ = parse_defs(text)
         assert _run_together(lambda: answers(shared), lambda: answers(shared)) == [expected, expected]
+
+
+def test_pass_tables_over_shared_graphs_from_three_threads(fast_switching):
+    # more threads than cores fill the same graphs' verdict rows at once; a
+    # lost row update only drops a cell, which is then decided again
+    text = _recursive_client() + "\n" + _SERVERS
+    names = parse_defs(text)[1]
+    consts = [Const(n) for n in names]
+    terms = consts + [t("a.b.0 + c.0"), t("~a.1 + tau.div"), t("~b.(1 + ~c.0)")]
+    for kind in KINDS:
+        env, _ = parse_defs(text)
+        expected = pass_table(kind, terms, terms, env)
+        passed = sum(bin(row).count("1") for row in expected.values())
+        assert 0 < passed < len(terms) ** 2
+        for _ in range(5):
+            shared, _ = parse_defs(text)
+            got = _run_together(*[lambda: pass_table(kind, terms, terms, shared)] * 3)
+            assert got == [expected] * 3

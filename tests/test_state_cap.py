@@ -43,6 +43,24 @@ def test_every_entry_point_builds_under_the_env_cap(entry):
     assert exc.value.cap == 2
 
 
+# each graph of tau.tau.0 has 3 states, but its composition with itself has
+# 9, none of them successful: the verdict search must stop at the cap too
+ENV3 = Env(state_cap=3)
+TT = t("tau.tau.0")
+PRODUCT_ENTRY_POINTS = {
+    "passes": lambda: preorders.passes("svr", TT, TT, ENV3),
+    "check_witness": lambda: preorders.check_witness("svr", TT, TT, TT, ENV3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRODUCT_ENTRY_POINTS))
+def test_verdict_search_builds_under_the_env_cap(entry):
+    assert len(lts.cached_lts(TT, ENV3)) == 3
+    with pytest.raises(StateCapExceeded) as exc:
+        PRODUCT_ENTRY_POINTS[entry]()
+    assert exc.value.cap == 3
+
+
 def test_the_cap_must_be_positive():
     with pytest.raises(ValueError):
         Env(state_cap=0)

@@ -1,11 +1,16 @@
+import importlib.util
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import FINITE_TERMS, t
+from test_concurrency import _SERVERS, _recursive_client
 from ccswb.lts import Product, cached_lts
+from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.preorders import KINDS, passes_graph
 from ccswb.syntax import Const, parse_defs
 from ccswb.testing import (
     STEP_BOUND,
@@ -14,6 +19,7 @@ from ccswb.testing import (
     client_successful,
     enumerate_computations,
     find_unsuccessful_maximal,
+    has_unsuccessful_maximal,
     must,
     must_by_enumeration,
     must_sc,
@@ -197,3 +203,70 @@ def test_must_sc_left_evidence_is_pinned():
         "holds": False,
         "evidence": {"shape": "deadlock", "states": [["~b.0", "b.1"], ["0", "1"]]},
     }
+
+
+# ---------------------------------------------------------------------------
+# the verdict search decides what the evidence search finds
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# tau cycles through several states, with and without success on them
+_TAU_CYCLES = _LOOPS + "\ndef D = tau.D + a.1\ndef E = tau.F + ~a.E\ndef F = tau.E + 1 + b.0"
+
+
+def _assert_verdicts_agree(graphs) -> int:
+    """On both sides of every ordered pair, the verdict search answers
+    whether the evidence search finds a maximal unsuccessful computation.
+    Returns how many of the cases fail."""
+    fails = 0
+    for server in graphs:
+        for client in graphs:
+            for side in ("right", "left"):
+                want = find_unsuccessful_maximal(Product(server, client), side) is not None
+                assert has_unsuccessful_maximal(server, client, side) == want, (
+                    server.terms[server.root], client.terms[client.root], side)
+                fails += want
+    return fails
+
+
+def test_verdict_search_agrees_on_finite_terms_and_tau_cycles():
+    env, names = parse_defs(_TAU_CYCLES)
+    spec = EnumSpec(("a", "b"), 2, allow_div=True, max_width=2)
+    pool = list(itertools.islice(enumerate_terms(spec), 3000))
+    terms = random.Random(16).sample(pool, 60) + [t("div"), t("tau.div + a.1")]
+    graphs = [cached_lts(x, env) for x in terms + [Const(n) for n in names]]
+    assert 0 < _assert_verdicts_agree(graphs) < 2 * len(graphs) ** 2
+
+
+def test_verdict_search_agrees_on_recursive_definitions():
+    env, names = parse_defs(_recursive_client() + "\n" + _SERVERS)
+    graphs = [cached_lts(Const(n), env) for n in names]
+    assert 0 < _assert_verdicts_agree(graphs) < 2 * len(graphs) ** 2
+
+
+def test_verdict_search_agrees_on_protocol_files():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    fails = []
+    # recorded for `ccswb must -s S0 -c C0`: two lassos, two deadlocks and a pass
+    for case in (0, 1, 6, 7, 24):
+        env, _ = parse_defs(gen.protocol_case(case)[0])
+        fails.append(_assert_verdicts_agree([cached_lts(Const(n), env) for n in ("S0", "T0", "C0", "D0")]))
+    assert 0 < sum(fails) < len(fails) * 2 * 4 ** 2
+
+
+def test_passes_graph_answers_alike_from_a_row_miss_and_a_row_hit(small_corpus):
+    for kind in KINDS:
+        # a fresh environment per kind: fresh graphs with empty rows
+        env, names = parse_defs(_TAU_CYCLES)
+        graphs = [cached_lts(x, env) for x in small_corpus[::4] + [Const(n) for n in names]]
+        first = [passes_graph(kind, p, q) for p in graphs for q in graphs]
+        assert [passes_graph(kind, p, q) for p in graphs for q in graphs] == first
+        assert any(first) and not all(first)
+        # the evidence search gives the same answers
+        role = {"svr": lambda p, q: must(p, q, env), "clt": lambda p, q: must(q, p, env),
+                "p2p": lambda p, q: must_sc(p, q, env)}[kind]
+        terms = [g.terms[g.root] for g in graphs]
+        assert [role(p, q).holds for p in terms for q in terms] == first
