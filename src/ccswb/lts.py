@@ -59,7 +59,7 @@ def transitions(t: Term, env: Env = EMPTY_ENV) -> frozenset[tuple[Label, Term]]:
 
 def can_ok(t: Term, env: Env = EMPTY_ENV) -> bool:
     """True iff the term can report success immediately."""
-    return any(isinstance(lab, type(OK)) for lab, _ in transitions(t, env))
+    return any(lab is OK for lab, _ in transitions(t, env))
 
 
 def sccs(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> list[list[Node]]:
@@ -122,23 +122,23 @@ _SERIALS = itertools.count()
 
 
 class Lts:
-    """Reachable transition graph of a term, states deduplicated structurally.
+    """Reachable transition graph of a term; a state is an interned term.
 
     Constants are kept folded: a state is the term as written, and its moves
     come from unfolding the definition on demand.  At most `env.state_cap`
     states are built.
 
     Each graph has a serial number, never reused, and one verdict row per
-    tested side (`rows["right"]`, `rows["left"]`) for the pairs it serves
-    in: bits 2s and 2s+1 of a row say that the pair with the client of
-    serial s is known, and that it fails (see `preorders.passes_graph`).
+    tested side (`rows["right"]`, `rows["left"]`): a dict of 64-bit words,
+    where bits 2k and 2k+1 of word w say that the pair with the client of
+    serial 32w+k is known, and that it fails (see `preorders.passes_graph`).
     """
 
     def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
         cap = env.state_cap
         self.env = env
         self.serial = next(_SERIALS)
-        self.rows = {"right": 0, "left": 0}
+        self.rows: dict[str, dict[int, int]] = {"right": {}, "left": {}}
         self.terms: list[Term] = []
         self.index: dict[Term, int] = {}
         self.edges: list[list[tuple[Label, int]]] = []
@@ -169,8 +169,8 @@ class Lts:
             self.edges[i] = [(lab, intern(tgt)) for lab, tgt in outs]
         for i in range(len(self.terms)):
             labs = self.edges[i]
-            self.ok.append(any(isinstance(lab, type(OK)) for lab, _ in labs))
-            self.taus.append(tuple(j for lab, j in labs if isinstance(lab, type(TAU))))
+            self.ok.append(any(lab is OK for lab, _ in labs))
+            self.taus.append(tuple(j for lab, j in labs if lab is TAU))
             vis: dict[Action, list[int]] = {}
             for lab, j in labs:
                 if isinstance(lab, Action):
@@ -189,7 +189,6 @@ class Lts:
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
         self._usable_memo: dict = {}
-        self._complements: Optional[dict[Action, Action]] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -208,14 +207,6 @@ class Lts:
         for vis in self.vis:
             out |= set(vis)
         return frozenset(out)
-
-    def complements(self) -> dict[Action, Action]:
-        """Each visible action's complement, tabled on first use (by a
-        `Product`), so graphs that are never composed pay nothing."""
-        co = self._complements
-        if co is None:
-            co = self._complements = {a: a.complement() for a in self.alphabet()}
-        return co
 
     # -- closures ---------------------------------------------------------
 
@@ -312,8 +303,7 @@ class Lts:
             lines.append(f'  s{i} [shape={shape} label="{label}"{extra}];')
         for i, outs in enumerate(self.edges):
             for lab, j in outs:
-                txt = "ok" if isinstance(lab, type(OK)) else str(lab)
-                lines.append(f'  s{i} -> s{j} [label="{txt}"];')
+                lines.append(f'  s{i} -> s{j} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -331,9 +321,8 @@ def moves(left: Lts, right: Lts, i: int, j: int) -> list[tuple[int, int]]:
     nxt.extend((i, j2) for j2 in right.taus[j])
     rvis = right.vis[j]
     if rvis:
-        co = left.complements()
         for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
-            tjs = rvis.get(co[a])
+            tjs = rvis.get(a._complement)
             if tjs:
                 nxt.extend((i2, j2) for i2 in tis for j2 in tjs)
     return nxt

@@ -440,15 +440,15 @@ def passes_graph(kind: str, p: Lts, t: Lts) -> bool:
 def _fails(server: Lts, client: Lts, side: str) -> bool:
     """`has_unsuccessful_maximal`, read from or written to the server's row
     for `side` at the client's serial.  Known and fails go in with one
-    store, so a concurrent update can drop a cell but never leave a wrong
-    one; a dropped cell is decided again."""
-    shift = 2 * client.serial
-    rows = server.rows
-    cell = rows[side] >> shift & 3
+    store of the cell's word, so a concurrent update can drop a cell but
+    never leave a wrong one; a dropped cell is decided again."""
+    word, at = divmod(client.serial, 32)
+    row = server.rows[side]
+    cell = row.get(word, 0) >> 2 * at & 3
     if cell:
         return cell == 3
     bad = has_unsuccessful_maximal(server, client, side)
-    rows[side] |= (3 if bad else 1) << shift
+    row[word] = row.get(word, 0) | (3 if bad else 1) << 2 * at
     return bad
 
 

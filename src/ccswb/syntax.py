@@ -1,10 +1,10 @@
 """Process-term syntax: actions, terms, definition environments, parser and printer.
 
-Terms are immutable and interned: each is built through one unique table,
-so equal terms are the same object and are compared by identity.  Sums are
-canonicalized at construction time (flattened, deduplicated, sorted) so
-identity is a decidable stand-in for syntactic identity modulo
-commutative-monoid laws.
+Labels and terms are immutable and interned: each is built through one
+table, so equal values are the same object, and they compare and hash by
+identity.  Sums are canonicalized at construction time (flattened,
+deduplicated, sorted) so identity is a decidable stand-in for syntactic
+identity modulo commutative-monoid laws.
 """
 from __future__ import annotations
 
@@ -16,88 +16,13 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Union
 
 
-# ---------------------------------------------------------------------------
-# Actions and labels
-# ---------------------------------------------------------------------------
+class _Interned:
+    """Base of labels and terms: one object per value, compared and hashed by
+    identity, with its order key cached.  Assigning a field raises, and `copy`,
+    `deepcopy` and `pickle` return the interned object."""
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
-@dataclass(frozen=True)
-class Action:
-    """A visible action; `co` marks the complemented polarity (~a)."""
-
-    name: str
-    co: bool = False
-
-    def __post_init__(self) -> None:
-        # a keyword name would print as text that parses as something else
-        if not _NAME_RE.match(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"bad action name {self.name!r}")
-
-    def complement(self) -> "Action":
-        return Action(self.name, not self.co)
-
-    def __str__(self) -> str:
-        return ("~" if self.co else "") + self.name
-
-
-@dataclass(frozen=True)
-class Tau:
-    def __str__(self) -> str:
-        return "tau"
-
-
-@dataclass(frozen=True)
-class Ok:
-    def __str__(self) -> str:
-        return "ok"
-
-
-TAU = Tau()
-OK = Ok()
-
-#: Transition labels: internal, success, or a visible action.
-Label = Union[Tau, Ok, Action]
-
-
-def label_key(lab: Label) -> tuple:
-    if isinstance(lab, Tau):
-        return (0,)
-    if isinstance(lab, Ok):
-        return (1,)
-    return (2, lab.name, lab.co)
-
-
-def label_set_key(labels: Iterable[Label]) -> tuple:
-    """Order on label sets (ready sets, branch families): sorted member keys."""
-    return tuple(sorted(label_key(x) for x in labels))
-
-
-# ---------------------------------------------------------------------------
-# Terms
-# ---------------------------------------------------------------------------
-
-
-class Term:
-    """Base class for process terms.
-
-    Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
-    hash-consing", 2006): every node is built through one unique table, so
-    two terms are equal exactly when they are the same object, and `==` is
-    identity.  Each node computes once, from its children, its hash (the value
-    a frozen dataclass of the same fields has, so sets and dicts of terms
-    iterate in the same order as by value), its `term_key` and its visible
-    depth (-1 when a constant occurs); its action names are computed on first
-    use.  Assigning a field raises, and `copy`, `deepcopy` and `pickle` go back
-    through the constructor, so they return the interned term.
-    """
-
-    __slots__ = ("_hash", "_key", "_depth", "_names")
+    __slots__ = ("_key",)
     __match_args__: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -112,6 +37,118 @@ class Term:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
+
+#: Total order on labels and on terms (sums sort their parts by it): the key
+#: each object caches, read without a Python-level call.
+label_key = term_key = operator.attrgetter("_key")
+
+# Held by a miss in the tables of actions and terms and by the sweep; it is
+# not re-entrant, so nothing that holds it may make an `Action`.
+_LOCK = threading.Lock()
+
+
+# ---------------------------------------------------------------------------
+# Actions and labels
+# ---------------------------------------------------------------------------
+
+_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+class Tau(_Interned):
+    """The internal action; `TAU` is the only instance."""
+
+    __slots__ = ("_prefixes",)
+
+    def __new__(cls) -> "Tau":
+        return TAU
+
+    def __str__(self) -> str:
+        return "tau"
+
+
+class Ok(_Interned):
+    """The success label; `OK` is the only instance."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Ok":
+        return OK
+
+    def __str__(self) -> str:
+        return "ok"
+
+
+class Action(_Interned):
+    """A visible action; `co` marks the complemented polarity (~a).  Both
+    polarities of a name are made at once, each holding the other as its
+    complement, and are kept for the life of the process."""
+
+    __slots__ = ("name", "co", "_complement", "_prefixes")
+    __match_args__ = ("name", "co")
+    name: str
+    co: bool
+
+    def __new__(cls, name: str, co: bool = False) -> "Action":
+        pair = _ACTIONS.get(name)
+        if pair is None:
+            # a keyword name would print as text that parses as something else
+            if not _NAME_RE.match(name) or name in _KEYWORDS:
+                raise ValueError(f"bad action name {name!r}")
+            with _LOCK:
+                pair = _ACTIONS.get(name)
+                if pair is None:
+                    a = _make(cls, _key=(2, name, False), name=name, co=False, _prefixes={})
+                    co_a = _make(cls, _key=(2, name, True), name=name, co=True, _prefixes={}, _complement=a)
+                    object.__setattr__(a, "_complement", co_a)
+                    pair = _ACTIONS[name] = (a, co_a)
+        return pair[1] if co else pair[0]
+
+    def complement(self) -> "Action":
+        return self._complement
+
+    def __str__(self) -> str:
+        return ("~" if self.co else "") + self.name
+
+
+_ACTIONS: dict[str, tuple[Action, Action]] = {}  # name -> (a, ~a)
+
+
+def _make(cls: type, **fields: object) -> _Interned:
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+TAU = _make(Tau, _key=(0,), _prefixes={})
+OK = _make(Ok, _key=(1,))
+
+#: Transition labels: internal, success, or a visible action.
+Label = Union[Tau, Ok, Action]
+
+
+def label_set_key(labels: Iterable[Label]) -> tuple:
+    """Order on label sets (ready sets, branch families): sorted member keys."""
+    return tuple(sorted(label_key(x) for x in labels))
+
+
+# ---------------------------------------------------------------------------
+# Terms
+# ---------------------------------------------------------------------------
+
+
+class Term(_Interned):
+    """Base class for process terms.
+
+    Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): every node is built through one unique table, so
+    two terms are equal exactly when they are the same object.  Each node
+    computes once, from its children, its `term_key` and its visible depth
+    (-1 when a constant occurs); its action names are computed on first use.
+    """
+
+    __slots__ = ("_depth", "_names")
+
     def __str__(self) -> str:
         return pretty(self)
 
@@ -119,16 +156,14 @@ class Term:
 _NO_NAMES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
 # A new node's fields are stored through their slot descriptors, which the
 # frozen `__setattr__` does not see.
-_set_hash = Term._hash.__set__
 _set_key = Term._key.__set__
 _set_depth = Term._depth.__set__
 _set_names = Term._names.__set__
 _depth_of = operator.attrgetter("_depth")
 
 
-def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
+def _node(cls: type, key: tuple, depth: int, names: object) -> Term:
     t = object.__new__(cls)
-    _set_hash(t, h)
     _set_key(t, key)
     _set_depth(t, depth)
     _set_names(t, names)
@@ -136,15 +171,10 @@ def _node(cls: type, h: int, key: tuple, depth: int, names: object) -> Term:
 
 
 # The unique table.  Lookups that hit take no lock; a miss and a sweep hold
-# `_LOCK`, so a live term never gets a duplicate.  Values are strong: when
-# the entries have doubled since the last sweep, `_sweep` drops those only
-# the table refers to.
-_LOCK = threading.Lock()
-# A prefix table is keyed by the guard's id (an action's (name, co), or the
-# guard itself) and then by its body's `id`, which stays the body's while the
-# entry holds it; neither key needs a Python-level hash call.
-_PREFIXES: dict[object, dict[int, "Prefix"]] = {}  # guard id -> id(body) -> term
-_GUARD_KEYS: dict[object, tuple] = {}  # guard id -> label_key
+# `_LOCK`, so a live term never gets a duplicate.  A prefix is filed in its
+# guard's own table (`_prefixes`) under its body's `id`, which stays the
+# body's while the entry holds it.  Values are strong: when the entries have
+# doubled since the last sweep, `_sweep` drops those only the table refers to.
 _SUMS: dict[tuple[Term, ...], "Sum"] = {}
 _CONSTS: dict[str, "Const"] = {}
 _MIN_SWEEP = 4096
@@ -172,9 +202,8 @@ def _sweep() -> None:
     getrc = sys.getrefcount
     probe = object()
     alone = getrc(probe)  # what a term only this frame holds reads
-    prefixes = {_GUARD_KEYS[gid]: table for gid, table in _PREFIXES.items()}  # by guard key
-    work = [t for table in (*prefixes.values(), _SUMS, _CONSTS)
-            for t in table.values() if getrc(t) == alone + 1]
+    tables = [TAU._prefixes, *(a._prefixes for pair in _ACTIONS.values() for a in pair), _SUMS, _CONSTS]
+    work = [t for table in tables for t in table.values() if getrc(t) == alone + 1]
     while work:
         t = work.pop()
         if getrc(t) > alone + 1:
@@ -183,7 +212,7 @@ def _sweep() -> None:
         if cls is Sum:
             table, key = _SUMS, t.parts
         elif cls is Prefix:
-            table, key = prefixes[t._key[1]], id(t.body)
+            table, key = t.guard._prefixes, id(t.body)
         elif cls is Const:
             table, key = _CONSTS, t.name
         else:
@@ -212,7 +241,7 @@ class _Leaf(Term):
             with _LOCK:
                 t = cls.__dict__.get("_instance")
                 if t is None:
-                    t = _node(cls, hash(()), (cls._rank,), 0, _NO_NAMES)
+                    t = _node(cls, (cls._rank,), 0, _NO_NAMES)
                     cls._instance = t
         return t
 
@@ -245,24 +274,17 @@ class Prefix(Term):
     body: Term
 
     def __new__(cls, guard: Union[Tau, Action], body: Term) -> "Prefix":
-        gid = (guard.name, guard.co) if isinstance(guard, Action) else guard
-        table = _PREFIXES.get(gid)
-        if table is not None:
-            t = table.get(id(body))
-            if t is not None:
-                return t
+        table = guard._prefixes
+        t = table.get(id(body))
+        if t is not None:
+            return t
         with _LOCK:
-            table = _PREFIXES.get(gid)
-            if table is None:
-                _GUARD_KEYS[gid] = label_key(guard)
-                table = _PREFIXES[gid] = {}
             t = table.get(id(body))
             if t is None:
                 depth = body._depth
-                if depth >= 0 and isinstance(guard, Action):
+                if depth >= 0 and guard is not TAU:
                     depth += 1
-                # an action hashes as the tuple of its fields, its id
-                t = _node(cls, hash((gid, body)), (3, _GUARD_KEYS[gid], body._key), depth, None)
+                t = _node(cls, (3, guard._key, body._key), depth, None)
                 _set_guard(t, guard)
                 _set_body(t, body)
                 table[id(body)] = t
@@ -286,7 +308,7 @@ class Sum(Term):
         depth = min(map(_depth_of, parts))
         if depth >= 0:
             depth = max(map(_depth_of, parts))
-        node = _node(cls, hash((parts,)), (5, tuple(map(term_key, parts))), depth, None)
+        node = _node(cls, (5, tuple(map(term_key, parts))), depth, None)
         _set_parts(node, parts)
         with _LOCK:
             t = _SUMS.setdefault(parts, node)
@@ -307,7 +329,7 @@ class Const(Term):
         with _LOCK:
             t = _CONSTS.get(name)
             if t is None:
-                t = _node(cls, hash((name,)), (4, name), -1, None)
+                t = _node(cls, (4, name), -1, None)
                 _set_name(t, name)
                 _CONSTS[name] = t
                 _added()
@@ -321,10 +343,6 @@ _set_guard = Prefix.guard.__set__
 _set_body = Prefix.body.__set__
 _set_parts = Sum.parts.__set__
 _set_name = Const.name.__set__
-
-#: Total order on terms used for canonical sum ordering: `term_key(t)` is the
-#: key each term caches, read without a Python-level call.
-term_key = operator.attrgetter("_key")
 
 
 def mk_sum(parts: Iterable[Term]) -> Term:
@@ -365,8 +383,6 @@ def subterms(t: Term) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 # Environments
 # ---------------------------------------------------------------------------
-
-_CONST_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
 class SyntaxErr(Exception):
@@ -502,15 +518,12 @@ def _position(text: str, i: int, eol: bool) -> tuple[int, int]:
 
 
 class _Reader:
-    """Reads terms from one token list.  `Action` and `Const` objects are
-    shared within the parse."""
+    """Reads terms from one token list; `consts` holds the constants read."""
 
     def __init__(self, text: str, eol: bool):
         self.text, self.eol = text, eol
         self.kinds, self.texts = _lex(text, eol)
         self.i = 0
-        self.acts: dict[str, Action] = {}  # name -> Action(name)
-        self.coacts: dict[str, Action] = {}  # name -> Action(name, True)
         self.consts: dict[str, Const] = {}
 
     def error(self, message: str, i: int) -> SyntaxErr:
@@ -524,10 +537,6 @@ class _Reader:
     def expected(self, kind: str, i: int) -> SyntaxErr:
         return self.error(f"expected {kind}, found {self.shown(i)!r}", i)
 
-    def guard(self, name: str, co: bool) -> Action:
-        act = (self.coacts if co else self.acts)[name] = Action(name, co)
-        return act
-
     def const(self, name: str) -> Const:
         t = self.consts[name] = Const(name)
         return t
@@ -539,7 +548,7 @@ class _Reader:
             atom := '0' | '1' | 'div' | CONST | '(' term ')'
         One loop reads every nesting depth: an open parenthesis stacks the
         guards, parts and pending `(+)` operand of the enclosing term."""
-        kinds, texts, acts, coacts, consts = self.kinds, self.texts, self.acts, self.coacts, self.consts
+        kinds, texts, consts = self.kinds, self.texts, self.consts
         i = self.i
         stack: list[tuple[list, list[Term], Union[Term, None]]] = []
         parts: list[Term] = []
@@ -549,14 +558,14 @@ class _Reader:
             while True:
                 kind = kinds[i]
                 if kind == "act":
-                    g = acts.get(texts[i]) or self.guard(texts[i], False)
+                    g = Action(texts[i])
                 elif kind == "tau":
                     g = TAU
                 elif kind == "tilde":
                     i += 1
                     if kinds[i] != "act":
                         raise self.expected("act", i)
-                    g = coacts.get(texts[i]) or self.guard(texts[i], True)
+                    g = Action(texts[i], True)
                 else:
                     break
                 i += 1

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -273,3 +276,63 @@ def test_deep_chains_run_end_to_end(tmp_path, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: term nested too deeply") and "Traceback" not in err
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Prints the CLI's output for protocols pool cases, a verbose sweep and
+# normalization of seeded nf terms with `div` under every theory.  With
+# argument `1`, every command starts with a sweep of the unique table, and
+# the table is swept again whenever its entries double from a few dozen, so
+# terms are freed and rebuilt at other addresses.
+_OUTPUTS_SCRIPT = """
+import contextlib, importlib.util, io, os, sys
+from ccswb import cli, syntax
+
+root, work, sweeps = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+if sweeps:
+    syntax._MIN_SWEEP = 32
+spec = importlib.util.spec_from_file_location("gen", os.path.join(root, "perfbench", "gen.py"))
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+
+def show(argv):
+    if sweeps:
+        syntax._limit = 0  # the command's first new term sweeps
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        rc = cli.run(argv)
+    print(rc, argv[:2], out.getvalue())
+
+for case in range(12):
+    text, args = gen.protocol_case(case)
+    path = os.path.join(work, "case.ccs")
+    with open(path, "w") as fh:
+        fh.write(text)
+    show(["--json", args[0], path] + args[1:])
+show(["sweep", "--kind", "p2p", "--depth", "1", "--test-limit", "300", "--verbose"])
+empty = os.path.join(work, "empty.ccs")
+open(empty, "w").close()
+for i in range(40):
+    term = gen.nf_term_text(11, i, gen.NF_LEAVES_WITH_DIV)
+    for theory in ("svr", "clt", "p2p"):
+        show(["--json", "normalize", empty, "-p", term, "--theory", theory])
+"""
+
+
+def test_outputs_do_not_depend_on_hashing(tmp_path):
+    """Labels and terms hash by identity, so set order differs between
+    processes; the output must not."""
+    outputs = []
+    for hash_seed, sweeps in (("0", "0"), ("1", "1")):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _OUTPUTS_SCRIPT, _ROOT, str(work), sweeps],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert sum(line.startswith("0 ") for line in lines) == 12 + 1 + 120
+    assert '"normal_form"' in outputs[0] and '"agree": true' in outputs[0]

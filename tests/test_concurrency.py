@@ -21,7 +21,7 @@ from ccswb.equations import normalize_pnf_info
 from ccswb.preorders import KINDS
 from ccswb.lts import Lts
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
-from ccswb.syntax import Const, parse_defs, parse_term, pretty
+from ccswb.syntax import Action, Const, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set
 
@@ -150,6 +150,41 @@ def test_two_threads_parse_new_action_names_at_once(fast_switching):
     assert isinstance(first, list) and isinstance(second, list), (first, second)
     assert len(first) == len(second) == 1000
     assert all(x is y for x, y in zip(first, second))
+
+
+def test_two_threads_make_the_same_new_actions(fast_switching):
+    # both threads make each round's names first, one polarity each first,
+    # then parse a file that uses them: every name and polarity is one
+    # object, and each polarity holds the other as its complement
+    rounds = [[f"fresh{r}x{k}" for k in range(8)] for r in range(300)]
+    barrier = threading.Barrier(2)
+
+    def make(first_co):
+        got = []
+        try:
+            for names in rounds:
+                barrier.wait(timeout=60)
+                acts = [Action(name, co) for name in names for co in (first_co, not first_co)]
+                text = "def P = " + " + ".join(f"{name}.~{name}.0" for name in names)
+                body = parse_defs(text)[0].lookup("P")
+                got.append((acts, body))
+        except BaseException:
+            barrier.abort()  # the other thread stops at its next round
+            raise
+        return got
+
+    first, second = _run_together(lambda: make(False), lambda: make(True))
+    assert isinstance(first, list) and isinstance(second, list), (first, second)
+    for (acts1, body1), (acts2, body2), names in zip(first, second, rounds):
+        assert body1 is body2
+        for k, name in enumerate(names):
+            a, co_a = acts1[2 * k], acts1[2 * k + 1]
+            assert (acts2[2 * k], acts2[2 * k + 1]) == (co_a, a)  # identity
+            assert a is Action(name) and co_a is Action(name, True) and a is not co_a
+            assert a.complement() is co_a and co_a.complement() is a
+            assert a.complement().complement() is a
+        guards = {p.guard for p in body1.parts} | {p.body.guard for p in body1.parts}
+        assert guards == {Action(name, co) for name in names for co in (False, True)}
 
 
 def test_shared_graph_usable_set_from_two_threads(fast_switching):

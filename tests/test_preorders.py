@@ -138,6 +138,35 @@ def test_transitive_over_the_criterion_4_universe(relation, kind, chained, crite
     assert triples == chained
 
 
+@pytest.fixture(scope="module")
+def finite_draw():
+    """A seeded draw of distinct terms from `FINITE_TERMS`, which unlike the
+    criterion-4 universe has `tau`, `div` and internal choice."""
+    drawn = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(FINITE_TERMS)
+    def draw(term):
+        drawn.append(term)
+
+    draw()
+    return list(dict.fromkeys(drawn))
+
+
+@pytest.mark.parametrize("relation", [leq, leq_plus], ids=["leq", "leq_plus"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_transitive_over_drawn_finite_terms(relation, kind, finite_draw):
+    """Every chained triple p <= q <= r of drawn terms has p <= r, and some
+    such triple has three distinct terms."""
+    above = {p: {q for q in finite_draw if relation(kind, p, q).holds} for p in finite_draw}
+    chained = 0
+    for p in finite_draw:
+        for q in above[p]:
+            assert above[q] <= above[p], (pretty(p), pretty(q))
+            chained += sum(1 for r in above[q] if len({id(p), id(q), id(r)}) == 3)
+    assert chained > 0
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.sampled_from(KINDS), FINITE_TERMS)
 def test_preorders_are_reflexive(kind, p):

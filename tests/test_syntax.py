@@ -21,6 +21,7 @@ from ccswb.syntax import (
     EMPTY_ENV,
     NIL,
     Nil,
+    OK,
     Prefix,
     Sum,
     SyntaxErr,
@@ -251,22 +252,51 @@ def test_visible_depth():
     assert visible_depth(DIV) == 0
 
 
+def _check_frozen_copies(obj):
+    """Copying or unpickling gives the object back, and nothing can change it."""
+    assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+    assert pickle.loads(pickle.dumps(obj)) is obj
+    for name in obj.__match_args__ + ("_key",):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, NIL)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
 def _check_interned(term, rng):
-    """One object per term: rebuilding, copying or unpickling a term gives
-    that object back, and nothing can change it."""
+    """One object per term and per label: rebuilding, copying or unpickling
+    one gives that object back, and nothing can change it."""
     assert parse_term(pretty(term)) is term
-    assert copy.copy(term) is term and copy.deepcopy(term) is term
-    assert pickle.loads(pickle.dumps(term)) is term
-    for sub in subterms(term):
-        # the hash a frozen dataclass of the same fields has
-        assert hash(sub) == hash(tuple(getattr(sub, f) for f in sub.__match_args__))
+    _check_frozen_copies(term)
     if isinstance(term, Sum):
         parts = list(term.parts)
         rng.shuffle(parts)
         assert mk_sum(parts) is term
-    for name in term.__match_args__ + ("_hash",):
-        with pytest.raises(AttributeError):
-            setattr(term, name, NIL)
+    for sub in subterms(term):
+        if isinstance(sub, Prefix):
+            g = sub.guard
+            _check_frozen_copies(g)
+            if g is not TAU:
+                assert Action(g.name, g.co) is g and g.complement().complement() is g
+                assert g.complement() is Action(g.name, not g.co)
+
+
+def test_labels_are_interned():
+    for lab in (TAU, OK, Action("a"), Action("a", True), Action("x_1", True)):
+        _check_frozen_copies(lab)
+        assert type(lab)(*(getattr(lab, f) for f in lab.__match_args__)) is lab
+    a = Action("a")
+    assert a.complement() is Action("a", True) and a.complement().complement() is a
+    assert repr(a.complement()) == "Action(name='a', co=True)" and str(a.complement()) == "~a"
+    assert (repr(TAU), str(TAU), repr(OK), str(OK)) == ("Tau()", "tau", "Ok()", "ok")
+    # labels and terms compare and hash by identity
+    for obj in (TAU, OK, a, NIL, UNIT, DIV, t("a.1 + tau.0"), Const("A")):
+        assert hash(obj) == object.__hash__(obj)
+        for cls in type(obj).__mro__[:-1]:
+            assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls)
+    for name in ("A", "tau", "div", "def", "a-b", ""):
+        with pytest.raises(ValueError):
+            Action(name)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -288,7 +318,8 @@ def test_the_criterion_4_universe_is_interned():
 
 def test_the_unique_table_stays_bounded():
     def entries():
-        return sum(map(len, syntax._PREFIXES.values())) + len(syntax._SUMS) + len(syntax._CONSTS)
+        guards = [TAU, *itertools.chain(*syntax._ACTIONS.values())]
+        return sum(len(g._prefixes) for g in guards) + len(syntax._SUMS) + len(syntax._CONSTS)
 
     a = Action("a")
     kept = t("a.(b.0 + tau.1)")
@@ -306,12 +337,11 @@ def test_the_unique_table_stays_bounded():
     assert t("a.(b.0 + tau.1)") is kept
 
 
-def test_sums_that_hash_alike_stay_distinct():
-    # `1` and `div` hash alike, and so do these sums
+def test_sums_that_differ_in_one_leaf_stay_distinct():
     g = Action("clash")
     one, div = Prefix(g, UNIT), Prefix(g, DIV)
     with_one, with_div = mk_sum([UNIT, one]), mk_sum([DIV, one])
-    assert hash(with_one) == hash(with_div) and with_one is not with_div
+    assert with_one is not with_div
     assert one is not div and Prefix(g, UNIT) is one and Prefix(g, DIV) is div
     assert mk_sum([one, UNIT]) is with_one and Sum(with_div.parts) is with_div
     # a sweep that drops one of them leaves the other interned

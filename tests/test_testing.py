@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 from conftest import FINITE_TERMS, t
 from test_concurrency import _SERVERS, _recursive_client
-from ccswb.lts import Product, cached_lts
+from ccswb import lts
+from ccswb.lts import Lts, Product, cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import KINDS, passes_graph
 from ccswb.syntax import Const, parse_defs
@@ -270,3 +271,20 @@ def test_passes_graph_answers_alike_from_a_row_miss_and_a_row_hit(small_corpus):
                 "p2p": lambda p, q: must_sc(p, q, env)}[kind]
         terms = [g.terms[g.root] for g in graphs]
         assert [role(p, q).holds for p in terms for q in terms] == first
+
+
+def test_verdict_rows_stay_small_at_large_serials(small_corpus, monkeypatch):
+    # a row is a dict of 64-bit words keyed by serial // 32, so a store
+    # copies one word however many graphs the process has built before
+    def verdicts(start):
+        monkeypatch.setattr(lts, "_SERIALS", itertools.count(start))
+        env, names = parse_defs(_TAU_CYCLES)
+        graphs = [Lts(x, env) for x in small_corpus[::4] + [Const(n) for n in names]]
+        return graphs, [passes_graph(kind, p, q) for kind in KINDS for p in graphs for q in graphs]
+
+    _, first = verdicts(0)
+    graphs, again = verdicts(10**9)
+    assert again == first and any(first) and not all(first)
+    assert min(g.serial for g in graphs) == 10**9
+    words = [w for g in graphs for row in g.rows.values() for w in row.values()]
+    assert words and all(0 < w < 1 << 64 for w in words)
