@@ -128,53 +128,41 @@ class Lts:
     come from unfolding the definition on demand.  At most `env.state_cap`
     states are built.
 
-    Each graph has a serial number, never reused, and one verdict row per
-    tested side (`rows["right"]`, `rows["left"]`): a dict of 64-bit words,
+    Each graph has a serial number, never reused, and one verdict row for
+    the pairs it is the server of (`testing.fails`): a dict of 64-bit words,
     where bits 2k and 2k+1 of word w say that the pair with the client of
-    serial 32w+k is known, and that it fails (see `preorders.passes_graph`).
+    serial 32w+k is known, and that it fails.
     """
 
     def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
         cap = env.state_cap
         self.env = env
         self.serial = next(_SERIALS)
-        self.rows: dict[str, dict[int, int]] = {"right": {}, "left": {}}
-        self.terms: list[Term] = []
-        self.index: dict[Term, int] = {}
-        self.edges: list[list[tuple[Label, int]]] = []
+        self.row: dict[int, int] = {}
+        self.root = 0
+        self.terms: list[Term] = [root_term]
         self.ok: list[bool] = []
         self.taus: list[tuple[int, ...]] = []
         self.vis: list[dict[Action, tuple[int, ...]]] = []
         self.ready: list[frozenset[Action]] = []
-
-        def intern(t: Term) -> int:
-            i = self.index.get(t)
-            if i is None:
-                if len(self.terms) >= cap:
-                    raise StateCapExceeded(cap)
-                i = len(self.terms)
-                self.index[t] = i
-                self.terms.append(t)
-                self.edges.append([])
-                queue.append(i)
-            return i
-
-        queue: list[int] = []
-        self.root = intern(root_term)
-        qi = 0
-        while qi < len(queue):
-            i = queue[qi]
-            qi += 1
-            outs = sorted(transitions(self.terms[i], env), key=lambda e: (label_key(e[0]), term_key(e[1])))
-            self.edges[i] = [(lab, intern(tgt)) for lab, tgt in outs]
-        for i in range(len(self.terms)):
-            labs = self.edges[i]
-            self.ok.append(any(lab is OK for lab, _ in labs))
-            self.taus.append(tuple(j for lab, j in labs if lab is TAU))
-            vis: dict[Action, list[int]] = {}
-            for lab, j in labs:
-                if isinstance(lab, Action):
+        index = {root_term: 0}
+        for t in self.terms:  # the list grows as states are found: breadth-first
+            ok, taus, vis = False, [], {}
+            for lab, tgt in sorted(transitions(t, env), key=lambda e: (label_key(e[0]), term_key(e[1]))):
+                j = index.get(tgt)
+                if j is None:
+                    if len(self.terms) >= cap:
+                        raise StateCapExceeded(cap)
+                    j = index[tgt] = len(self.terms)
+                    self.terms.append(tgt)
+                if lab is TAU:
+                    taus.append(j)
+                elif lab is OK:
+                    ok = True
+                else:
                     vis.setdefault(lab, []).append(j)
+            self.ok.append(ok)
+            self.taus.append(tuple(taus))
             self.vis.append({a: tuple(js) for a, js in vis.items()})
             self.ready.append(frozenset(vis))
         # states on a tau cycle, and on a tau cycle of non-ok states; the
@@ -196,7 +184,7 @@ class Lts:
         return len(self.terms)
 
     def n_edges(self) -> int:
-        return sum(len(e) for e in self.edges)
+        return sum(self.ok) + sum(map(len, self.taus)) + sum(len(js) for vis in self.vis for js in vis.values())
 
     def stable(self, i: int) -> bool:
         return not self.taus[i]
@@ -301,9 +289,12 @@ class Lts:
             label = pretty(t).replace('"', '\\"')
             extra = " penwidth=2" if i == self.root else ""
             lines.append(f'  s{i} [shape={shape} label="{label}"{extra}];')
-        for i, outs in enumerate(self.edges):
-            for lab, j in outs:
-                lines.append(f'  s{i} -> s{j} [label="{lab}"];')
+        nil = self.terms.index(NIL) if any(self.ok) else None  # every ok move ends in 0
+        for i, vis in enumerate(self.vis):
+            # in label order: tau, ok, then the actions
+            outs = [(TAU, j) for j in self.taus[i]] + [(OK, nil)] * self.ok[i]
+            outs += [(a, j) for a, js in vis.items() for j in js]
+            lines.extend(f'  s{i} -> s{j} [label="{lab}"];' for lab, j in outs)
         lines.append("}")
         return "\n".join(lines)
 

@@ -27,7 +27,7 @@ from .syntax import (
     term_key,
     visible_depth,
 )
-from .testing import has_unsuccessful_maximal
+from .testing import fails
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,15 @@ def search_satisfying_server(r: Term, env: Env = EMPTY_ENV,
     co_alpha = sorted({a.complement() for a in lts.alphabet()}, key=label_key)
     if max_depth is None:
         max_depth = min(4, visible_depth(r)) if is_ccsf(r) else 4
-    if all(len(edges) <= 1 for edges in lts.edges):
+    if all(ok + len(taus) + sum(map(len, vis.values())) <= 1
+           for ok, taus, vis in zip(lts.ok, lts.taus, lts.vis)):
         # a chain client meets one stable state per run; a second server
         # branch can never fire
         max_width = 1
     else:
         max_width = min(2, len(co_alpha)) if co_alpha else 1
     for server in det_stable_servers(co_alpha, max_depth, max_width):
-        if not has_unsuccessful_maximal(cached_lts(server, env), lts, "right"):
+        if not fails(cached_lts(server, env), lts):
             return server
     return None
 

@@ -36,7 +36,7 @@ from .syntax import (
     pretty,
     visible_depth,
 )
-from .testing import has_unsuccessful_maximal
+from .testing import fails
 from .usability import usable_set
 
 KINDS = ("svr", "clt", "p2p")
@@ -246,6 +246,8 @@ class _Engine:
         acc2 = sorted(self.lts2.ready_sets_of(r2), key=label_set_key)
         if acc2:
             acc1 = self.lts1.ready_sets_of(r1)
+            if relaxed:  # matching asks usability and stops early: match in key order
+                acc1 = [sorted(A, key=label_key) for A in sorted(acc1, key=label_set_key)]
             for B in acc2:
                 if not any(
                     all(c in B or (relaxed and not self.usable_action(node, c)) for c in A)
@@ -430,26 +432,13 @@ def passes(kind: str, p: Term, t: Term, env: Env) -> bool:
 
 def passes_graph(kind: str, p: Lts, t: Lts) -> bool:
     """`passes` on built graphs: server `must(p, t)`, client `must(t, p)`,
-    peer `must_sc(p, t)`, decided without evidence and remembered per pair."""
+    peer `must_sc(p, t)`, decided without evidence and remembered per pair.
+    A peer passes when it passes as a server and as a client, so it reads
+    the cells of the other two kinds."""
     if kind not in KINDS:
         raise ValueError(f"unknown preorder kind {kind!r}")
     server, client = (t, p) if kind == "clt" else (p, t)
-    return not (_fails(server, client, "right") or kind == "p2p" and _fails(server, client, "left"))
-
-
-def _fails(server: Lts, client: Lts, side: str) -> bool:
-    """`has_unsuccessful_maximal`, read from or written to the server's row
-    for `side` at the client's serial.  Known and fails go in with one
-    store of the cell's word, so a concurrent update can drop a cell but
-    never leave a wrong one; a dropped cell is decided again."""
-    word, at = divmod(client.serial, 32)
-    row = server.rows[side]
-    cell = row.get(word, 0) >> 2 * at & 3
-    if cell:
-        return cell == 3
-    bad = has_unsuccessful_maximal(server, client, side)
-    row[word] = row.get(word, 0) | (3 if bad else 1) << 2 * at
-    return bad
+    return not (fails(server, client) or kind == "p2p" and fails(client, server))
 
 
 def check_witness(kind: str, p: Term, q: Term, t: Term, env: Env = EMPTY_ENV) -> bool:

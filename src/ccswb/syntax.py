@@ -81,7 +81,8 @@ class Ok(_Interned):
 class Action(_Interned):
     """A visible action; `co` marks the complemented polarity (~a).  Both
     polarities of a name are made at once, each holding the other as its
-    complement, and are kept for the life of the process."""
+    complement.  A sweep of the term table drops a name whose two actions
+    guard no prefix and are held by nothing else."""
 
     __slots__ = ("name", "co", "_complement", "_prefixes")
     __match_args__ = ("name", "co")
@@ -227,6 +228,17 @@ def _sweep() -> None:
         elif cls is Prefix:
             work.append(t.body)
         key = None  # hold no child: its count is read next
+    t = None  # a dropped prefix would hold its guard
+    # a name whose two actions guard no prefix goes, by the same rule, unless
+    # more than the pair and each other hold its actions
+    for name in [n for n, (a, co_a) in _ACTIONS.items() if not a._prefixes and not co_a._prefixes]:
+        pair = _ACTIONS.pop(name)
+        a, co_a = pair
+        if getrc(pair) > alone or getrc(a) > alone + 2 or getrc(co_a) > alone + 2:
+            _ACTIONS[name] = pair
+            continue
+        object.__setattr__(a, "_complement", None)
+        object.__setattr__(co_a, "_complement", None)
 
 
 class _Leaf(Term):

@@ -117,23 +117,23 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
                           loop_start=len(entry) - 1)
 
 
-def has_unsuccessful_maximal(left: Lts, right: Lts, side: str) -> bool:
-    """`find_unsuccessful_maximal(Product(left, right), side) is not None`,
-    decided without evidence.
+def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
+    """`find_unsuccessful_maximal(Product(server, client), "right") is not
+    None`, decided without evidence.  The left side's question is this one
+    with the graphs swapped, since composition is symmetric.
 
     One depth-first search over the pairs of the two graphs, entering only
-    pairs where `side` has not succeeded, answers at the first stable pair
-    or the first move back to a pair still on its stack: either is a
+    pairs where the client has not succeeded, answers at the first stable
+    pair or the first move back to a pair still on its stack: either is a
     maximal unsuccessful computation.  It keeps no product, parent map or
     path.  The pairs it enters count against the smaller of the two graphs'
     caps."""
-    ok = right.ok if side == "right" else left.ok
-    at = 1 if side == "right" else 0
-    root = (left.root, right.root)
-    if ok[root[at]]:
+    ok = client.ok
+    if ok[client.root]:
         return False
-    cap = min(left.env.state_cap, right.env.state_cap)
-    nxt = moves(left, right, *root)
+    cap = min(server.env.state_cap, client.env.state_cap)
+    root = (server.root, client.root)
+    nxt = moves(server, client, *root)
     if not nxt:
         return True
     entered = {root: True}  # True while the pair is on the stack
@@ -141,13 +141,13 @@ def has_unsuccessful_maximal(left: Lts, right: Lts, side: str) -> bool:
     while stack:
         here, it = stack[-1]
         for there in it:
-            if ok[there[at]]:
+            if ok[there[1]]:
                 continue
             state = entered.get(there)
             if state is None:
                 if len(entered) >= cap:
                     raise StateCapExceeded(cap)
-                nxt = moves(left, right, *there)
+                nxt = moves(server, client, *there)
                 if not nxt:
                     return True
                 entered[there] = True
@@ -159,6 +159,21 @@ def has_unsuccessful_maximal(left: Lts, right: Lts, side: str) -> bool:
             stack.pop()
             entered[here] = False
     return False
+
+
+def fails(server: Lts, client: Lts) -> bool:
+    """`has_unsuccessful_maximal`, read from or written to the server's row
+    at the client's serial.  Known and fails go in with one store of the
+    cell's word, so a concurrent update can drop a cell but never leave a
+    wrong one; a dropped cell is decided again."""
+    word, at = divmod(client.serial, 32)
+    row = server.row
+    cell = row.get(word, 0) >> 2 * at & 3
+    if cell:
+        return cell == 3
+    bad = has_unsuccessful_maximal(server, client)
+    row[word] = row.get(word, 0) | (3 if bad else 1) << 2 * at
+    return bad
 
 
 def _product_of(p: Term, r: Term, env: Env) -> Product:

@@ -22,7 +22,7 @@ from .syntax import (
     mk_sum,
     pretty,
 )
-from .testing import has_unsuccessful_maximal
+from .testing import fails
 
 
 class VisibleCycle(RuntimeError):
@@ -121,7 +121,7 @@ def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> Usabil
             "exact usability undecided: non-ok region has a visible-action cycle; rerun bounded"
         )
     ok, wit = usable_set(lts, frozenset({lts.root}), depth)
-    if ok and has_unsuccessful_maximal(cached_lts(wit, env), lts, "right"):
+    if ok and fails(cached_lts(wit, env), lts):
         raise RuntimeError(f"internal error: witness server failed verification for {r}")
     return UsabilityReport(ok, wit, mode, depth)
 

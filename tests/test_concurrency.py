@@ -154,10 +154,12 @@ def test_two_threads_parse_new_action_names_at_once(fast_switching):
 
 def test_two_threads_make_the_same_new_actions(fast_switching):
     # both threads make each round's names first, one polarity each first,
-    # then parse a file that uses them: every name and polarity is one
-    # object, and each polarity holds the other as its complement
+    # then parse a file that uses them, while a third thread sweeps the
+    # tables of terms and names: every name and polarity is one object, and
+    # each polarity holds the other as its complement
     rounds = [[f"fresh{r}x{k}" for k in range(8)] for r in range(300)]
     barrier = threading.Barrier(2)
+    finished = []
 
     def make(first_co):
         got = []
@@ -171,10 +173,22 @@ def test_two_threads_make_the_same_new_actions(fast_switching):
         except BaseException:
             barrier.abort()  # the other thread stops at its next round
             raise
+        finally:
+            finished.append(True)
         return got
 
-    first, second = _run_together(lambda: make(False), lambda: make(True))
+    def sweep():
+        sweeps = 0
+        while len(finished) < 2:
+            with syntax._LOCK:
+                syntax._sweep()
+            sweeps += 1
+            time.sleep(1e-3)  # let the makers reach the lock between sweeps
+        return sweeps
+
+    first, second, sweeps = _run_together(lambda: make(False), lambda: make(True), sweep)
     assert isinstance(first, list) and isinstance(second, list), (first, second)
+    assert sweeps > 1
     for (acts1, body1), (acts2, body2), names in zip(first, second, rounds):
         assert body1 is body2
         for k, name in enumerate(names):

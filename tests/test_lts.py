@@ -13,6 +13,7 @@ from ccswb.testing import find_counterexample, must, must_sc
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
+LTS_DOT_DIGEST = "dd8b8dbc361011cc001045e95c104f29617a635ecfc8fbf9683c1ff671b4bb07"
 DOT_DIGEST = "af1dcab2105dfdabd0b40cee1c5400493433b9e4ea50aaaef52b27f36706ccf3"
 
 
@@ -136,6 +137,18 @@ def test_product_dot_is_unchanged(small_corpus):
     assert digest.hexdigest() == DOT_DIGEST
 
 
+def test_lts_dot_is_unchanged(small_corpus):
+    """A digest of each graph's `to_dot`, state count and edge count over
+    the terms and definitions of `_dot_corpus`: state numbering, flags and
+    edge order are byte-identical to the graphs that kept an edge list."""
+    digest = hashlib.sha256()
+    graphs = dict.fromkeys((x, env) for p, r, env in _dot_corpus(small_corpus) for x in (p, r))
+    for x, env in graphs:
+        lts = Lts(x, env)
+        digest.update(f"{lts.to_dot()}\n{len(lts)} {lts.n_edges()}\n".encode())
+    assert digest.hexdigest() == LTS_DOT_DIGEST
+
+
 def test_weak_after():
     assert after(t("tau.a.b.0 + tau.a.c.0"), [a]) == {t("b.0"), t("c.0")}
     assert t("a.1") in after(t("a.1"), [])
@@ -157,7 +170,7 @@ def test_unsuccessful_after():
     # the a.tau.1 continuation; 1 + a.0 can report success and is excluded
     term = t("b.(tau.(1 + a.0) + tau.a.tau.1)")
     assert after_ut(term, [b]) == {t("tau.(1 + a.0) + tau.a.tau.1"), t("a.tau.1")}
-    stable = {s for s in after_ut(term, [b]) if not cached_lts(term).taus[cached_lts(term).index[s]]}
+    stable = {s for s in after_ut(term, [b]) if not cached_lts(term).taus[cached_lts(term).terms.index(s)]}
     assert stable == {t("a.tau.1")}
 
 

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,8 @@ from ccswb.preorders import (
 )
 from ccswb.syntax import EMPTY_ENV, Const, parse_defs, pretty
 from ccswb.testing import must, must_sc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_client_preorder_examples():
@@ -352,6 +357,36 @@ def test_walks_step_only_the_residual_pairs_they_read(monkeypatch):
     calls.clear()
     assert leq("svr", t("a.(b.0 + c.1) + tau.a.b.0"), t("a.b.0")).holds
     assert len(calls) == 24  # the weak pairs only; the unsuccessful ones would double it
+
+
+# Each summand of the left term is a stable state offering one usable
+# action (to 1) among unusable ones (to 0); the right side offers none of
+# them, so every match asks usability and stops at the first usable action.
+_RELAXED_COUNT = """
+import sys
+from ccswb import preorders, syntax
+names = [f"u{i}" for i in range(12)]
+for name in (names if sys.argv[1] == "up" else names[::-1]):
+    syntax.Action(name)
+calls = []
+usable_set = preorders.usable_set
+preorders.usable_set = lambda *args: calls.append(args) or usable_set(*args)
+parts = ["tau.(" + " + ".join(f"u{3 * k + j}.{int(j == k % 3)}" for j in range(3)) + ")"
+         for k in range(4)]
+verdict = preorders.leq("clt", syntax.parse_term(" + ".join(parts)), syntax.parse_term("e.1"))
+print(len(calls), verdict.holds)
+"""
+
+
+def test_relaxed_matching_asks_usability_in_key_order():
+    # identity hashes follow addresses, which follow the order the actions
+    # were made in; matching in key order makes the work repeat
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    counts = [subprocess.run([sys.executable, "-c", _RELAXED_COUNT, order], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+              for order in ("up", "down")]
+    assert counts[0] == counts[1] == "24 False\n"
 
 
 def test_diagnostic_walk_decides_no_usability_it_does_not_read(monkeypatch):

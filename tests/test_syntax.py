@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +336,38 @@ def test_the_unique_table_stays_bounded():
     # the last sweep ran while the loop held at most four of its terms
     assert before <= 2 * (max(alive, syntax._MIN_SWEEP) + 4)
     assert t("a.(b.0 + tau.1)") is kept
+
+
+def test_the_action_table_is_swept():
+    # a name used once goes with its last prefix; a held action keeps its
+    # name, its complement and their link to each other
+    held, co_held = Action("keptname"), Action("keptco", True)
+    Prefix(Action("usedonce"), NIL)
+    for _ in range(2):
+        with syntax._LOCK:
+            syntax._sweep()
+        assert "usedonce" not in syntax._ACTIONS
+        assert Action("keptname") is held and Action("keptname", True) is held.complement()
+        assert held.complement().complement() is held
+        assert Action("keptco", True) is co_held and Action("keptco") is co_held.complement()
+        assert co_held.complement().complement() is co_held
+    again = Action("usedonce")
+    assert again.complement() is Action("usedonce", True) and again.complement().complement() is again
+
+
+def test_one_off_action_names_leave_nothing_behind():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            Prefix(Action(f"oneoff{i}"), NIL)
+        with syntax._LOCK:
+            syntax._sweep()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 5 * 2**20
+    assert not any(name.startswith("oneoff") for name in syntax._ACTIONS)
 
 
 def test_sums_that_differ_in_one_leaf_stay_distinct():

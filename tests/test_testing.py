@@ -8,9 +8,9 @@ from hypothesis import given, settings
 
 from conftest import FINITE_TERMS, t
 from test_concurrency import _SERVERS, _recursive_client
-from ccswb import lts
+from ccswb import lts, testing
 from ccswb.lts import Lts, Product, cached_lts
-from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
 from ccswb.preorders import KINDS, passes_graph
 from ccswb.syntax import Const, parse_defs
 from ccswb.testing import (
@@ -217,14 +217,15 @@ _TAU_CYCLES = _LOOPS + "\ndef D = tau.D + a.1\ndef E = tau.F + ~a.E\ndef F = tau
 
 def _assert_verdicts_agree(graphs) -> int:
     """On both sides of every ordered pair, the verdict search answers
-    whether the evidence search finds a maximal unsuccessful computation.
+    whether the evidence search finds a maximal unsuccessful computation:
+    the left side's question is the right side's with the graphs swapped.
     Returns how many of the cases fail."""
     fails = 0
     for server in graphs:
         for client in graphs:
-            for side in ("right", "left"):
+            for side, pair in (("right", (server, client)), ("left", (client, server))):
                 want = find_unsuccessful_maximal(Product(server, client), side) is not None
-                assert has_unsuccessful_maximal(server, client, side) == want, (
+                assert has_unsuccessful_maximal(*pair) == want, (
                     server.terms[server.root], client.terms[client.root], side)
                 fails += want
     return fails
@@ -273,6 +274,20 @@ def test_passes_graph_answers_alike_from_a_row_miss_and_a_row_hit(small_corpus):
         assert [role(p, q).holds for p in terms for q in terms] == first
 
 
+def test_the_peer_table_reads_the_server_and_client_cells(small_corpus, monkeypatch):
+    # a peer passes a test when it passes as a server and as a client, so
+    # after those two tables every cell of the peer table is known
+    env, names = parse_defs(_TAU_CYCLES)
+    terms = small_corpus[::4] + [Const(n) for n in names]
+    tests = small_corpus[1::5] + [Const(n) for n in names]
+    svr, clt = (pass_table(kind, terms, tests, env) for kind in ("svr", "clt"))
+    searches = []
+    monkeypatch.setattr(testing, "has_unsuccessful_maximal", lambda *pair: searches.append(pair))
+    p2p = pass_table("p2p", terms, tests, env)
+    assert not searches
+    assert p2p == {x: svr[x] & clt[x] for x in terms} and any(p2p.values())
+
+
 def test_verdict_rows_stay_small_at_large_serials(small_corpus, monkeypatch):
     # a row is a dict of 64-bit words keyed by serial // 32, so a store
     # copies one word however many graphs the process has built before
@@ -286,5 +301,5 @@ def test_verdict_rows_stay_small_at_large_serials(small_corpus, monkeypatch):
     graphs, again = verdicts(10**9)
     assert again == first and any(first) and not all(first)
     assert min(g.serial for g in graphs) == 10**9
-    words = [w for g in graphs for row in g.rows.values() for w in row.values()]
+    words = [w for g in graphs for w in g.row.values()]
     assert words and all(0 < w < 1 << 64 for w in words)

@@ -122,8 +122,8 @@ def test_usable_set_answers_sets_with_nothing_left_to_satisfy():
 
 
 def test_usable_verifies_its_witness(monkeypatch):
-    # the witness check asks the verdict search; make it refute every pair
-    monkeypatch.setattr("ccswb.usability.has_unsuccessful_maximal", lambda left, right, side: True)
+    # the witness check asks the verdict memo; make it refute every pair
+    monkeypatch.setattr("ccswb.usability.fails", lambda server, client: True)
     with pytest.raises(RuntimeError, match="failed verification"):
         usable(t("a.1"))
 
