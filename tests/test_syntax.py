@@ -339,14 +339,19 @@ def test_the_unique_table_stays_bounded():
 
 
 def test_the_action_table_is_swept():
-    # a name used once goes with its last prefix; a held action keeps its
-    # name, its complement and their link to each other
+    # a name used once goes with its last prefix; a held action, a held
+    # complement or a held pair tuple keeps the name, both actions and
+    # their links to each other
     held, co_held = Action("keptname"), Action("keptco", True)
+    Action("paironly")
+    pair = syntax._ACTIONS["paironly"]  # what a lock-free lookup holds
     Prefix(Action("usedonce"), NIL)
     for _ in range(2):
         with syntax._LOCK:
             syntax._sweep()
         assert "usedonce" not in syntax._ACTIONS
+        assert syntax._ACTIONS["paironly"] is pair and Action("paironly") is pair[0]
+        assert pair[0].complement() is pair[1] and pair[1].complement() is pair[0]
         assert Action("keptname") is held and Action("keptname", True) is held.complement()
         assert held.complement().complement() is held
         assert Action("keptco", True) is co_held and Action("keptco") is co_held.complement()
