@@ -368,10 +368,8 @@ class Product:
         """Expand every reachable state, in order of state number.  On a
         product no search has touched, that numbers the states in
         breadth-first order from the root, as `to_dot` shows them."""
-        k = 0
-        while k < len(self.states):
+        for k, _ in enumerate(self.states):  # the list grows as states are found
             self.succ(k)
-            k += 1
         return self
 
     def __len__(self) -> int:

@@ -90,8 +90,11 @@ class RefinementVerdict:
 
 @dataclass(unsafe_hash=True)
 class _Node:
-    """Nodes are equal when their residuals and guards are, whatever their traces."""
-    trace: Trace = field(compare=False)
+    """Nodes are equal when their residuals and guards are, whatever their
+    traces; a node keeps only the step that first reached it."""
+    parent: Optional[_Node] = field(compare=False, repr=False)
+    action: Optional[Action] = field(compare=False)
+    depth: int = field(compare=False)
     w1: frozenset[int]
     w2: frozenset[int]
     x1: frozenset[int]
@@ -100,6 +103,15 @@ class _Node:
     conv2: bool
     usb1: bool
     usb2: bool
+
+    def trace(self) -> Trace:
+        """The actions from the root to this node."""
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.action)
+            node = node.parent
+        return tuple(reversed(out))
 
 
 class _Group(NamedTuple):
@@ -159,17 +171,18 @@ class _Engine:
             _plan(walk)
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
-    def build_node(self, trace: Trace, w1: frozenset[int], w2: frozenset[int],
-                   x1: frozenset[int], x2: frozenset[int],
+    def build_node(self, parent: Optional[_Node], a: Optional[Action],
+                   w1: frozenset[int], w2: frozenset[int], x1: frozenset[int], x2: frozenset[int],
                    conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> Optional[_Node]:
-        """The node for `trace` from its residuals before closure, with the
-        parent's guards folded into its own; None, before the right side is
-        computed, when a left guard that every group lists is false."""
+        """The node `parent` (None for the root) reaches by `a`, from its residuals
+        before closure, with the parent's guards folded into its own; None, before
+        the right side is computed, when a left guard that every group lists is false."""
         w1, x1, conv1, usb1 = self._close(self.lts1, w1, x1, conv1, usb1)
         if (self.conv_guard and not conv1) or (self.usb_guard and not usb1):
             return None
         w2, x2, conv2, usb2 = self._close(self.lts2, w2, x2, conv2, usb2)
-        return _Node(trace, w1, w2, x1, x2, conv1, conv2, usb1, usb2)
+        depth = 0 if parent is None else parent.depth + 1
+        return _Node(parent, a, depth, w1, w2, x1, x2, conv1, conv2, usb1, usb2)
 
     def _close(self, lts: Lts, w: frozenset[int], x: frozenset[int], conv: bool,
                usb: bool) -> tuple[frozenset[int], frozenset[int], bool, bool]:
@@ -204,23 +217,20 @@ class _Engine:
         """
         l1, l2 = self.lts1, self.lts2
         roots, none = (frozenset({l1.root}), frozenset({l2.root})), (frozenset(), frozenset())
-        root = self.build_node((), *(roots if self.weak else none),
+        root = self.build_node(None, None, *(roots if self.weak else none),
                                *(roots if self.unsuccessful else none), True, True, True, True)
         if root is None:
             return
         queue = [root]
         seen = {root}
-        qi = 0
-        while qi < len(queue):
-            node = queue[qi]
-            qi += 1
+        for node in queue:  # the queue grows as nodes are found
             yield node
-            if len(node.trace) >= self.depth_cap or not (node.w1 or node.w2 or node.x1 or node.x2):
+            if node.depth >= self.depth_cap or not (node.w1 or node.w2 or node.x1 or node.x2):
                 continue
             for a in self.alphabet:
                 w = (l1.step(node.w1, a), l2.step(node.w2, a)) if self.weak else none
                 x = (l1.step(node.x1, a), l2.step(node.x2, a)) if self.unsuccessful else none
-                ch = self.build_node(node.trace + (a,), *w, *x,
+                ch = self.build_node(node, a, *w, *x,
                                      node.conv1, node.conv2, node.usb1, node.usb2)
                 if ch is not None and (ch.w1 or ch.w2 or ch.x1 or ch.x2) and ch not in seen:
                     seen.add(ch)
@@ -241,7 +251,7 @@ class _Engine:
             if not getattr(node, guard):
                 return None
         if not (node.usb2 if premise == "usability_flow" else node.conv2):
-            return FailingClause(premise, part, node.trace)
+            return FailingClause(premise, part, node.trace())
         r1, r2 = (node.w1, node.w2) if residual == "w" else (node.x1, node.x2)
         acc2 = sorted(self.lts2.ready_sets_of(r2), key=label_set_key)
         if acc2:
@@ -255,9 +265,9 @@ class _Engine:
                 ):
                     usable = (frozenset(c for c in self.alphabet if self.usable_action(node, c))
                               if relaxed else None)
-                    return FailingClause("acceptance_match", part, node.trace, B, usable)
+                    return FailingClause("acceptance_match", part, node.trace(), B, usable)
         if trailing is not None and r2 and not r1:
-            return FailingClause(trailing, part, node.trace)
+            return FailingClause(trailing, part, node.trace())
         return None
 
 

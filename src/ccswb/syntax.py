@@ -440,6 +440,8 @@ class Env:
         # A constant must not reach itself without crossing a prefix; the
         # one-step transition relation would otherwise be ill-founded.  Only
         # the definitions that expose a constant are kept.
+        from .lts import on_cycle  # lts builds on this module
+
         exposed: dict[str, list[str]] = {}
         for name, body in self.defs:
             stack = [body]
@@ -449,16 +451,10 @@ class Env:
                     stack.extend(t.parts)
                 elif type(t) is Const:
                     exposed.setdefault(name, []).append(t.name)
-        for start in exposed:
-            stack, visited = [start], set()
-            while stack:
-                cur = stack.pop()
-                for nxt in exposed.get(cur, ()):
-                    if nxt == start:
-                        raise SyntaxErr(f"unguarded recursion through {start}")
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        stack.append(nxt)
+        cyclic = on_cycle(exposed, lambda name: exposed.get(name, ()))
+        for name in exposed:
+            if name in cyclic:
+                raise SyntaxErr(f"unguarded recursion through {name}")
 
 
 EMPTY_ENV = Env()

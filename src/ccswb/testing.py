@@ -71,10 +71,7 @@ def _bfs(succ: Callable[[int], tuple[int, ...]], start: int, within: Callable[[i
     Only dequeued states are passed to `succ`."""
     parent: dict[int, int] = {start: start}
     order = [start]
-    qi = 0
-    while qi < len(order):
-        k = order[qi]
-        qi += 1
+    for k in order:  # the order grows as states are found
         if goal(k):
             return order, parent, k
         for k2 in succ(k):

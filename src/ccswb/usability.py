@@ -8,9 +8,9 @@ continuation must cope with every residual it may face after that action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
-from .lts import Lts, Trace, cached_lts, sccs
+from .lts import Lts, Trace, cached_lts
 from .syntax import (
     EMPTY_ENV,
     NIL,
@@ -26,8 +26,9 @@ from .testing import fails
 
 
 class VisibleCycle(RuntimeError):
-    """Exact usability refused: the non-ok region has a cycle through a
-    visible action, so the finite-unfolding decision does not terminate."""
+    """Exact usability refused: deciding a set of non-ok states came back,
+    through a visible action, to a set still being decided, so the
+    finite-unfolding decision does not terminate."""
 
 
 @dataclass(frozen=True)
@@ -46,51 +47,56 @@ class UsabilityReport:
         return out
 
 
-def _nonok_region_visible_acyclic(lts: Lts) -> bool:
-    """No cycle of non-ok states that uses a visible edge."""
-    def succ(i: int) -> list[int]:
-        return [j for js in (lts.taus[i], *lts.vis[i].values()) for j in js if not lts.ok[j]]
-
-    comp_of: dict[int, int] = {}
-    for n, comp in enumerate(sccs((i for i in range(len(lts)) if not lts.ok[i]), succ)):
-        comp_of.update(dict.fromkeys(comp, n))
-    return not any(comp_of[i] == comp_of.get(j)
-                   for i in comp_of for tgts in lts.vis[i].values() for j in tgts)
-
-
 def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) -> tuple[bool, Optional[Term]]:
     """Decide satisfiability of the internal choice over a set of states;
     on success also return a witness server.
 
     A set with no non-ok state has nothing left to satisfy: any server,
     `0` included, satisfies it, at every depth.  Otherwise, with `depth`
-    set, the recursion over visible actions is cut off at that many levels
-    and the cut is reported as not usable (a bounded verdict).
+    set, the descent over visible actions is cut off at that many levels
+    and the cut is reported as not usable (a bounded verdict).  Each closed
+    set is decided by a `_usable_closed` generator on one stack and
+    memoized.  An exact decision that comes back to a set still on the
+    stack raises `VisibleCycle`; a bounded one cannot, since each visible
+    step lowers `depth`.
     """
-    if all(lts.ok[i] for i in states):
-        return True, NIL
-    if depth is not None and depth < 0:
-        return False, None
-    C = lts.unsuccessful_closure(states)
-    key = (C, depth)
-    got = lts._usable_memo.get(key)
-    if got is None:
-        # the recursion ends: each visible step lowers `depth`, or, for exact
-        # callers, who first check that the non-ok region has no visible
-        # cycle, moves deeper into that acyclic region
-        got = lts._usable_memo[key] = _usable_closed(lts, C, depth)
-    return got
+    deciding: dict = {}  # (closed set, depth) -> its generator: the stack, innermost last
+    while True:
+        if all(lts.ok[i] for i in states):
+            got = True, NIL
+        elif depth is not None and depth < 0:
+            got = False, None
+        else:
+            key = (lts.unsuccessful_closure(states), depth)
+            got = lts._usable_memo.get(key)
+            if got is None:
+                if key in deciding:
+                    raise VisibleCycle("exact usability undecided: non-ok region has a "
+                                       "visible-action cycle; rerun bounded")
+                deciding[key] = _usable_closed(lts, *key)
+        # hand the answer to the set that asked for it, until one asks again
+        while deciding:
+            key, decide = next(reversed(deciding.items()))
+            try:
+                states, depth = decide.send(got)
+                break
+            except StopIteration as done:
+                del deciding[key]
+                got = lts._usable_memo[key] = done.value
+        else:
+            return got
 
 
-def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[bool, Optional[Term]]:
+def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> Generator:
+    """Decide the closed set `C`: yields each derivative set with its depth,
+    is sent that set's answer, and returns the answer for `C`."""
     if C & lts.nonok_tau_cyclic:
         return False, None
     actions = sorted({a for i in C for a in lts.vis[i]}, key=label_key)
-    usable_act: dict[Action, Optional[Term]] = {}
+    usable_act: dict[Action, Term] = {}
     for a in actions:
         derivs = frozenset(j for i in C for j in lts.vis[i].get(a, ()) if not lts.ok[j])
-        sub_depth = None if depth is None else depth - 1
-        ok, wit = usable_set(lts, derivs, sub_depth)
+        ok, wit = yield derivs, None if depth is None else depth - 1
         if ok:
             usable_act[a] = wit
     needed: set[Action] = set()
@@ -101,11 +107,8 @@ def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> tuple[b
         if not offered:
             return False, None
         needed.update(offered)
-    witness = mk_sum(
-        Prefix(a.complement(), usable_act[a] if usable_act[a] is not None else NIL)
-        for a in sorted(needed, key=label_key)
-    )
-    return True, witness
+    return True, mk_sum(Prefix(a.complement(), usable_act[a])
+                        for a in sorted(needed, key=label_key))
 
 
 def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> UsabilityReport:
@@ -115,23 +118,16 @@ def usable(r: Term, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> Usabil
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be a non-negative integer, got {depth}")
     lts = cached_lts(r, env)
-    mode = "exact" if depth is None else "bounded"
-    if depth is None and not _nonok_region_visible_acyclic(lts):
-        raise VisibleCycle(
-            "exact usability undecided: non-ok region has a visible-action cycle; rerun bounded"
-        )
     ok, wit = usable_set(lts, frozenset({lts.root}), depth)
     if ok and fails(cached_lts(wit, env), lts):
         raise RuntimeError(f"internal error: witness server failed verification for {r}")
-    return UsabilityReport(ok, wit, mode, depth)
+    return UsabilityReport(ok, wit, "exact" if depth is None else "bounded", depth)
 
 
 def usbut(r: Term, s: Trace, env: Env = EMPTY_ENV, depth: Optional[int] = None) -> bool:
     """Usability along an unsuccessful trace: every residual reachable by an
     unsuccessful prefix of `s` is still satisfiable."""
     lts = cached_lts(r, env)
-    if depth is None and not _nonok_region_visible_acyclic(lts):
-        raise VisibleCycle("exact usability undecided; rerun bounded")
     return all(usable_set(lts, x, depth)[0] for x in lts.residuals(s, True))
 
 

@@ -8,9 +8,10 @@ import pytest
 
 from ccswb.cli import run
 from ccswb.lts import Lts
-from ccswb.preorders import leq
-from ccswb.syntax import parse_defs, pretty
+from ccswb.preorders import KINDS, leq, leq_plus
+from ccswb.syntax import Action, parse_defs, pretty
 from ccswb.testing import must
+from ccswb.usability import usable
 
 DEFS = """
 # fixtures from the running examples
@@ -263,10 +264,22 @@ def test_deep_chains_run_end_to_end(tmp_path, capsys):
     assert leq("clt", p, p, env, bound=3).holds
     assert not leq("svr", p, c, env, bound=3).holds
     assert pretty(p) == "a." * depth + "1"
+    # usability and the exact walks keep their own stacks; bounded usability
+    # memoizes per set and depth, so its bound stays small
+    assert usable(p, env).usable
+    for kind in KINDS:
+        assert leq(kind, p, p, env).holds
+    assert leq_plus("clt", p, p, env).holds
+    env2, _ = parse_defs("def B = " + "a." * depth + "b.0\ndef C = " + "a." * depth + "c.0\n")
+    fail = leq("svr", env2.lookup("B"), env2.lookup("C"), env2).failing_clause
+    assert fail.clause == "acceptance_match" and fail.trace == (Action("a"),) * depth
+    assert fail.ready_set == {Action("c")}
     path = tmp_path / "deep.ccs"
     path.write_text(text)
     assert run(["lts", str(path), "-p", "P"]) == 0
     assert run(["must", str(path), "-s", "P", "-c", "C"]) == 0
+    assert run(["usable", str(path), "-c", "P"]) == 0
+    assert run(["refines", str(path), "--kind", "p2p", "-l", "P", "-r", "P"]) == 0
     # ordering two chains that share a prefix past the recursion limit
     # compares nested order keys
     shared = tmp_path / "shared.ccs"

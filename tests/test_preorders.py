@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -438,3 +439,18 @@ def test_verdicts_agree_with_the_test_search(kind, p, q):
         assert refute_by_search(kind, p, q, limit=300) is None
     else:
         synthesize_witness(kind, p, q, verdict=verdict)  # raises unless the test separates p from q
+
+
+def test_exact_walk_memory_is_linear_in_the_depth():
+    # a walk node keeps the step that reached it, not its whole trace
+    def peak(depth):
+        env, _ = parse_defs("def P = " + "a." * depth + "1\n")
+        p = env.lookup("P")
+        tracemalloc.start()
+        try:
+            assert leq("svr", p, p, env).holds
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) < 8 * peak(1000)

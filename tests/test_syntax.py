@@ -94,13 +94,20 @@ _ERROR_CASES = [
     (parse_term, "a.A + ~b.B", "unbound constant A", 0, 0),
     (parse_term, "B + A", "unbound constant A", 0, 0),
 ]
+# unguarded recursion names the first definition on a cycle; kept apart from
+# the cases above, which seed the pinned error corpus below
+_CYCLE_CASES = [
+    (parse_defs, "def A = B\ndef B = A\ndef C = C", "unguarded recursion through A", 0, 0),
+    (parse_defs, "def X = a.0\ndef C = C + a.0\ndef A = B\ndef B = A",
+     "unguarded recursion through C", 0, 0),
+]
 
 
-@pytest.mark.parametrize("parse, text, message, line, col", _ERROR_CASES, ids=[
+@pytest.mark.parametrize("parse, text, message, line, col", _ERROR_CASES + _CYCLE_CASES, ids=[
     "duplicate", "unbound", "unbound-after-blank-line", "dollar", "bad-char-line-2",
     "def-div", "unguarded", "tilde-tau", "trailing", "missing-rpar", "missing-def",
     "dot-at-eol", "tilde-no-dot", "term-empty", "term-comment-only", "term-trailing",
-    "term-unbound", "term-unbound-sum-order"])
+    "term-unbound", "term-unbound-sum-order", "unguarded-first-defined", "unguarded-self-loop"])
 def test_parse_error_messages_and_positions(parse, text, message, line, col):
     with pytest.raises(SyntaxErr) as exc:
         parse(text)

@@ -5,6 +5,7 @@ import pytest
 from conftest import t
 from hypothesis import given, settings, strategies as st
 
+from ccswb.cli import run
 from ccswb.lts import cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms, search_satisfying_server
 from ccswb.syntax import Action, NIL, parse_defs, Const, pretty
@@ -100,6 +101,21 @@ def test_exact_mode_refused_on_visible_cycles():
         usable(Const("A"), env)
     rep = usable(Const("A"), env, depth=3)
     assert rep.mode == "bounded"
+    # the decision reaches the cycle behind a usable branch
+    env, _ = parse_defs("def E = a.1 + b.F\ndef F = ~c.F")
+    with pytest.raises(VisibleCycle):
+        usable(Const("E"), env)
+
+
+def test_exact_mode_answers_when_the_cycle_lies_behind_success(tmp_path):
+    # the root reports success, so the decision never reaches the ~b cycle
+    text = "def C = 1 + a.D\ndef D = ~b.D\n"
+    env, _ = parse_defs(text)
+    rep = usable(Const("C"), env)
+    assert (rep.usable, rep.witness_server, rep.mode) == (True, NIL, "exact")
+    path = tmp_path / "behind.ccs"
+    path.write_text(text)
+    assert run(["usable", str(path), "-c", "C"]) == 0
 
 
 def test_negative_depth_is_rejected():
