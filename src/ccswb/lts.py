@@ -3,6 +3,7 @@ convergence and divergence predicates, and the parallel test composition."""
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
@@ -71,26 +72,25 @@ def sccs(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> list[
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     stack: list[Node] = []
-    onstack: set[Node] = set()
     out: list[list[Node]] = []
+    done = sys.maxsize  # the index of a node whose component is out: no edge to it lowers a link
     for root in nodes:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        onstack.add(root)
         work = [(root, iter(succ(root)))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
+                x = index.get(w)
+                if x is None:
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    onstack.add(w)
                     work.append((w, iter(succ(w))))
                     break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
+                if x < low[v]:
+                    low[v] = x
             else:
                 work.pop()
                 if work:
@@ -101,7 +101,7 @@ def sccs(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> list[
                     comp = []
                     while True:
                         w = stack.pop()
-                        onstack.discard(w)
+                        index[w] = done
                         comp.append(w)
                         if w == v:
                             break
@@ -177,6 +177,7 @@ class Lts:
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
         self._usable_memo: dict = {}
+        self._alphabet: Optional[frozenset[Action]] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -190,11 +191,10 @@ class Lts:
         return not self.taus[i]
 
     def alphabet(self) -> frozenset[Action]:
-        """Visible actions occurring on any edge."""
-        out: set[Action] = set()
-        for vis in self.vis:
-            out |= set(vis)
-        return frozenset(out)
+        """Visible actions occurring on any edge, computed on first use."""
+        if self._alphabet is None:
+            self._alphabet = frozenset().union(*self.vis)
+        return self._alphabet
 
     # -- closures ---------------------------------------------------------
 
@@ -304,98 +304,113 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
-def moves(left: Lts, right: Lts, i: int, j: int) -> list[tuple[int, int]]:
-    """The composition rule: the tau moves of the pair (i, j), as left taus,
+def moves(left: Lts, right: Lts, k: int) -> list[int]:
+    """The composition rule: the tau moves of the pair with code
+    k = i * len(right) + j, as the codes of its successors: left taus,
     right taus, then synchronisations in the left graph's label order.  A
     pair can appear more than once."""
-    nxt = [(i2, j) for i2 in left.taus[i]]
-    nxt.extend((i, j2) for j2 in right.taus[j])
+    w = len(right.terms)
+    i, j = divmod(k, w)
+    nxt = []
+    for i2 in left.taus[i]:
+        nxt.append(i2 * w + j)
+    k -= j
+    for j2 in right.taus[j]:
+        nxt.append(k + j2)
     rvis = right.vis[j]
     if rvis:
         for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
             tjs = rvis.get(a._complement)
             if tjs:
-                nxt.extend((i2, j2) for i2 in tis for j2 in tjs)
+                for i2 in tis:
+                    i2 *= w
+                    for j2 in tjs:
+                        nxt.append(i2 + j2)
     return nxt
 
 
 class Product:
-    """Tau-edge graph of a parallel composition, built on demand.
+    """Tau-edge graph of a parallel composition, as a view of its two graphs.
 
-    Edges are left moves, right moves, and complementary synchronisations;
-    success of either component is recorded as a state flag, not an edge.
-    The constructor interns only the root; `succ(k)` expands a state the
-    first time it is asked for, so a search builds the states it visits and
-    their successors, and `explore()` builds the rest in breadth-first order.
-    The state cap, the smaller of the two graphs' caps, bounds the states
-    built.  A product is filled by the call that made it; only its `Lts`
+    The state (i, j) of a left and a right state has the code
+    i * len(right) + j.  Edges are left moves, right moves, and complementary
+    synchronisations; success is read off the component graphs.  `built`
+    holds the codes built so far: the root and the successors of every state
+    expanded.  The state cap, the smaller of the two graphs' caps, bounds
+    them.  A product is filled by the call that made it; only its `Lts`
     graphs are shared.
     """
 
     def __init__(self, left: Lts, right: Lts):
         self.left_lts = left
         self.right_lts = right
+        self.width = len(right.terms)
         self.cap = min(left.env.state_cap, right.env.state_cap)
-        self.states: list[tuple[int, int]] = []
-        self.index: dict[tuple[int, int], int] = {}
-        self.left_ok: list[bool] = []
-        self.right_ok: list[bool] = []
-        self._succ: list[Optional[tuple[int, ...]]] = []
-        self.root = self._intern((left.root, right.root))
+        self.root = left.root * self.width + right.root
+        self.built = {self.root}
 
-    def _intern(self, st: tuple[int, int]) -> int:
-        k = self.index.get(st)
-        if k is None:
-            k = len(self.states)
-            if k >= self.cap:
-                raise StateCapExceeded(self.cap)
-            self.index[st] = k
-            self.states.append(st)
-            self.left_ok.append(self.left_lts.ok[st[0]])
-            self.right_ok.append(self.right_lts.ok[st[1]])
-            self._succ.append(None)
-        return k
+    def build(self, codes: list[int]) -> list[int]:
+        """`codes`, each counted as built the first time it is seen."""
+        built = self.built
+        for k in codes:
+            if k not in built:
+                if len(built) >= self.cap:
+                    raise StateCapExceeded(self.cap)
+                built.add(k)
+        return codes
 
     def succ(self, k: int) -> tuple[int, ...]:
         """Successors of state k: its `moves`, in that order, without repeats."""
-        out = self._succ[k]
-        if out is None:
-            nxt = moves(self.left_lts, self.right_lts, *self.states[k])
-            out = self._succ[k] = tuple(dict.fromkeys(map(self._intern, nxt)))
-        return out
+        return tuple(dict.fromkeys(self.build(moves(self.left_lts, self.right_lts, k))))
 
     def explore(self) -> Product:
-        """Expand every reachable state, in order of state number.  On a
-        product no search has touched, that numbers the states in
-        breadth-first order from the root, as `to_dot` shows them."""
-        for k, _ in enumerate(self.states):  # the list grows as states are found
-            self.succ(k)
+        """Expand every reachable state."""
+        self._numbering()
         return self
+
+    def _numbering(self) -> dict[int, int]:
+        """Every reachable state, expanded, numbered in breadth-first order."""
+        order, number = [self.root], {self.root: 0}
+        for k in order:  # the order grows as states are found
+            for k2 in self.succ(k):
+                if k2 not in number:
+                    number[k2] = len(order)
+                    order.append(k2)
+        return number
 
     def __len__(self) -> int:
         """States built so far."""
-        return len(self.states)
+        return len(self.built)
+
+    def pair(self, k: int) -> tuple[int, int]:
+        """The left and the right state of state k."""
+        return divmod(k, self.width)
+
+    def flags(self, k: int) -> tuple[bool, bool]:
+        """Whether the left and the right state of state k can report success."""
+        i, j = self.pair(k)
+        return self.left_lts.ok[i], self.right_lts.ok[j]
 
     def stable(self, k: int) -> bool:
-        return not self.succ(k)
+        return not moves(self.left_lts, self.right_lts, k)
 
     def pretty_state(self, k: int) -> tuple[str, str]:
-        i, j = self.states[k]
+        i, j = self.pair(k)
         return (pretty(self.left_lts.terms[i]), pretty(self.right_lts.terms[j]))
 
     def to_dot(self) -> str:
-        self.explore()
+        number = self._numbering()
         lines = ["digraph product {", "  rankdir=LR;"]
-        for k in range(len(self.states)):
+        for k, n in number.items():
             l, r = self.pretty_state(k)
-            flags = ("L" if self.left_ok[k] else "") + ("R" if self.right_ok[k] else "")
-            label = f"{l} || {r}" + (f" [{flags}]" if flags else "")
-            shape = "doublecircle" if self.right_ok[k] else "circle"
+            lok, rok = self.flags(k)
+            mark = ("L" if lok else "") + ("R" if rok else "")
+            label = f"{l} || {r}" + (f" [{mark}]" if mark else "")
+            shape = "doublecircle" if rok else "circle"
             extra = " penwidth=2" if k == self.root else ""
-            lines.append(f'  s{k} [shape={shape} label="{label.replace(chr(34), chr(39))}"{extra}];')
-        for k in range(len(self.states)):
-            for k2 in self.succ(k):
-                lines.append(f'  s{k} -> s{k2} [label="tau"];')
+            lines.append(f'  s{n} [shape={shape} label="{label.replace(chr(34), chr(39))}"{extra}];')
+        for k, n in number.items():
+            lines.extend(f'  s{n} -> s{number[k2]} [label="tau"];' for k2 in self.succ(k))
         lines.append("}")
         return "\n".join(lines)
 

@@ -8,7 +8,7 @@ the check is a reachability/cycle search rather than run enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .lts import Lts, Product, StateCapExceeded, cached_lts, moves, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
@@ -29,8 +29,8 @@ class BoundExceeded(RuntimeError):
 class Counterexample:
     """A maximal unsuccessful computation, as product-state evidence.
 
-    `path` lists product states from the root; a Lasso repeats the state at
-    `loop_start` as its final element, a DeadlockEnd stops at a stable state.
+    `path` lists product state codes from the root; a Lasso repeats the state
+    at `loop_start` as its final element, a DeadlockEnd stops at a stable state.
     """
 
     product: Product
@@ -63,26 +63,8 @@ class Verdict:
         return out
 
 
-def _bfs(succ: Callable[[int], tuple[int, ...]], start: int, within: Callable[[int], bool],
-         goal: Callable[[int], bool]) -> tuple[list[int], dict[int, int], Optional[int]]:
-    """Breadth-first search from `start` through the states `within` admits,
-    stopping at the first dequeued `goal` state.  Returns the visit order, the
-    parent map and that goal state (None when the search exhausts the region).
-    Only dequeued states are passed to `succ`."""
-    parent: dict[int, int] = {start: start}
-    order = [start]
-    for k in order:  # the order grows as states are found
-        if goal(k):
-            return order, parent, k
-        for k2 in succ(k):
-            if k2 not in parent and within(k2):
-                parent[k2] = k
-                order.append(k2)
-    return order, parent, None
-
-
-def _path(parent: dict[int, int], k: int) -> list[int]:
-    """The BFS tree path from the start state to `k`."""
+def _path(parent, k: int) -> list[int]:
+    """The BFS tree path to `k`, where `parent[start] == start`."""
     path = [k]
     while parent[path[-1]] != path[-1]:
         path.append(parent[path[-1]])
@@ -92,26 +74,48 @@ def _path(parent: dict[int, int], k: int) -> list[int]:
 def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterexample]:
     """Shortest evidence that some maximal computation never lets `side` succeed.
 
-    One search over the unsuccessful region finds the nearest deadlock; when
-    there is none, the first cyclic state it visited is the lasso entry.  The
-    search expands only states where `side` has not succeeded."""
-    ok_flags = product.right_ok if side == "right" else product.left_ok
-    if ok_flags[product.root]:
+    One breadth-first search over the unsuccessful region (the states where
+    `side` has not succeeded) expands each state once, and keeps by visit
+    position each state's parent and its successors in the region.  It stops
+    at the nearest deadlock; without one, the first cyclic position is the
+    lasso entry c, and a search from c finds the shortest loop back."""
+    left, right, w = product.left_lts, product.right_lts, product.width
+    won = (lambda k: right.ok[k % w]) if side == "right" else (lambda k: left.ok[k // w])
+    if won(product.root):
         return None
-    succ = product.succ
-    order, parent, dead = _bfs(succ, product.root, lambda k: not ok_flags[k], product.stable)
-    if dead is not None:
-        return Counterexample(product, tuple(_path(parent, dead)), "deadlock")
-    cyclic = on_cycle(order, lambda k: [k2 for k2 in succ(k) if not ok_flags[k2]])
-    c = next((k for k in order if k in cyclic), None)
-    if c is None:
+    pos = {product.root: 0}  # -1 for a state where `side` has succeeded
+    order, parent, rows = [product.root], [0], []
+    for p, k in enumerate(order):  # the order grows as states are found
+        nxt = product.build(moves(left, right, k))
+        if not nxt:
+            return Counterexample(product, tuple(order[q] for q in _path(parent, p)), "deadlock")
+        row = []
+        for k2 in nxt:
+            q = pos.get(k2)
+            if q is None:
+                q = pos[k2] = -1 if won(k2) else len(order)
+                if q > 0:
+                    order.append(k2)
+                    parent.append(p)
+            if q >= 0:
+                row.append(q)
+        rows.append(row)
+    cyclic = on_cycle(range(len(order)), rows.__getitem__)
+    if not cyclic:
         return None
-    entry = _path(parent, c)
+    c = min(cyclic)
     # the shortest loop: a path from c inside the cyclic states to a state with c as a successor
-    _, back, last = _bfs(succ, c, cyclic.__contains__, lambda k: c in succ(k))
-    assert last is not None
-    return Counterexample(product, tuple(entry + _path(back, last)[1:] + [c]), "lasso",
-                          loop_start=len(entry) - 1)
+    back, queue = {c: c}, [c]
+    for q in queue:  # the queue grows as states are found
+        if c in rows[q]:
+            break
+        for q2 in rows[q]:
+            if q2 not in back and q2 in cyclic:
+                back[q2] = q
+                queue.append(q2)
+    entry = _path(parent, c)
+    path = entry + _path(back, q)[1:] + [c]
+    return Counterexample(product, tuple(order[q] for q in path), "lasso", loop_start=len(entry) - 1)
 
 
 def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
@@ -123,14 +127,15 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
     pairs where the client has not succeeded, answers at the first stable
     pair or the first move back to a pair still on its stack: either is a
     maximal unsuccessful computation.  It keeps no product, parent map or
-    path.  The pairs it enters count against the smaller of the two graphs'
-    caps."""
+    path, and names a pair by its `Product` code.  The pairs it enters count
+    against the smaller of the two graphs' caps."""
     ok = client.ok
     if ok[client.root]:
         return False
     cap = min(server.env.state_cap, client.env.state_cap)
-    root = (server.root, client.root)
-    nxt = moves(server, client, *root)
+    w = len(client.terms)
+    root = server.root * w + client.root
+    nxt = moves(server, client, root)
     if not nxt:
         return True
     entered = {root: True}  # True while the pair is on the stack
@@ -138,13 +143,13 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
     while stack:
         here, it = stack[-1]
         for there in it:
-            if ok[there[1]]:
+            if ok[there % w]:
                 continue
             state = entered.get(there)
             if state is None:
                 if len(entered) >= cap:
                     raise StateCapExceeded(cap)
-                nxt = moves(server, client, *there)
+                nxt = moves(server, client, there)
                 if not nxt:
                     return True
                 entered[there] = True
@@ -207,7 +212,7 @@ def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
 
 def enumerate_computations(p: Term, r: Term,
                            env: Env = EMPTY_ENV) -> tuple[Product, list[tuple[int, ...]]]:
-    """All maximal computations of an acyclic product, as state-id paths."""
+    """All maximal computations of an acyclic product, as paths of state codes."""
     product = _product_of(p, r, env).explore()
     if on_cycle([product.root], product.succ):
         raise NotAcyclic("product graph has a cycle")
@@ -231,11 +236,11 @@ def enumerate_computations(p: Term, r: Term,
 
 
 def client_successful(product: Product, path: tuple[int, ...]) -> bool:
-    return any(product.right_ok[k] for k in path)
+    return any(product.flags(k)[1] for k in path)
 
 
 def successful(product: Product, path: tuple[int, ...]) -> bool:
-    return client_successful(product, path) and any(product.left_ok[k] for k in path)
+    return client_successful(product, path) and any(product.flags(k)[0] for k in path)
 
 
 def must_by_enumeration(p: Term, r: Term, env: Env = EMPTY_ENV) -> bool:

@@ -87,14 +87,14 @@ def test_state_cap_bounds_the_states_a_search_builds():
 
 def test_product_expands_on_demand():
     p = Product(cached_lts(t("~a.0 + tau.0")), cached_lts(t("a.1")))
-    assert len(p) == 1 and p.states == [(p.left_lts.root, p.right_lts.root)]
+    assert len(p) == 1 and p.built == {p.root} and p.pair(p.root) == (p.left_lts.root, p.right_lts.root)
     assert len(p.succ(p.root)) == 2 and len(p) == 3
     assert p.explore() is p and len(p) == 3
 
 
 def test_compose_examples():
     p = Product(cached_lts(t("~a.0")), cached_lts(t("a.1"))).explore()
-    assert len(p) == 2 and p.succ(p.root) and p.right_ok[1] and not p.right_ok[p.root]
+    assert len(p) == 2 and p.succ(p.root) and p.flags(p.succ(p.root)[0])[1] and not p.flags(p.root)[1]
     p = Product(cached_lts(t("0")), cached_lts(t("tau.0"))).explore()
     assert len(p) == 2 and len(p.succ(p.root)) == 1
     p = Product(cached_lts(t("~b.0")), cached_lts(t("a.0")))
@@ -106,14 +106,14 @@ def test_compose_is_symmetric_up_to_swap(small_corpus):
         pq = Product(cached_lts(left), cached_lts(right)).explore()
         qp = Product(cached_lts(right), cached_lts(left)).explore()
         assert len(pq) == len(qp)
-        remap = {pq.states[k]: k for k in range(len(pq))}
-        for k in range(len(qp)):
-            i, j = qp.states[k]
+        remap = {pq.pair(k): k for k in pq.built}
+        for k in qp.built:
+            i, j = qp.pair(k)
             m = remap[(j, i)]
-            assert qp.left_ok[k] == pq.right_ok[m]
-            assert qp.right_ok[k] == pq.left_ok[m]
-            assert {tuple(reversed(qp.states[x])) for x in qp.succ(k)} == \
-                   {pq.states[x] for x in pq.succ(m)}
+            assert qp.flags(k)[0] == pq.flags(m)[1]
+            assert qp.flags(k)[1] == pq.flags(m)[0]
+            assert {tuple(reversed(qp.pair(x))) for x in qp.succ(k)} == \
+                   {pq.pair(x) for x in pq.succ(m)}
 
 
 def _dot_corpus(small_corpus):

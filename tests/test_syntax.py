@@ -94,13 +94,35 @@ _ERROR_CASES = [
     (parse_term, "a.A + ~b.B", "unbound constant A", 0, 0),
     (parse_term, "B + A", "unbound constant A", 0, 0),
 ]
-# unguarded recursion names the first definition on a cycle; kept apart from
-# the cases above, which seed the pinned error corpus below
+# unguarded recursion names the first definition on a cycle
 _CYCLE_CASES = [
     (parse_defs, "def A = B\ndef B = A\ndef C = C", "unguarded recursion through A", 0, 0),
     (parse_defs, "def X = a.0\ndef C = C + a.0\ndef A = B\ndef B = A",
      "unguarded recursion through C", 0, 0),
 ]
+# the base texts of the pinned error corpus below: the texts of the cases
+# above, frozen when the corpus was pinned, so that adding a case does not
+# redraw the corpus
+_CORPUS_BASES = (
+    "def P = a.0\ndef P = b.0",
+    "def P = a.Q",
+    "def P = a.0\n\n  def Q = b.(P + R)  # R\n",
+    "def P = a.$",
+    "def P = a.0 # ok\ndef Q = ~b.P (+) c.@",
+    "def Div = a.0",
+    "def A = A + a.0",
+    "def P = ~tau.0",
+    "def P = a.0 b.0",
+    "def P = a.(b.0 + c.0",
+    "P = a.0",
+    "def P = a.\ndef Q = 0",
+    "def P = ~a 0",
+    "",
+    "  # comment only",
+    "a.0 b.0",
+    "a.A + ~b.B",
+    "B + A",
+)
 
 
 @pytest.mark.parametrize("parse, text, message, line, col", _ERROR_CASES + _CYCLE_CASES, ids=[
@@ -423,11 +445,11 @@ _STRAY_CHARS = ["$", "@", "!", "%", "-", "?", "{", "\u00e9", "\x00", "\x1f", "\x
 
 
 def _error_corpus() -> dict[str, list[str]]:
-    """Inputs by mutation family: slices of protocols pool files and the error
-    cases above, with bad characters, truncations, other line ends, tabs and
+    """Inputs by mutation family: slices of protocols pool files and the
+    frozen bases above, with bad characters, truncations, other line ends, tabs and
     comments holding `(+)`."""
     rng = random.Random(15)
-    bases = [text for _, text, *_ in _ERROR_CASES]
+    bases = list(_CORPUS_BASES)
     bases.append("# header (+)\ndef P = a.(b.P + tau.1) (+) ~c.Q  # tail\n\ndef Q = div + ~a.(0 + 1)\n")
     for i in range(3):
         # closed files, so most mutations parse or fail late

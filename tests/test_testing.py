@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import FINITE_TERMS, t
 from test_concurrency import _SERVERS, _recursive_client
 from ccswb import lts, testing
-from ccswb.lts import Lts, Product, cached_lts
+from ccswb.lts import Lts, Product, StateCapExceeded, cached_lts, on_cycle
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
 from ccswb.preorders import KINDS, passes_graph
 from ccswb.syntax import Const, parse_defs
@@ -79,7 +79,7 @@ def test_evidence_replays_through_the_product(small_corpus):
         assert ce.path[0] == product.root
         for here, there in zip(ce.path, ce.path[1:]):
             assert there in product.succ(here)
-        assert not any(product.right_ok[k] for k in ce.path)
+        assert not any(product.flags(k)[1] for k in ce.path)
         if ce.shape == "deadlock":
             assert product.stable(ce.path[-1])
         else:
@@ -92,7 +92,7 @@ def _search(product, side):
     ce = find_unsuccessful_maximal(product, side)
     if ce is None:
         return None
-    return [product.states[k] for k in ce.path], ce.shape, ce.loop_start
+    return [product.pair(k) for k in ce.path], ce.shape, ce.loop_start
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -108,6 +108,132 @@ def test_lazy_search_matches_the_explored_product(p, r):
     # mustSC runs the left search on the product the right search started
     shared = Product(left, right)
     assert [_search(shared, side) for side in ("right", "left")] == [want["right"], want["left"]]
+
+
+# ---------------------------------------------------------------------------
+# the code-keyed search finds what a search over a dense product numbering finds
+# ---------------------------------------------------------------------------
+
+
+class _DenseProduct:
+    """The product as it was once built: each pair interned into a dense
+    number as it is first seen, with each expanded state's successors kept
+    as a row of numbers."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.cap = min(left.env.state_cap, right.env.state_cap)
+        self.states, self.index, self.rows = [], {}, []
+        self.root = self.intern((left.root, right.root))
+
+    def intern(self, pair):
+        k = self.index.get(pair)
+        if k is None:
+            if len(self.states) >= self.cap:
+                raise StateCapExceeded(self.cap)
+            k = self.index[pair] = len(self.states)
+            self.states.append(pair)
+            self.rows.append(None)
+        return k
+
+    def succ(self, k):
+        if self.rows[k] is None:
+            w = len(self.right.terms)
+            i, j = self.states[k]
+            codes = lts.moves(self.left, self.right, i * w + j)
+            self.rows[k] = tuple(dict.fromkeys(self.intern(divmod(c, w)) for c in codes))
+        return self.rows[k]
+
+    def __len__(self):
+        return len(self.states)
+
+
+def _reference_search(product, side):
+    """Breadth-first search of the unsuccessful region for the nearest
+    deadlock; without one, the first cyclic state visited by `on_cycle` is
+    the lasso entry c, and a second breadth-first search from c inside the
+    cyclic states finds the shortest loop.  Same result shape as `_search`."""
+    side_of = 1 if side == "right" else 0
+    graph = product.right if side == "right" else product.left
+    won = lambda k: graph.ok[product.states[k][side_of]]
+    succ, root = product.succ, product.root
+    if won(root):
+        return None
+
+    def bfs(start, within, goal):
+        parent, order = {start: start}, [start]
+        for k in order:
+            if goal(k):
+                return order, parent, k
+            for k2 in succ(k):
+                if k2 not in parent and within(k2):
+                    parent[k2] = k
+                    order.append(k2)
+        return order, parent, None
+
+    def path(parent, k):
+        out = [k]
+        while parent[out[-1]] != out[-1]:
+            out.append(parent[out[-1]])
+        return out[::-1]
+
+    order, parent, dead = bfs(root, lambda k: not won(k), lambda k: not succ(k))
+    if dead is not None:
+        return [product.states[k] for k in path(parent, dead)], "deadlock", None
+    cyclic = on_cycle(order, lambda k: [k2 for k2 in succ(k) if not won(k2)])
+    c = next((k for k in order if k in cyclic), None)
+    if c is None:
+        return None
+    entry = path(parent, c)
+    _, back, last = bfs(c, cyclic.__contains__, lambda k: c in succ(k))
+    loop = entry + path(back, last)[1:] + [c]
+    return [product.states[k] for k in loop], "lasso", len(entry) - 1
+
+
+def _both_sides(product, search):
+    """mustSC's two searches on one product: each side's evidence and the
+    states built after it, or "cap" where the cap stops a search."""
+    out = []
+    for side in ("right", "left"):
+        try:
+            out.append((search(product, side), len(product)))
+        except StateCapExceeded:
+            return out + ["cap"]
+    return out
+
+
+def _assert_matches_the_reference(left, right, caps=()):
+    assert _both_sides(Product(left, right), _search) == _both_sides(
+        _DenseProduct(left, right), _reference_search)
+    # the right side alone is the first of `_both_sides`
+    assert _search(Product(left, right), "left") == _reference_search(_DenseProduct(left, right), "left")
+    for cap in caps:
+        product, dense = Product(left, right), _DenseProduct(left, right)
+        product.cap = dense.cap = cap
+        assert _both_sides(product, _search) == _both_sides(dense, _reference_search), cap
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FINITE_TERMS, FINITE_TERMS)
+def test_search_matches_the_dense_reference(p, r):
+    left, right = cached_lts(p), cached_lts(r)
+    size = len(Product(left, right).explore())
+    _assert_matches_the_reference(left, right, caps=range(1, size + 1))
+
+
+def test_search_matches_the_dense_reference_on_protocol_files():
+    gen = _load_gen()
+    cases = [case for case in range(0, gen.POOL, 5)
+             if gen.COMMANDS[case % len(gen.COMMANDS)] in ("must", "mustsc")]
+    shapes = set()
+    for case in cases:
+        text, args = gen.protocol_case(case)
+        env, _ = parse_defs(text)
+        left, right = cached_lts(Const(args[2]), env), cached_lts(Const(args[4]), env)
+        _assert_matches_the_reference(left, right)
+        ce = find_unsuccessful_maximal(Product(left, right), "right")
+        shapes.add(ce and ce.shape)
+    assert len(cases) == 40 and shapes == {None, "deadlock", "lasso"}
 
 
 def test_enumerate_computations_single_sync():
@@ -246,11 +372,16 @@ def test_verdict_search_agrees_on_recursive_definitions():
     assert 0 < _assert_verdicts_agree(graphs) < 2 * len(graphs) ** 2
 
 
-def test_verdict_search_agrees_on_protocol_files():
+def _load_gen():
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def test_verdict_search_agrees_on_protocol_files():
+    gen = _load_gen()
     fails = []
     # recorded for `ccswb must -s S0 -c C0`: two lassos, two deadlocks and a pass
     for case in (0, 1, 6, 7, 24):
