@@ -220,13 +220,13 @@ def enumerate_computations(p: Term, r: Term,
     walk: list[int] = [product.root]
 
     def extend() -> None:
-        k = walk[-1]
-        if product.stable(k):
+        nxt = product.succ(walk[-1])
+        if not nxt:
             paths.append(tuple(walk))
             return
         if len(walk) > STEP_BOUND:
             raise BoundExceeded(f"computation longer than {STEP_BOUND} steps")
-        for k2 in product.succ(k):
+        for k2 in nxt:
             walk.append(k2)
             extend()
             walk.pop()
