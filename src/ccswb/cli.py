@@ -135,14 +135,10 @@ def cmd_must(args) -> int:
     server = _term(env, args.server)
     client = _term(env, args.client)
     if args.dot:
-        # search the product the drawing explored rather than building another
         product = Product(cached_lts(server, env), cached_lts(client, env))
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(product.to_dot())
-        ce = testing.find_counterexample(product, args.symmetric)
-        verdict = testing.Verdict(ce is None, ce)
-    else:
-        verdict = (testing.must_sc if args.symmetric else testing.must)(server, client, env)
+    verdict = (testing.must_sc if args.symmetric else testing.must)(server, client, env)
     name = "mustSC" if args.symmetric else "must"
     human = f"{name}({pretty(server)}, {pretty(client)}): {'holds' if verdict.holds else 'fails'}"
     if verdict.evidence is not None:

@@ -305,10 +305,9 @@ class Lts:
 
 
 def moves(left: Lts, right: Lts, k: int) -> list[int]:
-    """The composition rule: the tau moves of the pair with code
-    k = i * len(right) + j, as the codes of its successors: left taus,
-    right taus, then synchronisations in the left graph's label order.  A
-    pair can appear more than once."""
+    """The composition rule: the tau moves of the pair with code k (`code`),
+    as successor codes: left taus, right taus, then synchronisations in the
+    left graph's label order.  A pair can appear more than once."""
     w = len(right.terms)
     i, j = divmod(k, w)
     nxt = []
@@ -329,24 +328,25 @@ def moves(left: Lts, right: Lts, k: int) -> list[int]:
     return nxt
 
 
+def code(left: Lts, right: Lts, i: int, j: int) -> int:
+    """The pair code of left state i and right state j, i * len(right) + j."""
+    return i * len(right.terms) + j
+
+
 class Product:
     """Tau-edge graph of a parallel composition, as a view of its two graphs.
 
-    The state (i, j) of a left and a right state has the code
-    i * len(right) + j.  Edges are left moves, right moves, and complementary
-    synchronisations; success is read off the component graphs.  `built`
-    holds the codes built so far: the root and the successors of every state
-    expanded.  The state cap, the smaller of the two graphs' caps, bounds
-    them.  A product is filled by the call that made it; only its `Lts`
-    graphs are shared.
+    A state is a pair code (`code`) and its edges are its `moves`.  `built`
+    holds the codes built so far, the root and each expanded state's
+    successors, up to the state cap, the smaller of the two graphs' caps.  A
+    product is filled by the call that made it; only its graphs are shared.
     """
 
     def __init__(self, left: Lts, right: Lts):
         self.left_lts = left
         self.right_lts = right
-        self.width = len(right.terms)
         self.cap = min(left.env.state_cap, right.env.state_cap)
-        self.root = left.root * self.width + right.root
+        self.root = code(left, right, left.root, right.root)
         self.built = {self.root}
 
     def build(self, codes: list[int]) -> list[int]:
@@ -384,15 +384,17 @@ class Product:
 
     def pair(self, k: int) -> tuple[int, int]:
         """The left and the right state of state k."""
-        return divmod(k, self.width)
+        return divmod(k, len(self.right_lts.terms))
 
     def flags(self, k: int) -> tuple[bool, bool]:
         """Whether the left and the right state of state k can report success."""
         i, j = self.pair(k)
         return self.left_lts.ok[i], self.right_lts.ok[j]
 
-    def stable(self, k: int) -> bool:
-        return not moves(self.left_lts, self.right_lts, k)
+    def succeeded(self, side: str) -> Callable[[int], bool]:
+        """Whether the `side` ("left" or "right") state of a code can report success."""
+        left, right, w = self.left_lts, self.right_lts, len(self.right_lts.terms)
+        return (lambda k: right.ok[k % w]) if side == "right" else (lambda k: left.ok[k // w])
 
     def pretty_state(self, k: int) -> tuple[str, str]:
         i, j = self.pair(k)

@@ -98,7 +98,7 @@ def test_compose_examples():
     p = Product(cached_lts(t("0")), cached_lts(t("tau.0"))).explore()
     assert len(p) == 2 and len(p.succ(p.root)) == 1
     p = Product(cached_lts(t("~b.0")), cached_lts(t("a.0")))
-    assert p.stable(p.root)
+    assert not p.succ(p.root)
 
 
 def test_compose_is_symmetric_up_to_swap(small_corpus):

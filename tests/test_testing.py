@@ -81,7 +81,7 @@ def test_evidence_replays_through_the_product(small_corpus):
             assert there in product.succ(here)
         assert not any(product.flags(k)[1] for k in ce.path)
         if ce.shape == "deadlock":
-            assert product.stable(ce.path[-1])
+            assert not product.succ(ce.path[-1])
         else:
             assert ce.path[ce.loop_start] == ce.path[-1]
 
