@@ -110,9 +110,9 @@ def cmd_parse(args) -> int:
 
 def cmd_lts(args) -> int:
     env, names = _load(args)
-    if not (args.process or names):
+    if args.process is None and not names:
         raise SyntaxErr(f"{args.file} defines no process; name one with -p")
-    t = _term(env, args.process or names[-1])
+    t = _term(env, names[-1] if args.process is None else args.process)
     lts = cached_lts(t, env)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

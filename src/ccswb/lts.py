@@ -125,18 +125,16 @@ class Lts:
     """Reachable transition graph of a term; a state is an interned term.
 
     Constants are kept folded: a state is the term as written, and its moves
-    come from unfolding the definition on demand.  At most `env.state_cap`
-    states are built.
+    come from unfolding the definition on demand.  At most `cap`, the
+    environment's state cap, states are built; the graph keeps the cap and
+    no reference to the environment.
 
-    Each graph has a serial number, never reused, and one verdict row for
-    the pairs it is the server of (`testing.fails`): a dict of 64-bit words,
-    where bits 2k and 2k+1 of word w say that the pair with the client of
-    serial 32w+k is known, and that it fails.
+    Each graph has a `serial`, never reused, and a verdict `row` that
+    `testing.fails` fills.
     """
 
     def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
-        cap = env.state_cap
-        self.env = env
+        self.cap = cap = env.state_cap
         self.serial = next(_SERIALS)
         self.row: dict[int, int] = {}
         self.root = 0
@@ -345,7 +343,7 @@ class Product:
     def __init__(self, left: Lts, right: Lts):
         self.left_lts = left
         self.right_lts = right
-        self.cap = min(left.env.state_cap, right.env.state_cap)
+        self.cap = min(left.cap, right.cap)
         self.root = code(left, right, left.root, right.root)
         self.built = {self.root}
 
@@ -417,19 +415,15 @@ class Product:
         return "\n".join(lines)
 
 
-_LTS_CACHE: dict[tuple[Env, Term], Lts] = {}
-
-
 def cached_lts(t: Term, env: Env = EMPTY_ENV) -> Lts:
-    """Shared Lts instances; safe because a graph is complete once built and
-    its memo tables fill idempotently.
-    The key is the `env` object, compared by identity, and the term, so graphs
-    of different environments or state caps stay apart."""
-    key = (env, t)
-    got = _LTS_CACHE.get(key)
+    """The graph of `t` under `env`, built on first use and kept in
+    `env.graphs` until that table passes 200,000 graphs; sharing is safe
+    because a graph is complete once built and its memo tables fill
+    idempotently."""
+    graphs = env.graphs
+    got = graphs.get(t)
     if got is None:
-        if len(_LTS_CACHE) > 200_000:
-            _LTS_CACHE.clear()
-        got = Lts(t, env)
-        _LTS_CACHE[key] = got
+        if len(graphs) > 200_000:
+            graphs.clear()
+        got = graphs[t] = Lts(t, env)
     return got

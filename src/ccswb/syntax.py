@@ -413,17 +413,20 @@ DEFAULT_STATE_CAP = 100_000
 @dataclass(frozen=True, eq=False)
 class Env:
     """Named recursive definitions and the cap on graph size every decider
-    builds under; immutable.  An environment is the scope of one definition
-    file, so it is compared and hashed by identity, never by its contents."""
+    builds under, both fixed, and `graphs`, the graphs `lts.cached_lts` built
+    under them.  An environment is the scope of one definition file, so it is
+    compared and hashed by identity, never by its contents."""
 
     defs: tuple[tuple[str, Term], ...] = ()
     state_cap: int = DEFAULT_STATE_CAP
     _map: dict = field(init=False, repr=False)
+    graphs: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state_cap <= 0:
             raise ValueError("state_cap must be positive")
         object.__setattr__(self, "_map", dict(self.defs))
+        object.__setattr__(self, "graphs", {})
         if len(self._map) != len(self.defs):
             raise SyntaxErr("duplicate definition in environment")
 

@@ -131,7 +131,7 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
     ok, w = client.ok, len(client.terms)  # `Product.succeeded`, inlined: a call per edge was 20-25% slower
     if ok[client.root]:
         return False
-    cap = min(server.env.state_cap, client.env.state_cap)
+    cap = min(server.cap, client.cap)
     root = code(server, client, server.root, client.root)
     nxt = moves(server, client, root)
     if not nxt:
@@ -163,7 +163,9 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
 
 def fails(server: Lts, client: Lts) -> bool:
     """`has_unsuccessful_maximal`, read from or written to the server's row
-    at the client's serial.  Known and fails go in with one store of the
+    at the client's serial.  The row is a dict of 64-bit words: bits 2k and
+    2k+1 of word w say that the pair with the client of serial 32w+k is
+    known, and that it fails.  Known and fails go in with one store of the
     cell's word, so a concurrent update can drop a cell but never leave a
     wrong one; a dropped cell is decided again."""
     word, at = divmod(client.serial, 32)
@@ -183,8 +185,9 @@ def _product_of(p: Term, r: Term, env: Env) -> Product:
 def find_counterexample(product: Product, symmetric: bool) -> Optional[Counterexample]:
     """Evidence that some maximal computation of `product` never lets the
     client (right) succeed, or, when `symmetric`, never lets the server
-    (left) succeed; None when there is none.  Both searches share the
-    product, so the second expands only what the first left unbuilt."""
+    (left) succeed; None when there is none.  Each search computes the
+    moves of every state it visits; sharing the product only pools their
+    count against the cap in `built`."""
     ce = find_unsuccessful_maximal(product, side="right")
     if ce is None and symmetric:
         ce = find_unsuccessful_maximal(product, side="left")
@@ -211,7 +214,7 @@ def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
 def enumerate_computations(p: Term, r: Term,
                            env: Env = EMPTY_ENV) -> tuple[Product, list[tuple[int, ...]]]:
     """All maximal computations of an acyclic product, as paths of state codes."""
-    product = _product_of(p, r, env).explore()
+    product = _product_of(p, r, env)
     if on_cycle([product.root], product.succ):
         raise NotAcyclic("product graph has a cycle")
     paths: list[tuple[int, ...]] = []

@@ -224,6 +224,7 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["lts", "{dir}", "-p", "0"], {}),
     (["must", "{defs}", "-s", "P", "-c", "1", "--dot", "{dir}"], {}),
     (["lts", "{latin}", "-p", "0"], {}),
+    (["lts", "{defs}", "-p", ""], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "trace-keyword", "cap-zero", "cap-negative",
         "cap-env-text", "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
         "refines-bound-negative", "parse-cap-env-zero", "axioms-samples-zero",
@@ -231,7 +232,7 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
         "sweep-alphabet-empty-name", "sweep-alphabet-keyword",
         "sweep-depth-negative", "sweep-pairs-cap-negative", "sweep-test-limit-zero",
         "sweep-width-zero", "lts-no-process", "file-is-directory", "must-dot-directory",
-        "file-not-utf8"])
+        "file-not-utf8", "lts-empty-process"])
 def test_bad_input_is_a_usage_error(argv, env, defs_file, tmp_path, capsys, monkeypatch):
     # ordering two chains that share a prefix past the recursion limit
     # compares nested order keys

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import itertools
+import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -285,8 +288,8 @@ def test_visible_edges_are_kept_in_label_order(small_corpus):
 
 
 def test_cached_lts_keys_environments_by_identity():
-    # hashing an environment by value would re-hash every definition body
-    # on each lookup
+    # a lookup reads the environment's own table and never hashes its
+    # definition bodies
     calls = []
 
     class CountingNil(type(NIL)):
@@ -298,3 +301,19 @@ def test_cached_lts_keys_environments_by_identity():
     for _ in range(100):
         cached_lts(NIL, env)
     assert calls == []
+
+
+def test_graphs_live_and_die_with_their_environment():
+    env = replace(parse_defs("def P = a.P + tau.b.0\n")[0], state_cap=50)
+    graph = weakref.ref(cached_lts(Const("P"), env))
+    assert graph() is env.graphs[Const("P")] and graph().cap == 50
+    capped = replace(env, state_cap=7)
+    assert capped.graphs == {} and capped.state_cap == 7
+    was_enabled = gc.isenabled()
+    gc.disable()  # the graph must go by reference counting alone
+    try:
+        del env, capped
+        assert graph() is None
+    finally:
+        if was_enabled:
+            gc.enable()

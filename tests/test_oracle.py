@@ -194,12 +194,11 @@ def test_pass_table_rejects_an_unknown_kind():
         pass_table("bogus", [t("a.1")], [t("~a.1")])
 
 
-def test_graphs_are_built_at_the_callers_state_cap(small_corpus, monkeypatch):
-    monkeypatch.setattr(lts, "_LTS_CACHE", {})
+def test_graphs_are_built_at_the_callers_state_cap(small_corpus):
     env = Env(state_cap=50)
     refute_by_search("clt", t("a.1"), t("a.0"), env, limit=50)
     cross_validate("clt", small_corpus[:6], env, test_limit=40)
-    assert lts._LTS_CACHE and {key_env.state_cap for key_env, _ in lts._LTS_CACHE} == {50}
+    assert env.graphs and {g.cap for g in env.graphs.values()} == {50}
 
 
 def test_cross_validate_small(small_corpus):

@@ -122,7 +122,7 @@ class _DenseProduct:
 
     def __init__(self, left, right):
         self.left, self.right = left, right
-        self.cap = min(left.env.state_cap, right.env.state_cap)
+        self.cap = min(left.cap, right.cap)
         self.states, self.index, self.rows = [], {}, []
         self.root = self.intern((left.root, right.root))
 
