@@ -39,23 +39,29 @@ class StateCapExceeded(RuntimeError):
 
 
 def transitions(t: Term, env: Env = EMPTY_ENV) -> frozenset[tuple[Label, Term]]:
-    """One-step derivatives of a term."""
-    if isinstance(t, Unit):
-        return frozenset({(OK, NIL)})
-    if isinstance(t, Nil):
-        return frozenset()
-    if isinstance(t, Div):
-        return frozenset({(TAU, t)})
-    if isinstance(t, Prefix):
-        return frozenset({(t.guard, t.body)})
-    if isinstance(t, Sum):
-        out: set[tuple[Label, Term]] = set()
-        for p in t.parts:
-            out |= transitions(p, env)
-        return frozenset(out)
-    if isinstance(t, Const):
-        return transitions(env.lookup(t.name), env)
-    raise TypeError(f"not a term: {t!r}")
+    """One-step derivatives of a term.  Sums and constants are unfolded on an
+    explicit stack, each constant at most once, so a long chain of aliases
+    needs no recursion and an unguarded environment still terminates."""
+    out: set[tuple[Label, Term]] = set()
+    stack = [t]
+    unfolded: set[Const] = set()
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Prefix):
+            out.add((t.guard, t.body))
+        elif isinstance(t, Sum):
+            stack.extend(t.parts)
+        elif isinstance(t, Const):
+            if t not in unfolded:
+                unfolded.add(t)
+                stack.append(env.lookup(t.name))
+        elif isinstance(t, Unit):
+            out.add((OK, NIL))
+        elif isinstance(t, Div):
+            out.add((TAU, t))
+        elif not isinstance(t, Nil):
+            raise TypeError(f"not a term: {t!r}")
+    return frozenset(out)
 
 
 def can_ok(t: Term, env: Env = EMPTY_ENV) -> bool:
@@ -144,6 +150,7 @@ class Lts:
         self.vis: list[dict[Action, tuple[int, ...]]] = []
         self.ready: list[frozenset[Action]] = []
         index = {root_term: 0}
+        readies: dict[frozenset[Action], frozenset[Action]] = {}  # one object per ready set
         for t in self.terms:  # the list grows as states are found: breadth-first
             ok, taus, vis = False, [], {}
             for lab, tgt in sorted(transitions(t, env), key=lambda e: (label_key(e[0]), term_key(e[1]))):
@@ -162,7 +169,8 @@ class Lts:
             self.ok.append(ok)
             self.taus.append(tuple(taus))
             self.vis.append({a: tuple(js) for a, js in vis.items()})
-            self.ready.append(frozenset(vis))
+            ready = frozenset(vis)
+            self.ready.append(readies.setdefault(ready, ready))
         # states on a tau cycle, and on a tau cycle of non-ok states; the
         # closures are closed under those cycles, so divergence checks are
         # intersections
@@ -175,6 +183,7 @@ class Lts:
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
         self._usable_memo: dict = {}
+        self.sides: dict = {}  # walk plan -> its side records (`preorders._Side`) by key
         self._alphabet: Optional[frozenset[Action]] = None
 
     # -- basic views ------------------------------------------------------
@@ -207,7 +216,7 @@ class Lts:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        out = frozenset(seen)
+        out = states if len(seen) == len(states) else frozenset(seen)
         self._tau_closure[states] = out
         return out
 
@@ -224,7 +233,7 @@ class Lts:
                 if not self.ok[j] and j not in seen:
                     seen.add(j)
                     stack.append(j)
-        out = frozenset(seen)
+        out = states if seen == states else frozenset(seen)
         self._uclosure[key] = out
         return out
 
@@ -360,11 +369,6 @@ class Product:
     def succ(self, k: int) -> tuple[int, ...]:
         """Successors of state k: its `moves`, in that order, without repeats."""
         return tuple(dict.fromkeys(self.build(moves(self.left_lts, self.right_lts, k))))
-
-    def explore(self) -> Product:
-        """Expand every reachable state."""
-        self._numbering()
-        return self
 
     def _numbering(self) -> dict[int, int]:
         """Every reachable state, expanded, numbered in breadth-first order."""

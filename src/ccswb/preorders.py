@@ -14,7 +14,7 @@ is reported as such.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -88,21 +88,37 @@ class RefinementVerdict:
         return out
 
 
-@dataclass(unsafe_hash=True)
+class _Side:
+    """One side of a walk pair: a graph's residuals after some trace, closed
+    under one walk plan, w (weak) and x (unsuccessful), with what the clauses
+    read of them, each filled on first demand: the local guards `conv` and
+    `usb` (None until decided), the ready sets of w and of x in
+    `label_set_key` order, the successor row `after` (action to the key of
+    the side it leads to) and the row `usable_after` (action to whether the
+    left process is usable after it, for relaxed matches).  A side holds
+    neither its graph nor another side, so sides make no reference cycle."""
+
+    __slots__ = ("w", "x", "conv", "usb", "ready_w", "ready_x", "after", "usable_after")
+
+    def __init__(self, w: frozenset[int], x: frozenset[int]):
+        self.w, self.x = w, x
+        self.conv = self.usb = self.ready_w = self.ready_x = None
+        self.after: dict = {}
+        self.usable_after: dict = {}
+
+
 class _Node:
-    """Nodes are equal when their residuals and guards are, whatever their
-    traces; a node keeps only the step that first reached it."""
-    parent: Optional[_Node] = field(compare=False, repr=False)
-    action: Optional[Action] = field(compare=False)
-    depth: int = field(compare=False)
-    w1: frozenset[int]
-    w2: frozenset[int]
-    x1: frozenset[int]
-    x2: frozenset[int]
-    conv1: bool
-    conv2: bool
-    usb1: bool
-    usb2: bool
+    """A pair of sides with their guards folded along the trace; a node keeps
+    only the step that first reached it, not its trace."""
+
+    __slots__ = ("parent", "action", "depth", "left", "right", "conv1", "conv2", "usb1", "usb2")
+
+    def __init__(self, parent: Optional[_Node], action: Optional[Action], left: _Side, right: _Side,
+                 conv1: bool, conv2: bool, usb1: bool, usb2: bool):
+        self.parent, self.action = parent, action
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.left, self.right = left, right
+        self.conv1, self.conv2, self.usb1, self.usb2 = conv1, conv2, usb1, usb2
 
     def trace(self) -> Trace:
         """The actions from the root to this node."""
@@ -154,12 +170,18 @@ def _plan(walk: str) -> tuple[bool, ...]:
             *(all(guard in g.left_guards for g in groups) for guard in ("conv1", "usb1")))
 
 
+_NONE: frozenset[int] = frozenset()
+
+
 class _Engine:
     """The trace walk `walk` (a key of `_WALKS`) to `depth_cap` visible steps;
     usability is decided exactly, or cut off at `bound` levels when one is
     given.  The walk computes what `_plan(walk)` derives from its groups: a
-    residual pair it does not compute stays empty and a guard it does not
-    decide stays true."""
+    residual it does not compute stays empty and a guard it does not decide
+    stays true.  Its sides live in each graph's table for the plan (weak,
+    unsuccessful, bound), keyed by the closed residuals: w, x, or (w, x)
+    when both are computed; the tables outlive the walk, so every walk over
+    a graph under the same plan shares them."""
 
     def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int], walk: str):
         self.lts1 = lts1
@@ -169,72 +191,109 @@ class _Engine:
         self.groups = _WALKS[walk]
         self.conv, self.usb, self.weak, self.unsuccessful, self.conv_guard, self.usb_guard = \
             _plan(walk)
+        plan = (self.weak, self.unsuccessful, bound)
+        self.sides1 = lts1.sides.setdefault(plan, {})
+        self.sides2 = lts2.sides.setdefault(plan, {})
         self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
 
-    def build_node(self, parent: Optional[_Node], a: Optional[Action],
-                   w1: frozenset[int], w2: frozenset[int], x1: frozenset[int], x2: frozenset[int],
-                   conv1: bool, conv2: bool, usb1: bool, usb2: bool) -> Optional[_Node]:
-        """The node `parent` (None for the root) reaches by `a`, from its residuals
-        before closure, with the parent's guards folded into its own; None, before
-        the right side is computed, when a left guard that every group lists is false."""
-        w1, x1, conv1, usb1 = self._close(self.lts1, w1, x1, conv1, usb1)
-        if (self.conv_guard and not conv1) or (self.usb_guard and not usb1):
-            return None
-        w2, x2, conv2, usb2 = self._close(self.lts2, w2, x2, conv2, usb2)
-        depth = 0 if parent is None else parent.depth + 1
-        return _Node(parent, a, depth, w1, w2, x1, x2, conv1, conv2, usb1, usb2)
+    def side(self, lts: Lts, sides: dict, w: frozenset[int], x: frozenset[int]) -> object:
+        """The key of the side whose residuals close w and x, made on first use;
+        a residual the walk does not compute is dropped."""
+        w = lts.tau_closure(w) if self.weak else _NONE
+        x = lts.unsuccessful_closure(x) if self.unsuccessful else _NONE
+        key = (w, x) if self.weak and self.unsuccessful else w if self.weak else x
+        if key not in sides:
+            sides.setdefault(key, _Side(w, x))
+        return key
 
-    def _close(self, lts: Lts, w: frozenset[int], x: frozenset[int], conv: bool,
-               usb: bool) -> tuple[frozenset[int], frozenset[int], bool, bool]:
-        """One side's residuals closed, and its guards folded with their own."""
-        if self.weak:
-            w = lts.tau_closure(w)
-            conv = conv and (not self.conv or not w or lts.converges_state_set(w))
-        if self.unsuccessful:
-            x = lts.unsuccessful_closure(x)
-            usb = usb and (not self.usb or usable_set(lts, x, self.bound)[0])
-        return w, x, conv, usb
+    def child(self, lts: Lts, sides: dict, side: _Side, a: Action) -> _Side:
+        """The side that `side` reaches by `a`, through its successor row."""
+        key = side.after.get(a)
+        if key is None:
+            key = side.after.setdefault(a, self.side(
+                lts, sides, lts.step(side.w, a) if self.weak else _NONE,
+                lts.step(side.x, a) if self.unsuccessful else _NONE))
+        return sides[key]
+
+    def fold(self, lts: Lts, side: _Side, conv: bool, usb: bool) -> tuple[bool, bool]:
+        """The guards reaching `side` folded with its own, which are decided
+        only while the folded guard still holds."""
+        if conv and self.conv:
+            if side.conv is None:
+                side.conv = not side.w or lts.converges_state_set(side.w)
+            conv = side.conv
+        if usb and self.usb:
+            if side.usb is None:
+                side.usb = usable_set(lts, side.x, self.bound)[0]
+            usb = side.usb
+        return conv, usb
 
     def usable_action(self, node: _Node, a: Action) -> bool:
         """Membership of `a` in the left process's usable actions after the
         current trace; none counts as usable unless the guard usb1 holds."""
-        return node.usb1 and usable_set(self.lts1, self.lts1.step(node.x1, a), self.bound)[0]
+        if not node.usb1:
+            return False
+        row = node.left.usable_after
+        got = row.get(a)
+        if got is None:
+            got = row.setdefault(a, usable_set(self.lts1, self.lts1.step(node.left.x, a),
+                                               self.bound)[0])
+        return got
+
+    def ready_list(self, lts: Lts, side: _Side, residual: str) -> tuple[frozenset[Action], ...]:
+        """The ready sets of the side's `residual` (w or x) in `label_set_key`
+        order, sorted once."""
+        slot = "ready_" + residual
+        got = getattr(side, slot)
+        if got is None:
+            got = tuple(sorted(lts.ready_sets_of(getattr(side, residual)), key=label_set_key))
+            setattr(side, slot, got)
+        return got
 
     def nodes(self) -> Iterable[_Node]:
         """Breadth-first trace walk with subtree pruning on stabilized nodes.
 
-        The fields this walk computes are, at each node, a deterministic
-        function of the same fields at its parent and the action, and its
-        clause groups read nothing else.  Breadth-first order with dedup,
-        actions in alphabet order, reaches each distinct node first by its
-        shortlex-least trace, so the first failing node is the
-        shortlex-least failing trace, whether or not the unread fields are
-        computed.  Dropping a node where no group's left guard holds keeps
-        that: guards are and-folded, so every node below it has the same
-        false guard, under which every clause group holds.  The failing
-        trace, its ready set and its usable actions are therefore those of
-        the walk that computes every field.
+        The sides and guards this walk computes are, at each node, a
+        deterministic function of the same at its parent and the action,
+        and its clause groups read nothing else.  Breadth-first order with
+        dedup, actions in alphabet order, reaches each distinct node first
+        by its shortlex-least trace, so the first failing node is the
+        shortlex-least failing trace, whether or not the unread residuals
+        and guards are computed.  Dropping a node where no group's left
+        guard holds keeps that: guards are and-folded, so every node below
+        it has the same false guard, under which every clause group holds.
+        The failing trace, its ready set and its usable actions are
+        therefore those of the walk that computes everything.  A node is
+        dropped before its right side is computed; sides are one record
+        per key, so nodes are deduplicated by identity.
         """
-        l1, l2 = self.lts1, self.lts2
-        roots, none = (frozenset({l1.root}), frozenset({l2.root})), (frozenset(), frozenset())
-        root = self.build_node(None, None, *(roots if self.weak else none),
-                               *(roots if self.unsuccessful else none), True, True, True, True)
-        if root is None:
+        l1, l2, s1, s2 = self.lts1, self.lts2, self.sides1, self.sides2
+        drop_conv, drop_usb = self.conv_guard, self.usb_guard
+        r1, r2 = frozenset({l1.root}), frozenset({l2.root})
+        left = s1[self.side(l1, s1, r1, r1)]
+        conv1, usb1 = self.fold(l1, left, True, True)
+        if drop_conv and not conv1 or drop_usb and not usb1:
             return
-        queue = [root]
-        seen = {root}
+        right = s2[self.side(l2, s2, r2, r2)]
+        conv2, usb2 = self.fold(l2, right, True, True)
+        queue = [_Node(None, None, left, right, conv1, conv2, usb1, usb2)]
+        seen = {(left, right, conv1, conv2, usb1, usb2)}
         for node in queue:  # the queue grows as nodes are found
             yield node
-            if node.depth >= self.depth_cap or not (node.w1 or node.w2 or node.x1 or node.x2):
+            left, right = node.left, node.right
+            if node.depth >= self.depth_cap or not (left.w or left.x or right.w or right.x):
                 continue
             for a in self.alphabet:
-                w = (l1.step(node.w1, a), l2.step(node.w2, a)) if self.weak else none
-                x = (l1.step(node.x1, a), l2.step(node.x2, a)) if self.unsuccessful else none
-                ch = self.build_node(node, a, *w, *x,
-                                     node.conv1, node.conv2, node.usb1, node.usb2)
-                if ch is not None and (ch.w1 or ch.w2 or ch.x1 or ch.x2) and ch not in seen:
-                    seen.add(ch)
-                    queue.append(ch)
+                ch1 = self.child(l1, s1, left, a)
+                conv1, usb1 = self.fold(l1, ch1, node.conv1, node.usb1)
+                if drop_conv and not conv1 or drop_usb and not usb1:
+                    continue
+                ch2 = self.child(l2, s2, right, a)
+                conv2, usb2 = self.fold(l2, ch2, node.conv2, node.usb2)
+                key = (ch1, ch2, conv1, conv2, usb1, usb2)
+                if (ch1.w or ch1.x or ch2.w or ch2.x) and key not in seen:
+                    seen.add(key)
+                    queue.append(_Node(node, a, ch1, ch2, conv1, conv2, usb1, usb2))
 
     def clauses(self, node: _Node, group: _Group) -> Optional[FailingClause]:
         """The one trace/ready-set clause shape behind every walk.
@@ -243,8 +302,8 @@ class _Engine:
         guard (usability_flow: usb2, convergence: conv2); each right ready
         set of the `residual` pair (w or x) must be matched by a left one,
         included in it or, when `relaxed`, included up to left actions that
-        are not usable; the `trailing` clause fails a right residual with no
-        left one.
+        are not usable, asked in key order; the `trailing` clause fails a
+        right residual with no left one.
         """
         part, left_guards, premise, residual, relaxed, trailing = group
         for guard in left_guards:
@@ -252,21 +311,17 @@ class _Engine:
                 return None
         if not (node.usb2 if premise == "usability_flow" else node.conv2):
             return FailingClause(premise, part, node.trace())
-        r1, r2 = (node.w1, node.w2) if residual == "w" else (node.x1, node.x2)
-        acc2 = sorted(self.lts2.ready_sets_of(r2), key=label_set_key)
+        acc2 = self.ready_list(self.lts2, node.right, residual)
         if acc2:
-            acc1 = self.lts1.ready_sets_of(r1)
-            if relaxed:  # matching asks usability and stops early: match in key order
-                acc1 = [sorted(A, key=label_key) for A in sorted(acc1, key=label_set_key)]
+            acc1 = self.ready_list(self.lts1, node.left, residual)
             for B in acc2:
-                if not any(
-                    all(c in B or (relaxed and not self.usable_action(node, c)) for c in A)
-                    for A in acc1
-                ):
+                if not any(A <= B or relaxed and not any(
+                        self.usable_action(node, c) for c in sorted(A - B, key=label_key))
+                        for A in acc1):
                     usable = (frozenset(c for c in self.alphabet if self.usable_action(node, c))
                               if relaxed else None)
                     return FailingClause("acceptance_match", part, node.trace(), B, usable)
-        if trailing is not None and r2 and not r1:
+        if trailing is not None and getattr(node.right, residual) and not getattr(node.left, residual):
             return FailingClause(trailing, part, node.trace())
         return None
 

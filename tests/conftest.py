@@ -20,6 +20,17 @@ def t(text, env=EMPTY_ENV):
     return parse_term(text, env)
 
 
+def explore(product):
+    """Expand every state `product` reaches, breadth first; return it."""
+    seen, order = {product.root}, [product.root]
+    for k in order:  # the order grows as states are found
+        for k2 in product.succ(k):
+            if k2 not in seen:
+                seen.add(k2)
+                order.append(k2)
+    return product
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """Every term over {a, b} (both polarities) of prefix depth <= 1, width <= 2."""

@@ -1,6 +1,6 @@
 """No graph search recurses: in the static call graph of the graph modules,
-no function reaches itself except the two named below, whose depth is
-bounded by the input."""
+no function reaches itself except the one named below, whose depth is
+bounded."""
 import ast
 from pathlib import Path
 
@@ -9,9 +9,8 @@ from ccswb.lts import on_cycle
 
 _SRC = Path(ccswb.__file__).parent
 _MODULES = ("lts", "testing", "usability", "preorders")
-# `transitions` calls itself once per constant alias on the way to a
-# definition body, and run enumeration's `extend` stops at STEP_BOUND steps
-_BOUNDED = {"lts.transitions", "testing.enumerate_computations.extend"}
+# run enumeration's `extend` stops at STEP_BOUND steps
+_BOUNDED = {"testing.enumerate_computations.extend"}
 
 
 def _call_graph() -> dict[str, set[str]]:

@@ -292,6 +292,20 @@ def test_deep_chains_run_end_to_end(tmp_path, capsys):
         assert err.startswith("error: term nested too deeply") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("link, edges", [("A{i} = A{j}", 2), ("A{i} = A{j} + b.0", 3)],
+                         ids=["aliases", "aliases-with-summands"])
+def test_long_alias_chains_run_end_to_end(link, edges, tmp_path, capsys):
+    # A0 unfolds through 5,000 constants before it reaches a prefix
+    n = 5000
+    lines = ["def " + link.format(i=i, j=i + 1) for i in range(n)] + [f"def A{n} = a.1"]
+    path = tmp_path / "aliases.ccs"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["lts", str(path), "-p", "A0"]) == 0
+    assert f": 3 states, {edges} edges, convergent" in capsys.readouterr().out
+    assert run(["must", str(path), "-s", "A0", "-c", "~a.1"]) == 0
+    assert capsys.readouterr().out.endswith(": holds\n")
+
+
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Prints the CLI's output for protocols pool cases, a verbose sweep and
 # normalization of seeded nf terms with `div` under every theory.  With

@@ -18,7 +18,7 @@ import pytest
 from conftest import t
 from ccswb import syntax
 from ccswb.equations import normalize_pnf_info
-from ccswb.preorders import KINDS
+from ccswb.preorders import KINDS, leq, leq_plus
 from ccswb.lts import Lts
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
 from ccswb.syntax import Action, Const, parse_defs, parse_term, pretty
@@ -244,6 +244,30 @@ def test_must_over_shared_graphs_from_two_threads(fast_switching):
     for _ in range(5):
         # a fresh environment per round, so the two threads build, share and
         # first fill the same cached graphs at once
+        shared, _ = parse_defs(text)
+        assert _run_together(lambda: answers(shared), lambda: answers(shared)) == [expected, expected]
+
+
+def test_walks_over_shared_graphs_from_two_threads(fast_switching):
+    # both threads walk the same graphs under the same plans, so they make
+    # and fill the same side records and rows at once
+    text = _recursive_client() + "\n" + _SERVERS
+    finite = [t(x) for x in ("a.b.0 + c.0", "a.(b.1 + tau.c.0)", "tau.a.1 + tau.b.1", "a.1 + b.1",
+                             "~a.1 + tau.div", "a.b.1 + a.c.1", "tau.(a.0 + b.1) + c.1")]
+    recursive = [Const(n) for n in ("S", "T", "U", "P0", "P4", "P5")]
+
+    def answers(env):
+        out = []
+        for kind in KINDS:
+            for decide in (leq, leq_plus):
+                out += [decide(kind, p, q, env).to_json() for p in finite for q in finite]
+                out += [decide(kind, p, q, env, bound=2).to_json() for p in recursive for q in recursive]
+        return out
+
+    expected = answers(parse_defs(text)[0])
+    assert any(v["holds"] for v in expected) and any(not v["holds"] for v in expected)
+    assert any(v["mode"] == "exact" for v in expected) and any(v["mode"] == "bounded" for v in expected)
+    for _ in range(3):
         shared, _ = parse_defs(text)
         assert _run_together(lambda: answers(shared), lambda: answers(shared)) == [expected, expected]
 

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import t
+from conftest import explore, t
 from hypothesis import given, strategies as st
 
 from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
-from ccswb.syntax import Action, Const, EMPTY_ENV, Env, NIL, OK, TAU, label_key, parse_defs, pretty
+from ccswb.preorders import KINDS, leq
+from ccswb.syntax import (Action, Const, EMPTY_ENV, Env, NIL, OK, TAU, UNIT, Prefix, label_key, mk_sum,
+                          parse_defs, pretty)
 from ccswb.testing import find_counterexample, must, must_sc
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
@@ -43,6 +45,25 @@ def test_one_step_transitions():
     assert transitions(t("a.1 + b.0")) == frozenset({(a, t("1")), (b, t("0"))})
     env, _ = parse_defs("def A = ~a.A")
     assert transitions(Const("A"), env) == frozenset({(a.complement(), Const("A"))})
+    # a hand-built environment is not checked for guardedness: each constant
+    # is unfolded once per call, so unguarded recursion still terminates
+    env = Env((("A", mk_sum([Const("B"), Prefix(a, NIL)])), ("B", mk_sum([Const("A"), Prefix(b, UNIT)]))))
+    assert transitions(Const("A"), env) == frozenset({(a, NIL), (b, UNIT)})
+
+
+def test_closures_return_their_input_when_they_add_nothing():
+    lts = Lts(t("b.1 + tau.a.0"))
+    root, a0, one = (lts.terms.index(t(text)) for text in ("b.1 + tau.a.0", "a.0", "1"))
+    stable = frozenset({a0})
+    assert lts.tau_closure(stable) is stable and lts.unsuccessful_closure(stable) is stable
+    assert lts.tau_closure(frozenset({root})) == {root, a0}
+    # as many states as the input, but not the same ones: the ok state is dropped
+    mixed = frozenset({root, one})
+    assert lts.unsuccessful_closure(mixed) == {root, a0}
+    # equal ready sets are one object within a graph
+    lts = Lts(t("tau.a.0 + c.a.1"))
+    a0, a1 = lts.terms.index(t("a.0")), lts.terms.index(t("a.1"))
+    assert lts.ready[a0] == {a} and lts.ready[a0] is lts.ready[a1]
 
 
 def test_can_ok():
@@ -70,7 +91,7 @@ def test_state_cap():
     left, right = cached_lts(chain, env), cached_lts(chain, env)
     assert len(left) == len(right) == 3
     with pytest.raises(StateCapExceeded):
-        Product(left, right).explore()
+        explore(Product(left, right))
 
 
 def test_state_cap_bounds_the_states_a_search_builds():
@@ -92,13 +113,13 @@ def test_product_expands_on_demand():
     p = Product(cached_lts(t("~a.0 + tau.0")), cached_lts(t("a.1")))
     assert len(p) == 1 and p.built == {p.root} and p.pair(p.root) == (p.left_lts.root, p.right_lts.root)
     assert len(p.succ(p.root)) == 2 and len(p) == 3
-    assert p.explore() is p and len(p) == 3
+    assert explore(p) is p and len(p) == 3
 
 
 def test_compose_examples():
-    p = Product(cached_lts(t("~a.0")), cached_lts(t("a.1"))).explore()
+    p = explore(Product(cached_lts(t("~a.0")), cached_lts(t("a.1"))))
     assert len(p) == 2 and p.succ(p.root) and p.flags(p.succ(p.root)[0])[1] and not p.flags(p.root)[1]
-    p = Product(cached_lts(t("0")), cached_lts(t("tau.0"))).explore()
+    p = explore(Product(cached_lts(t("0")), cached_lts(t("tau.0"))))
     assert len(p) == 2 and len(p.succ(p.root)) == 1
     p = Product(cached_lts(t("~b.0")), cached_lts(t("a.0")))
     assert not p.succ(p.root)
@@ -106,8 +127,8 @@ def test_compose_examples():
 
 def test_compose_is_symmetric_up_to_swap(small_corpus):
     for left, right in itertools.islice(zip(small_corpus, reversed(small_corpus)), 40):
-        pq = Product(cached_lts(left), cached_lts(right)).explore()
-        qp = Product(cached_lts(right), cached_lts(left)).explore()
+        pq = explore(Product(cached_lts(left), cached_lts(right)))
+        qp = explore(Product(cached_lts(right), cached_lts(left)))
         assert len(pq) == len(qp)
         remap = {pq.pair(k): k for k in pq.built}
         for k in qp.built:
@@ -132,7 +153,7 @@ def _dot_corpus(small_corpus):
 
 def test_product_dot_is_unchanged(small_corpus):
     """A digest of `to_dot` over a fixed corpus, pinned from the eager
-    construction that `explore` replaced: state numbering, flags and edge
+    construction that the on-demand `Product` replaced: state numbering, flags and edge
     order are byte-identical."""
     digest = hashlib.sha256()
     for p, r, env in _dot_corpus(small_corpus):
@@ -304,16 +325,22 @@ def test_cached_lts_keys_environments_by_identity():
 
 
 def test_graphs_live_and_die_with_their_environment():
-    env = replace(parse_defs("def P = a.P + tau.b.0\n")[0], state_cap=50)
+    env = replace(parse_defs("def P = a.P + tau.b.0\ndef Q = a.Q + b.0 + tau.Q\n")[0], state_cap=50)
     graph = weakref.ref(cached_lts(Const("P"), env))
     assert graph() is env.graphs[Const("P")] and graph().cap == 50
+    # walks leave side records with successor rows on the graphs they walk
+    for kind in KINDS:
+        for left, right in ((Const("P"), Const("Q")), (Const("Q"), Const("P"))):
+            leq(kind, left, right, env, bound=4)
+    walked = [weakref.ref(g) for g in env.graphs.values()]
+    assert len(walked) == 2 and all(g().sides for g in walked)
     capped = replace(env, state_cap=7)
     assert capped.graphs == {} and capped.state_cap == 7
     was_enabled = gc.isenabled()
-    gc.disable()  # the graph must go by reference counting alone
+    gc.disable()  # the graphs must go by reference counting alone
     try:
         del env, capped
-        assert graph() is None
+        assert graph() is None and all(g() is None for g in walked)
     finally:
         if was_enabled:
             gc.enable()

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import FINITE_TERMS, t
+from conftest import FINITE_TERMS, explore, t
 from test_concurrency import _SERVERS, _recursive_client
 from ccswb import lts, testing
 from ccswb.lts import Lts, Product, StateCapExceeded, cached_lts, on_cycle
@@ -99,7 +99,7 @@ def _search(product, side):
 @given(FINITE_TERMS, FINITE_TERMS)
 def test_lazy_search_matches_the_explored_product(p, r):
     left, right = cached_lts(p), cached_lts(r)
-    explored = Product(left, right).explore()
+    explored = explore(Product(left, right))
     want = {side: _search(explored, side) for side in ("right", "left")}
     for side in ("right", "left"):
         lazy = Product(left, right)
@@ -217,7 +217,7 @@ def _assert_matches_the_reference(left, right, caps=()):
 @given(FINITE_TERMS, FINITE_TERMS)
 def test_search_matches_the_dense_reference(p, r):
     left, right = cached_lts(p), cached_lts(r)
-    size = len(Product(left, right).explore())
+    size = len(explore(Product(left, right)))
     _assert_matches_the_reference(left, right, caps=range(1, size + 1))
 
 
