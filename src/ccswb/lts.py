@@ -182,9 +182,11 @@ class Lts:
         # memo tables, keyed per graph
         self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
         self._uclosure: dict[frozenset[int], frozenset[int]] = {}
-        self._usable_memo: dict = {}
+        self._usable_memo: dict = {}  # closed set -> what `usability.usable_set` knows of it
+        self._usable_witnesses: dict = {}  # (closed set, depth) -> `usability.usable_witness`
         self.sides: dict = {}  # walk plan -> its side records (`preorders._Side`) by key
         self._alphabet: Optional[frozenset[Action]] = None
+        self._sorted_alphabet: Optional[tuple[Action, ...]] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -202,6 +204,12 @@ class Lts:
         if self._alphabet is None:
             self._alphabet = frozenset().union(*self.vis)
         return self._alphabet
+
+    def sorted_alphabet(self) -> tuple[Action, ...]:
+        """The alphabet in label order, computed on first use."""
+        if self._sorted_alphabet is None:
+            self._sorted_alphabet = tuple(sorted(self.alphabet(), key=label_key))
+        return self._sorted_alphabet
 
     # -- closures ---------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .syntax import (
     visible_depth,
 )
 from .testing import fails
-from .usability import usable_set
+from .usability import usable_set, usable_witness
 
 KINDS = ("svr", "clt", "p2p")
 
@@ -180,8 +180,9 @@ class _Engine:
     residual it does not compute stays empty and a guard it does not decide
     stays true.  Its sides live in each graph's table for the plan (weak,
     unsuccessful, bound), keyed by the closed residuals: w, x, or (w, x)
-    when both are computed; the tables outlive the walk, so every walk over
-    a graph under the same plan shares them."""
+    when both are computed, and the root's side also under None; the tables
+    outlive the walk, so every walk over a graph under the same plan shares
+    them.  The walk's alphabet merges the two graphs' sorted alphabets."""
 
     def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int], walk: str):
         self.lts1 = lts1
@@ -194,7 +195,16 @@ class _Engine:
         plan = (self.weak, self.unsuccessful, bound)
         self.sides1 = lts1.sides.setdefault(plan, {})
         self.sides2 = lts2.sides.setdefault(plan, {})
-        self.alphabet = sorted(lts1.alphabet() | lts2.alphabet(), key=label_key)
+        a1, a2 = lts1.sorted_alphabet(), lts2.sorted_alphabet()
+        self.alphabet = a1 if a1 == a2 else tuple(sorted({*a1, *a2}, key=label_key))
+
+    def root_side(self, lts: Lts, sides: dict) -> _Side:
+        """The side of the graph's root, kept in its plan table under None."""
+        side = sides.get(None)
+        if side is None:
+            r = frozenset({lts.root})
+            side = sides.setdefault(None, sides[self.side(lts, sides, r, r)])
+        return side
 
     def side(self, lts: Lts, sides: dict, w: frozenset[int], x: frozenset[int]) -> object:
         """The key of the side whose residuals close w and x, made on first use;
@@ -224,7 +234,7 @@ class _Engine:
             conv = side.conv
         if usb and self.usb:
             if side.usb is None:
-                side.usb = usable_set(lts, side.x, self.bound)[0]
+                side.usb = usable_set(lts, side.x, self.bound)
             usb = side.usb
         return conv, usb
 
@@ -236,8 +246,7 @@ class _Engine:
         row = node.left.usable_after
         got = row.get(a)
         if got is None:
-            got = row.setdefault(a, usable_set(self.lts1, self.lts1.step(node.left.x, a),
-                                               self.bound)[0])
+            got = row.setdefault(a, usable_set(self.lts1, self.lts1.step(node.left.x, a), self.bound))
         return got
 
     def ready_list(self, lts: Lts, side: _Side, residual: str) -> tuple[frozenset[Action], ...]:
@@ -269,12 +278,11 @@ class _Engine:
         """
         l1, l2, s1, s2 = self.lts1, self.lts2, self.sides1, self.sides2
         drop_conv, drop_usb = self.conv_guard, self.usb_guard
-        r1, r2 = frozenset({l1.root}), frozenset({l2.root})
-        left = s1[self.side(l1, s1, r1, r1)]
+        left = self.root_side(l1, s1)
         conv1, usb1 = self.fold(l1, left, True, True)
         if drop_conv and not conv1 or drop_usb and not usb1:
             return
-        right = s2[self.side(l2, s2, r2, r2)]
+        right = self.root_side(l2, s2)
         conv2, usb2 = self.fold(l2, right, True, True)
         queue = [_Node(None, None, left, right, conv1, conv2, usb1, usb2)]
         seen = {(left, right, conv1, conv2, usb1, usb2)}
@@ -432,8 +440,8 @@ def _witness(kind: str, lts1: Lts, clause: FailingClause) -> Term:
     def serve(states: frozenset[int]) -> Term:
         if kind == "svr":
             return UNIT
-        ok, wit = usable_set(lts1, states)
-        if not ok or wit is None:
+        wit = usable_witness(lts1, states, None)
+        if wit is None:
             raise SynthesisGap("left residual unexpectedly unusable during synthesis")
         return mk_sum([UNIT, wit]) if kind == "p2p" else wit
 

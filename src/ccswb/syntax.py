@@ -8,12 +8,13 @@ identity modulo commutative-monoid laws.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 import sys
 import threading
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 class _Interned:
@@ -410,54 +411,68 @@ class SyntaxErr(Exception):
 DEFAULT_STATE_CAP = 100_000
 
 
+class _Defs:
+    """The definitions of an environment as (name, body) pairs in file order.
+
+    `starts` holds every name, in file order, with the token index its body
+    starts at in `reader` (None for a body given built).  A body is built
+    from its tokens the first time it is read, from an index local to the
+    call, and kept with `setdefault`: two threads that build one body get
+    one object anyway, since terms are interned.  Reading every pair builds
+    every body."""
+
+    __slots__ = ("starts", "bodies", "reader")
+
+    def __init__(self, starts: dict[str, Optional[int]], bodies: dict[str, Term],
+                 reader: Optional["_Reader"]):
+        self.starts, self.bodies, self.reader = starts, bodies, reader
+
+    def body(self, name: str) -> Term:
+        t = self.bodies.get(name)
+        if t is None:
+            try:
+                i = self.starts[name]
+            except KeyError:
+                raise SyntaxErr(f"unbound constant {name}") from None
+            t = self.bodies.setdefault(name, self.reader.term(i, _TERMS)[0])
+        return t
+
+    def __iter__(self) -> Iterator[tuple[str, Term]]:
+        return ((name, self.body(name)) for name in self.starts)
+
+
 @dataclass(frozen=True, eq=False)
 class Env:
     """Named recursive definitions and the cap on graph size every decider
     builds under, both fixed, and `graphs`, the graphs `lts.cached_lts` built
     under them.  An environment is the scope of one definition file, so it is
-    compared and hashed by identity, never by its contents."""
+    compared and hashed by identity, never by its contents.
 
-    defs: tuple[tuple[str, Term], ...] = ()
+    `defs` may be given as (name, body) pairs; it is kept as a `_Defs`,
+    whose bodies `parse_defs` leaves unbuilt until first looked up.
+    `dataclasses.replace(env, state_cap=N)` shares them, built or not."""
+
+    defs: Iterable[tuple[str, Term]] = ()
     state_cap: int = DEFAULT_STATE_CAP
-    _map: dict = field(init=False, repr=False)
     graphs: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state_cap <= 0:
             raise ValueError("state_cap must be positive")
-        object.__setattr__(self, "_map", dict(self.defs))
+        defs = self.defs
+        if not isinstance(defs, _Defs):
+            pairs = tuple(defs)
+            defs = _Defs(dict.fromkeys(name for name, _ in pairs), dict(pairs), None)
+            if len(defs.starts) != len(pairs):
+                raise SyntaxErr("duplicate definition in environment")
+            object.__setattr__(self, "defs", defs)
         object.__setattr__(self, "graphs", {})
-        if len(self._map) != len(self.defs):
-            raise SyntaxErr("duplicate definition in environment")
 
     def lookup(self, name: str) -> Term:
-        try:
-            return self._map[name]
-        except KeyError:
-            raise SyntaxErr(f"unbound constant {name}") from None
+        return self.defs.body(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def check_guarded(self) -> None:
-        # A constant must not reach itself without crossing a prefix; the
-        # one-step transition relation would otherwise be ill-founded.  Only
-        # the definitions that expose a constant are kept.
-        from .lts import on_cycle  # lts builds on this module
-
-        exposed: dict[str, list[str]] = {}
-        for name, body in self.defs:
-            stack = [body]
-            while stack:
-                t = stack.pop()
-                if type(t) is Sum:
-                    stack.extend(t.parts)
-                elif type(t) is Const:
-                    exposed.setdefault(name, []).append(t.name)
-        cyclic = on_cycle(exposed, lambda name: exposed.get(name, ()))
-        for name in exposed:
-            if name in cyclic:
-                raise SyntaxErr(f"unguarded recursion through {name}")
+        return name in self.defs.starts
 
 
 EMPTY_ENV = Env()
@@ -528,14 +543,22 @@ def _position(text: str, i: int, eol: bool) -> tuple[int, int]:
     return 0, 0
 
 
+# What the reader builds from what it reads, as (action, constant, prefix,
+# internal choice, sum of two or more parts, leaves by token kind): terms,
+# or the names of the constants a term exposes unguarded (under no prefix
+# and no internal choice), which is all the guardedness check reads of a
+# body.
+_TERMS = (Action, Const, Prefix, internal_choice, mk_sum, _LEAVES)
+_EXPOSED = (lambda name, co: None, lambda name: (name,), lambda guard, t: (), lambda left, right: (),
+            lambda parts: tuple(itertools.chain.from_iterable(parts)), dict.fromkeys(_LEAVES, ()))
+
+
 class _Reader:
-    """Reads terms from one token list; `consts` holds the constants read."""
+    """Reads terms from one token list."""
 
     def __init__(self, text: str, eol: bool):
         self.text, self.eol = text, eol
         self.kinds, self.texts = _lex(text, eol)
-        self.i = 0
-        self.consts: dict[str, Const] = {}
 
     def error(self, message: str, i: int) -> SyntaxErr:
         return SyntaxErr(message, *_position(self.text, i, self.eol))
@@ -548,35 +571,37 @@ class _Reader:
     def expected(self, kind: str, i: int) -> SyntaxErr:
         return self.error(f"expected {kind}, found {self.shown(i)!r}", i)
 
-    def const(self, name: str) -> Const:
-        t = self.consts[name] = Const(name)
-        return t
+    def consts(self) -> set[str]:
+        """The constant names read."""
+        return set(itertools.compress(self.texts, map("const".__eq__, self.kinds)))
 
-    def term(self) -> Term:
-        """Read one term, ending before the first token that cannot continue it:
+    def term(self, i: int, build: tuple) -> tuple[object, int]:
+        """Read one term from token `i`, ending before the first token that
+        cannot continue it; returns what `build` (`_TERMS` or `_EXPOSED`)
+        makes of it and the index where it ends:
             term := ichoice ('+' ichoice)*      ichoice := pre ('(+)' pre)*
             pre := guard* atom                  guard := ('tau' | ACT | '~' ACT) '.'
             atom := '0' | '1' | 'div' | CONST | '(' term ')'
         One loop reads every nesting depth: an open parenthesis stacks the
         guards, parts and pending `(+)` operand of the enclosing term."""
-        kinds, texts, consts = self.kinds, self.texts, self.consts
-        i = self.i
-        stack: list[tuple[list, list[Term], Union[Term, None]]] = []
-        parts: list[Term] = []
+        kinds, texts = self.kinds, self.texts
+        act, const, prefix, ichoice, join, leaves = build
+        stack: list[tuple[list, list, object]] = []
+        parts: list = []
         guards: list[Union[Tau, Action]] = []
         left = None
         while True:
             while True:
                 kind = kinds[i]
                 if kind == "act":
-                    g = Action(texts[i])
+                    g = act(texts[i], False)
                 elif kind == "tau":
                     g = TAU
                 elif kind == "tilde":
                     i += 1
                     if kinds[i] != "act":
                         raise self.expected("act", i)
-                    g = Action(texts[i], True)
+                    g = act(texts[i], True)
                 else:
                     break
                 i += 1
@@ -585,23 +610,23 @@ class _Reader:
                 i += 1
                 guards.append(g)
             if kind == "const":
-                t = consts.get(texts[i]) or self.const(texts[i])
+                t = const(texts[i])
             elif kind == "lpar":
                 stack.append((guards, parts, left))
                 guards, parts, left = [], [], None
                 i += 1
                 continue
-            elif kind in _LEAVES:
-                t = _LEAVES[kind]
+            elif kind in leaves:
+                t = leaves[kind]
             else:
                 raise self.error(f"unexpected {self.shown(i)!r}", i)
             i += 1
             while True:
                 # `t` is a whole atom: put its guards on it, then see what follows
                 while guards:
-                    t = Prefix(guards.pop(), t)
+                    t = prefix(guards.pop(), t)
                 if left is not None:
-                    t, left = internal_choice(left, t), None
+                    t, left = ichoice(left, t), None
                 kind = kinds[i]
                 if kind == "oplus":
                     left = t
@@ -611,10 +636,9 @@ class _Reader:
                 if kind == "plus":
                     i += 1
                     break
-                t = mk_sum(parts) if len(parts) > 1 else parts[0]
+                t = join(parts) if len(parts) > 1 else parts[0]
                 if not stack:
-                    self.i = i
-                    return t
+                    return t, i
                 if kind != "rpar":
                     raise self.expected("rpar", i)
                 i += 1
@@ -626,10 +650,10 @@ def parse_term(text: str, env: Env = EMPTY_ENV) -> Term:
     r = _Reader(text, eol=False)
     if r.kinds[0] == "eof":
         raise SyntaxErr("empty term")
-    t = r.term()
-    if r.kinds[r.i] != "eof":
-        raise r.error(f"trailing input {r.texts[r.i]!r}", r.i)
-    unbound = {name for name in r.consts if name not in env}
+    t, i = r.term(0, _TERMS)
+    if r.kinds[i] != "eof":
+        raise r.error(f"trailing input {r.texts[i]!r}", i)
+    unbound = {name for name in r.consts() if name not in env}
     if unbound:
         first = next(sub for sub in subterms(t) if isinstance(sub, Const) and sub.name in unbound)
         raise SyntaxErr(f"unbound constant {first.name}")
@@ -637,15 +661,20 @@ def parse_term(text: str, env: Env = EMPTY_ENV) -> Term:
 
 
 def parse_defs(text: str) -> tuple[Env, list[str]]:
-    """Parse a definition file; returns the environment and names in file order."""
+    """Parse a definition file; returns the environment and names in file
+    order.  Every definition is checked here, and its body is built the
+    first time the environment is asked for it."""
+    from .lts import on_cycle  # lts builds on this module
+
     r = _Reader(text, eol=True)
     kinds, texts = r.kinds, r.texts
-    bodies: dict[str, Term] = {}
+    starts: dict[str, Optional[int]] = {}
+    exposed: dict[str, tuple[str, ...]] = {}  # name -> the constants its body exposes, if any
+    i = 0
     while True:
-        i = r.i
         kind = kinds[i]
         if kind == "eol":
-            r.i = i + 1
+            i += 1
             continue
         if kind == "eof":
             break
@@ -656,22 +685,28 @@ def parse_defs(text: str) -> tuple[Env, list[str]]:
         name = texts[i + 1]
         if name == "Div":
             raise r.error("Div is reserved and cannot be redefined", i + 1)
-        if name in bodies:
+        if name in starts:
             raise r.error(f"duplicate definition of {name}", i + 1)
         if kinds[i + 2] != "eq":
             raise r.expected("eq", i + 2)
-        r.i = i + 3
-        body = r.term()
-        if kinds[r.i] != "eol":
-            raise r.error(f"trailing input {texts[r.i]!r}", r.i)
-        bodies[name] = body
-    env = Env(tuple(bodies.items()))
-    if any(name not in env for name in r.consts):
+        names, end = r.term(i + 3, _EXPOSED)
+        if names:
+            exposed[name] = names
+        if kinds[end] != "eol":
+            raise r.error(f"trailing input {texts[end]!r}", end)
+        starts[name] = i + 3
+        i = end
+    if not r.consts() <= starts.keys():
         # the first use in reading order; a definition's own name is bound
-        j = next(j for j, kind in enumerate(kinds) if kind == "const" and texts[j] not in env)
+        j = next(j for j, kind in enumerate(kinds) if kind == "const" and texts[j] not in starts)
         raise r.error(f"unbound constant {texts[j]}", j)
-    env.check_guarded()
-    return env, list(bodies)
+    # a constant must not reach itself without crossing a prefix, or the
+    # one-step transition relation would be ill-founded
+    cyclic = on_cycle(exposed, lambda name: exposed.get(name, ()))
+    for name in exposed:
+        if name in cyclic:
+            raise SyntaxErr(f"unguarded recursion through {name}")
+    return Env(_Defs(starts, {}, r)), list(starts)
 
 
 # ---------------------------------------------------------------------------

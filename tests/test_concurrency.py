@@ -6,6 +6,7 @@ see exactly the single-threaded answers.  A `Product` is filled by the call
 that made it; only its `Lts` graphs are shared.  A tiny switch interval
 makes the interpreter interleave the threads at almost every bytecode.
 """
+import functools
 import importlib.util
 import itertools
 import os
@@ -23,7 +24,7 @@ from ccswb.lts import Lts
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
 from ccswb.syntax import Action, Const, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
-from ccswb.usability import usable_set
+from ccswb.usability import usable_set, usable_witness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ACTIONS = ("a", "b", "c", "d")
@@ -94,22 +95,26 @@ def test_two_threads_intern_the_same_terms(fast_switching):
 
 
 def test_two_threads_parse_one_file_while_sweeps_run(fast_switching):
-    # both readers build the same new prefixes and sums at once, while a
-    # third thread sweeps the unique table: every body must be one object
+    # parsing leaves the bodies to their first lookup: both threads look up
+    # every body of the same environments at once, so they build the same
+    # new prefixes and sums together, while a third thread sweeps the unique
+    # table: every body must be one object
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     text = gen.protocol_case(5)[0]
-    # renamed copies, so each parse builds terms no earlier one left behind
+    # renamed copies, so each build makes terms no earlier one left behind
     texts = [text.replace("S", f"S{k}w").replace("C", f"C{k}w") for k in range(3)]
+    parsed = [parse_defs(text) for text in texts]
+    assert not any(env.defs.bodies for env, _ in parsed)
     sweeping = threading.Event()
     finished = []
 
-    def parse():
+    def build():
         assert sweeping.wait(timeout=60)
         try:
-            return [parse_defs(text) for text in texts]
+            return [[env.lookup(name) for name in names] for env, names in parsed]
         finally:
             finished.append(True)
 
@@ -120,13 +125,16 @@ def test_two_threads_parse_one_file_while_sweeps_run(fast_switching):
             with syntax._LOCK:
                 syntax._sweep()
             sweeps += 1
-            time.sleep(1e-3)  # let the readers reach the lock between sweeps
+            time.sleep(1e-3)  # let the builders reach the lock between sweeps
         return sweeps
 
-    first, second, sweeps = _run_together(parse, parse, sweep)
+    first, second, sweeps = _run_together(build, build, sweep)
     assert sweeps > 1
-    for (env1, names), (env2, _) in zip(first, second):
-        assert all(env1.lookup(name) is env2.lookup(name) for name in names)
+    for (env, names), text, bodies1, bodies2 in zip(parsed, texts, first, second):
+        assert all(x is y for x, y in zip(bodies1, bodies2))
+        assert [env.lookup(name) for name in names] == bodies1
+        again, _ = parse_defs(text)  # a single-threaded build gives the same objects
+        assert all(again.lookup(name) is x for name, x in zip(names, bodies1))
 
 
 def test_two_threads_parse_new_action_names_at_once(fast_switching):
@@ -202,13 +210,43 @@ def test_two_threads_make_the_same_new_actions(fast_switching):
 
 
 def test_shared_graph_usable_set_from_two_threads(fast_switching):
+    # both threads add facts to the same memo entries; the witness is built
+    # from the answers the memo gives
     env, _ = parse_defs(_recursive_client())
-    expected = usable_set(Lts(Const("P0"), env), frozenset({0}), 5)
+    lts = Lts(Const("P0"), env)
+    expected = (usable_set(lts, frozenset({0}), 5), usable_witness(lts, frozenset({0}), 5))
+    assert expected[0] and expected[1] is not None
     for _ in range(20):
         lts = Lts(Const("P0"), env)
         root = frozenset({lts.root})
-        results = _run_together(lambda: usable_set(lts, root, 5), lambda: usable_set(lts, root, 5))
+
+        def ask():
+            return usable_set(lts, root, 5), usable_witness(lts, root, 5)
+
+        results = _run_together(ask, ask)
         assert results == [expected, expected]
+
+
+def test_usability_facts_from_three_threads(fast_switching):
+    # more threads than cores ask one graph's sets at every depth, each in
+    # its own order, adding facts to the same memo entries at once; a lost
+    # update may drop a fact but must never change an answer
+    env, _ = parse_defs(_recursive_client())
+    depths = [0, 1, 2, 3, 4, 6]
+    n = len(Lts(Const("P0"), env))
+
+    def answers(lts, order):
+        return {(i, d): usable_set(lts, frozenset({i}), d) for d in order for i in range(n)}
+
+    expected = {}
+    for d in depths:
+        expected.update(answers(Lts(Const("P0"), env), [d]))  # a fresh graph per depth
+    assert any(expected.values()) and not all(expected.values())
+    orders = [depths, depths[::-1], [3, 0, 6, 1, 4, 2]]
+    for _ in range(5):
+        lts = Lts(Const("P0"), env)
+        got = _run_together(*[functools.partial(answers, lts, order) for order in orders])
+        assert got == [expected] * 3
 
 
 def test_normalize_flags_from_two_threads(fast_switching):

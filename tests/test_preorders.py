@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FINITE_TERMS, t
 from ccswb import preorders
 from ccswb.equations import erase_units
-from ccswb.lts import Lts
+from ccswb.lts import Lts, cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms, refute_by_search
 from ccswb.preorders import (
     KINDS,
@@ -457,3 +457,14 @@ def test_exact_walk_memory_is_linear_in_the_depth():
             tracemalloc.stop()
 
     assert peak(4000) < 8 * peak(1000)
+
+
+def test_bounded_walk_keeps_one_usability_entry_per_set():
+    # node k of the walk on a^n.1 asks its residual at the full bound; the
+    # answer node k+1's decision found one level down stands for it, so the
+    # memo keeps one entry per closed set, not one per (set, depth)
+    for depth in (100, 200):
+        env, _ = parse_defs("def P = " + "a." * depth + "1\n")
+        p = env.lookup("P")
+        assert leq("clt", p, p, env, bound=depth).holds
+        assert len(cached_lts(p, env)._usable_memo) <= depth + 1

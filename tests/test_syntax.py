@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,48 @@ def test_parse_nil_and_recursion():
     assert env.lookup("Z") == NIL
     env, _ = parse_defs("def A = ~a.A")
     assert env.lookup("A") == Prefix(Action("a", co=True), Const("A"))
+
+
+_LAZY = "def P = a.Q + b.P\ndef Q = ~c.1 + tau.Q\ndef R = d.(e.0 + R)\ndef S = R (+) 1\n"
+
+
+def test_bodies_are_built_on_first_lookup(tmp_path, monkeypatch):
+    from ccswb import cli
+    from ccswb.preorders import leq
+
+    env, names = parse_defs(_LAZY)
+    assert names == ["P", "Q", "R", "S"] and env.defs.bodies == {}
+    assert "R" in env and "T" not in env
+    capped = replace(env, state_cap=7)  # shares the bodies and builds none
+    assert capped.defs is env.defs and env.defs.bodies == {}
+    assert leq("clt", Const("P"), Const("P"), capped, bound=3).holds
+    assert set(env.defs.bodies) == {"P", "Q"}  # R and S are never reached
+    assert env.lookup("Q") is capped.lookup("Q") is parse_term("~c.1 + tau.Q", env)
+    with pytest.raises(SyntaxErr, match="unbound constant T"):
+        env.lookup("T")
+    # reading every pair builds every body, in file order
+    assert [name for name, _ in env.defs] == names
+    assert list(env.defs) == [(name, parse_defs(_LAZY)[0].lookup(name)) for name in names]
+    assert set(env.defs.bodies) == set(names)
+    # a command builds only what it reaches
+    loaded = []
+    monkeypatch.setattr(cli, "parse_defs", lambda text: loaded.append(parse_defs(text)) or loaded[-1])
+    path = tmp_path / "lazy.ccs"
+    path.write_text(_LAZY)
+    assert cli.run(["refines", str(path), "--kind", "p2p", "-l", "Q", "-r", "Q", "--bound", "2"]) == 0
+    assert set(loaded[0][0].defs.bodies) == {"Q"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("def R = b.(c.0\n", "2:15: expected rpar, found 'eol'"),
+    ("def R = b.c.0 d\n", "2:15: trailing input 'd'"),
+    ("def R = b.T\n", "2:11: unbound constant T"),
+    ("def R = S + b.0\ndef S = tau.0 + (R)\n", "unguarded recursion through R"),
+])
+def test_unreached_definitions_are_still_checked(text, message):
+    with pytest.raises(SyntaxErr) as exc:
+        parse_defs("def P = a.P\n" + text)
+    assert str(exc.value) == message
 
 
 def test_parse_errors_carry_positions():

@@ -2,15 +2,23 @@ import random
 
 import pytest
 
-from conftest import t
+from conftest import FINITE_TERMS, t
 from hypothesis import given, settings, strategies as st
 
 from ccswb.cli import run
-from ccswb.lts import cached_lts
+from ccswb.lts import Lts, cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms, search_satisfying_server
-from ccswb.syntax import Action, NIL, parse_defs, Const, pretty
+from ccswb.syntax import Action, NIL, Prefix, label_key, mk_sum, parse_defs, Const, pretty
 from ccswb.testing import must
-from ccswb.usability import VisibleCycle, peer_conv, uaut, usable, usable_set, usbut
+from ccswb.usability import (
+    VisibleCycle,
+    peer_conv,
+    uaut,
+    usable,
+    usable_set,
+    usable_witness,
+    usbut,
+)
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -132,9 +140,77 @@ def test_usable_set_answers_sets_with_nothing_left_to_satisfy():
     ok_states = frozenset(i for i in range(len(lts)) if lts.ok[i])
     assert ok_states and not lts.ok[lts.root]
     for depth in (None, 0, 2, -1):
-        assert usable_set(lts, frozenset(), depth) == (True, NIL)
-        assert usable_set(lts, ok_states, depth) == (True, NIL)
-    assert usable_set(lts, frozenset({lts.root}), -1) == (False, None)
+        assert usable_set(lts, frozenset(), depth) is True
+        assert usable_set(lts, ok_states, depth) is True
+        assert usable_witness(lts, frozenset(), depth) is NIL
+        assert usable_witness(lts, ok_states, depth) is NIL
+    assert usable_set(lts, frozenset({lts.root}), -1) is False
+    assert usable_witness(lts, frozenset({lts.root}), -1) is None
+
+
+def _reference(lts, states, depth, open_sets=frozenset()):
+    """Usability and a witness server by the rule of `usable_set` and
+    `usable_witness`, recursively and with no memo: per closed set and depth,
+    (usable, witness), or VisibleCycle when an exact decision comes back to
+    a set it is deciding."""
+    if all(lts.ok[i] for i in states):
+        return True, NIL
+    if depth is not None and depth < 0:
+        return False, None
+    key = (lts.unsuccessful_closure(states), depth)
+    C = key[0]
+    if key in open_sets:
+        raise VisibleCycle("cycle")
+    if C & lts.nonok_tau_cyclic:
+        return False, None
+    usable_act = {}
+    for x in sorted({x for i in C for x in lts.vis[i]}, key=label_key):
+        derivs = frozenset(j for i in C for j in lts.vis[i].get(x, ()) if not lts.ok[j])
+        ok, wit = _reference(lts, derivs, None if depth is None else depth - 1, open_sets | {key})
+        if ok:
+            usable_act[x] = wit
+    needed = set()
+    for i in C:
+        if lts.stable(i):
+            offered = [x for x in lts.ready[i] if x in usable_act]
+            if not offered:
+                return False, None
+            needed.update(offered)
+    return True, mk_sum(Prefix(x.complement(), usable_act[x]) for x in sorted(needed, key=label_key))
+
+
+def _outcome(ask):
+    try:
+        return ask()
+    except VisibleCycle:
+        return "cycle"
+
+
+# H is usable from depth 2 on, K from depth 1 on, and neither exactly
+_RECURSIVE = parse_defs("def B = a.1 + b.B\ndef C = ~a.C + tau.(b.1 + c.C)\n"
+                        "def D = a.(b.D + c.1) + a.d.0 + tau.(a.1 + b.0)\n"
+                        "def E = a.1 + b.F\ndef F = ~c.F + a.(1 + F)\n"
+                        "def H = a.b.c.1 + b.H\ndef K = tau.a.b.1 + c.(a.1 + K)\n")[0]
+_DEEP = [t(x) for x in ("a.b.c.1", "a.(b.~c.1 + c.0) + tau.b.a.1", "tau.a.b.1 + tau.b.(a.1 + c.d.1)")]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(FINITE_TERMS, st.sampled_from(_DEEP + [Const(n) for n in "BCDEHK"])),
+       st.permutations([None, 0, 1, 2, 3, 5]))
+def test_one_memo_answers_every_depth_as_a_fresh_graph(term, depths):
+    # one graph is asked at every depth, exact included, in a shuffled order;
+    # each answer must be a fresh graph's, and each witness the rule's
+    shared = Lts(term, _RECURSIVE)
+    sets = [frozenset({i}) for i in range(len(shared))] + [frozenset(range(len(shared)))]
+    for depth in depths:
+        for states in sets:
+            fresh = Lts(term, _RECURSIVE)
+            want = _outcome(lambda: usable_set(fresh, states, depth))
+            assert _outcome(lambda: usable_set(shared, states, depth)) == want
+            rule = _outcome(lambda: _reference(fresh, states, depth))
+            assert want == (rule if rule == "cycle" else rule[0])
+            assert _outcome(lambda: usable_witness(shared, states, depth)) == (
+                rule if rule == "cycle" else rule[1])
 
 
 def test_usable_verifies_its_witness(monkeypatch):
