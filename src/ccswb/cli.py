@@ -188,7 +188,7 @@ def cmd_refines(args) -> int:
     payload = verdict.to_json()
     if not verdict.holds and verdict.failing_clause is not None:
         human += f"\n  clause: {verdict.failing_clause.to_json()}"
-        if args.witness and not args.precongruence:
+        if args.witness:
             try:
                 w = preorders.synthesize_witness(args.kind, left, right, env, verdict)
             except preorders.SynthesisGap:
@@ -308,11 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=preorders.KINDS, required=True)
     p.add_argument("-l", "--left", required=True)
     p.add_argument("-r", "--right", required=True)
-    p.add_argument("--precongruence", action="store_true",
-                   help="decide under a fresh success summand")
     p.add_argument("--bound", type=_bound, default=None, help="force a bounded verdict")
-    p.add_argument("--witness", action="store_true",
-                   help="attach a distinguishing test to refutations")
+    # a witness test is synthesized for the preorder, not for its precongruence
+    either = p.add_mutually_exclusive_group()
+    either.add_argument("--precongruence", action="store_true",
+                        help="decide under a fresh success summand")
+    either.add_argument("--witness", action="store_true",
+                        help="attach a distinguishing test to refutations")
     p.set_defaults(fn=cmd_refines)
 
     p = sub.add_parser("normalize", help="normal form under a theory")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
@@ -127,74 +128,167 @@ def on_cycle(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> f
 _SERIALS = itertools.count()
 
 
+def _edge_key(edge: tuple[Label, Term]) -> tuple:
+    return label_key(edge[0]), term_key(edge[1])
+
+
+class StateTable:
+    """The states of one environment, of which every graph built under it is
+    a view (the implicit graph with one state table of OPEN/CÆSAR, Garavel
+    1998).  A term is interned once, as its position in `terms`; its rows
+    `ok`, `taus` (tau successors in term order), `vis` (visible successors
+    per action, in label order) and `ready` stay None until an exploration
+    first reaches it, which fills them, once, under `lock`.
+
+    A state's moves and tau cycles, and a set's closures, usability and walk
+    side records, depend only on the terms and the environment, never on the
+    root that reached them, so the memo tables are keyed by sets of ids and
+    shared by every graph of the table.  They fill idempotently, from any
+    thread.  The table holds neither a graph nor its environment."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.index: dict[Term, int] = {}
+        self.terms: list[Term] = []
+        self.ok: list = []
+        self.taus: list = []
+        self.vis: list = []
+        self.ready: list = []
+        self.readies: dict[frozenset[Action], frozenset[Action]] = {}  # one object per ready set
+        self.tau_closures: dict[frozenset[int], frozenset[int]] = {}
+        self.unsuccessful_closures: dict[frozenset[int], frozenset[int]] = {}
+        # per kind of tau cycle (any, through non-ok states only): the states
+        # classified so far and those of them on a cycle
+        self.cycles: tuple[tuple[set[int], set[int]], ...] = ((set(), set()), (set(), set()))
+        self.usable_memo: dict = {}  # closed set -> what `usability.usable_set` knows of it
+        self.usable_witnesses: dict = {}  # (closed set, depth) -> `usability.usable_witness`
+        self.sides: dict = {}  # walk plan -> its side records (`preorders._Side`) by key
+
+    def explore(self, root: Term, env: Env, cap: int) -> list[int]:
+        """The ids of the states reachable from `root`, in root-local
+        breadth-first order with successors in edge order: taus, ok, then
+        the visible moves.  A state's rows are filled the first time any
+        exploration reaches it.  More than `cap` states raise
+        `StateCapExceeded`."""
+        index, terms, ok, taus, vis, ready = self.index, self.terms, self.ok, self.taus, self.vis, self.ready
+        rows = (ok, taus, vis, ready)
+        with self.lock:
+            i = index.get(root)
+            if i is None:
+                i = index[root] = len(terms)
+                terms.append(root)
+                for row in rows:
+                    row.append(None)
+            order, seen = [i], {i}
+            for i in order:  # the order grows as states are found
+                nxt = []
+                if taus[i] is None:
+                    o, ts, vs = False, [], {}
+                    for lab, tgt in sorted(transitions(terms[i], env), key=_edge_key):
+                        j = index.get(tgt)
+                        if j is None:
+                            j = index[tgt] = len(terms)
+                            terms.append(tgt)
+                            for row in rows:
+                                row.append(None)
+                        nxt.append(j)
+                        if lab is TAU:
+                            ts.append(j)
+                        elif lab is OK:
+                            o = True
+                        else:
+                            vs.setdefault(lab, []).append(j)
+                    ok[i] = o
+                    vis[i] = {a: tuple(js) for a, js in vs.items()}
+                    r = frozenset(vs)
+                    ready[i] = self.readies.setdefault(r, r)
+                    taus[i] = tuple(ts)
+                else:
+                    nxt += taus[i]
+                    if ok[i]:
+                        nxt.append(index[NIL])  # every ok move ends in 0
+                    for js in vis[i].values():
+                        nxt += js
+                for j in nxt:
+                    if j not in seen:
+                        if len(order) >= cap:
+                            raise StateCapExceeded(cap)
+                        seen.add(j)
+                        order.append(j)
+            return order
+
+    def classify(self, states: Iterable[int], unsuccessful: bool) -> None:
+        """Classify, once each, the strongly connected components of tau
+        moves, through non-ok states only when `unsuccessful`, that hold
+        `states`: `cycles[unsuccessful]` gains them, and their states on a
+        cycle."""
+        done, cyclic = self.cycles[unsuccessful]
+        ok, taus = self.ok, self.taus
+        # a classified state's component is complete: no edge into it closes a cycle
+        if unsuccessful:
+            succ = lambda i: () if ok[i] else [j for j in taus[i] if not ok[j] and j not in done]
+        else:
+            succ = lambda i: [j for j in taus[i] if j not in done]
+        with self.lock:
+            for comp in sccs([i for i in states if i not in done], succ):
+                v = comp[0]
+                if len(comp) > 1 or v in taus[v] and not (unsuccessful and ok[v]):
+                    cyclic.update(comp)
+                done.update(comp)  # after `cyclic`, so a classified state has its flag
+
+
+_NEW_TABLE = threading.Lock()
+
+
+def state_table(env: Env) -> StateTable:
+    """The state table of `env`, made on first use."""
+    table = env.table
+    if table is None:
+        with _NEW_TABLE:
+            table = env.table
+            if table is None:
+                table = StateTable()
+                object.__setattr__(env, "table", table)
+    return table
+
+
 class Lts:
-    """Reachable transition graph of a term; a state is an interned term.
+    """Reachable transition graph of a term, as a root view of its
+    environment's state table (`StateTable`): a state is an id of the table.
+    `states` lists the ids reachable from the root, the root first, in
+    root-local breadth-first order.  They are explored when the graph is
+    made, and at most `cap`, the environment's state cap, are allowed.  The
+    rows `terms`, `ok`, `taus`, `vis` and `ready` are the table's, indexed
+    by id, and the closures and cycle flags are memoized in the table.  The
+    graph keeps the cap and its table, and no reference to the environment.
 
     Constants are kept folded: a state is the term as written, and its moves
-    come from unfolding the definition on demand.  At most `cap`, the
-    environment's state cap, states are built; the graph keeps the cap and
-    no reference to the environment.
+    come from unfolding the definition on demand.
 
     Each graph has a `serial`, never reused, and a verdict `row` that
     `testing.fails` fills.
     """
 
     def __init__(self, root_term: Term, env: Env = EMPTY_ENV):
-        self.cap = cap = env.state_cap
+        self.cap = env.state_cap
+        self.table = table = state_table(env)
         self.serial = next(_SERIALS)
         self.row: dict[int, int] = {}
-        self.root = 0
-        self.terms: list[Term] = [root_term]
-        self.ok: list[bool] = []
-        self.taus: list[tuple[int, ...]] = []
-        self.vis: list[dict[Action, tuple[int, ...]]] = []
-        self.ready: list[frozenset[Action]] = []
-        index = {root_term: 0}
-        readies: dict[frozenset[Action], frozenset[Action]] = {}  # one object per ready set
-        for t in self.terms:  # the list grows as states are found: breadth-first
-            ok, taus, vis = False, [], {}
-            for lab, tgt in sorted(transitions(t, env), key=lambda e: (label_key(e[0]), term_key(e[1]))):
-                j = index.get(tgt)
-                if j is None:
-                    if len(self.terms) >= cap:
-                        raise StateCapExceeded(cap)
-                    j = index[tgt] = len(self.terms)
-                    self.terms.append(tgt)
-                if lab is TAU:
-                    taus.append(j)
-                elif lab is OK:
-                    ok = True
-                else:
-                    vis.setdefault(lab, []).append(j)
-            self.ok.append(ok)
-            self.taus.append(tuple(taus))
-            self.vis.append({a: tuple(js) for a, js in vis.items()})
-            ready = frozenset(vis)
-            self.ready.append(readies.setdefault(ready, ready))
-        # states on a tau cycle, and on a tau cycle of non-ok states; the
-        # closures are closed under those cycles, so divergence checks are
-        # intersections
-        self.tau_cyclic = on_cycle((i for i, ts in enumerate(self.taus) if ts), self.taus.__getitem__)
-        self.nonok_tau_cyclic = on_cycle(
-            (i for i, ts in enumerate(self.taus) if ts and not self.ok[i]),
-            lambda i: [j for j in self.taus[i] if not self.ok[j]],
-        ) if self.tau_cyclic else frozenset()
-        # memo tables, keyed per graph
-        self._tau_closure: dict[frozenset[int], frozenset[int]] = {}
-        self._uclosure: dict[frozenset[int], frozenset[int]] = {}
-        self._usable_memo: dict = {}  # closed set -> what `usability.usable_set` knows of it
-        self._usable_witnesses: dict = {}  # (closed set, depth) -> `usability.usable_witness`
-        self.sides: dict = {}  # walk plan -> its side records (`preorders._Side`) by key
+        self.states = table.explore(root_term, env, self.cap)
+        self.root = self.states[0]
+        self.terms, self.ok, self.taus, self.vis, self.ready = (
+            table.terms, table.ok, table.taus, table.vis, table.ready)
         self._alphabet: Optional[frozenset[Action]] = None
         self._sorted_alphabet: Optional[tuple[Action, ...]] = None
 
     # -- basic views ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.states)
 
     def n_edges(self) -> int:
-        return sum(self.ok) + sum(map(len, self.taus)) + sum(len(js) for vis in self.vis for js in vis.values())
+        ok, taus, vis = self.ok, self.taus, self.vis
+        return sum(ok[i] + len(taus[i]) + sum(map(len, vis[i].values())) for i in self.states)
 
     def stable(self, i: int) -> bool:
         return not self.taus[i]
@@ -202,7 +296,7 @@ class Lts:
     def alphabet(self) -> frozenset[Action]:
         """Visible actions occurring on any edge, computed on first use."""
         if self._alphabet is None:
-            self._alphabet = frozenset().union(*self.vis)
+            self._alphabet = frozenset().union(*map(self.vis.__getitem__, self.states))
         return self._alphabet
 
     def sorted_alphabet(self) -> tuple[Action, ...]:
@@ -214,7 +308,8 @@ class Lts:
     # -- closures ---------------------------------------------------------
 
     def tau_closure(self, states: frozenset[int]) -> frozenset[int]:
-        cached = self._tau_closure.get(states)
+        memo = self.table.tau_closures
+        cached = memo.get(states)
         if cached is not None:
             return cached
         seen = set(states)
@@ -225,24 +320,25 @@ class Lts:
                     seen.add(j)
                     stack.append(j)
         out = states if len(seen) == len(states) else frozenset(seen)
-        self._tau_closure[states] = out
+        memo[states] = out
         return out
 
     def unsuccessful_closure(self, states: frozenset[int]) -> frozenset[int]:
         """Tau closure staying within non-ok states; ok-capable inputs are dropped."""
-        key = states
-        cached = self._uclosure.get(key)
+        memo = self.table.unsuccessful_closures
+        cached = memo.get(states)
         if cached is not None:
             return cached
-        seen = {i for i in states if not self.ok[i]}
+        ok = self.ok
+        seen = {i for i in states if not ok[i]}
         stack = list(seen)
         while stack:
             for j in self.taus[stack.pop()]:
-                if not self.ok[j] and j not in seen:
+                if not ok[j] and j not in seen:
                     seen.add(j)
                     stack.append(j)
         out = states if seen == states else frozenset(seen)
-        self._uclosure[key] = out
+        memo[states] = out
         return out
 
     def step(self, states: frozenset[int], a: Action) -> frozenset[int]:
@@ -281,9 +377,18 @@ class Lts:
 
     # -- convergence / divergence -----------------------------------------
 
+    def on_tau_cycle(self, states: frozenset[int], unsuccessful: bool) -> frozenset[int]:
+        """The states of `states` on a cycle of tau moves, through non-ok
+        states only when `unsuccessful`.  The first set to hold a state not
+        yet classified classifies the rest of the graph with it."""
+        done, cyclic = self.table.cycles[unsuccessful]
+        if not states <= done:
+            self.table.classify(itertools.chain(states, self.states), unsuccessful)
+        return states & cyclic
+
     def converges_state_set(self, states: frozenset[int]) -> bool:
         """No infinite tau run from any of the states."""
-        return not (self.tau_closure(states) & self.tau_cyclic)
+        return not self.on_tau_cycle(self.tau_closure(states), False)
 
     def converges(self) -> bool:
         return self.converges_state_set(frozenset({self.root}))
@@ -293,23 +398,25 @@ class Lts:
 
     def diverges_unsuccessfully(self) -> bool:
         """An infinite tau run all of whose states are non-ok."""
-        return bool(self.unsuccessful_closure(frozenset({self.root})) & self.nonok_tau_cyclic)
+        return bool(self.on_tau_cycle(self.unsuccessful_closure(frozenset({self.root})), True))
 
     # -- rendering ----------------------------------------------------------
 
     def to_dot(self) -> str:
+        """The graph in Graphviz syntax, its states numbered in `states` order."""
+        number = {i: n for n, i in enumerate(self.states)}
+        nil = number.get(self.table.index.get(NIL))  # every ok move ends in 0
         lines = ["digraph lts {", "  rankdir=LR;"]
-        for i, t in enumerate(self.terms):
+        for n, i in enumerate(self.states):
             shape = "doublecircle" if self.ok[i] else "circle"
-            label = pretty(t).replace('"', '\\"')
-            extra = " penwidth=2" if i == self.root else ""
-            lines.append(f'  s{i} [shape={shape} label="{label}"{extra}];')
-        nil = self.terms.index(NIL) if any(self.ok) else None  # every ok move ends in 0
-        for i, vis in enumerate(self.vis):
+            label = pretty(self.terms[i]).replace('"', '\\"')
+            extra = " penwidth=2" if n == 0 else ""
+            lines.append(f'  s{n} [shape={shape} label="{label}"{extra}];')
+        for n, i in enumerate(self.states):
             # in label order: tau, ok, then the actions
-            outs = [(TAU, j) for j in self.taus[i]] + [(OK, nil)] * self.ok[i]
-            outs += [(a, j) for a, js in vis.items() for j in js]
-            lines.extend(f'  s{i} -> s{j} [label="{lab}"];' for lab, j in outs)
+            outs = [(TAU, number[j]) for j in self.taus[i]] + [(OK, nil)] * self.ok[i]
+            outs += [(a, number[j]) for a, js in self.vis[i].items() for j in js]
+            lines.extend(f'  s{n} -> s{m} [label="{lab}"];' for lab, m in outs)
         lines.append("}")
         return "\n".join(lines)
 
@@ -319,11 +426,12 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
-def moves(left: Lts, right: Lts, k: int) -> list[int]:
-    """The composition rule: the tau moves of the pair with code k (`code`),
-    as successor codes: left taus, right taus, then synchronisations in the
-    left graph's label order.  A pair can appear more than once."""
-    w = len(right.terms)
+def moves(left: Lts, right: Lts, k: int, w: int) -> list[int]:
+    """The composition rule: the tau moves of the pair with code k, as
+    successor codes: left taus, right taus, then synchronisations in the
+    left graph's label order.  A pair can appear more than once.  The code
+    of left state i and right state j is i * w + j, where the width w,
+    fixed when a search starts, exceeds every right state's id."""
     i, j = divmod(k, w)
     nxt = []
     for i2 in left.taus[i]:
@@ -333,7 +441,7 @@ def moves(left: Lts, right: Lts, k: int) -> list[int]:
         nxt.append(k + j2)
     rvis = right.vis[j]
     if rvis:
-        for a, tis in left.vis[i].items():  # in label order, as Lts builds vis
+        for a, tis in left.vis[i].items():  # in label order, as `StateTable.explore` builds vis
             tjs = rvis.get(a._complement)
             if tjs:
                 for i2 in tis:
@@ -343,25 +451,22 @@ def moves(left: Lts, right: Lts, k: int) -> list[int]:
     return nxt
 
 
-def code(left: Lts, right: Lts, i: int, j: int) -> int:
-    """The pair code of left state i and right state j, i * len(right) + j."""
-    return i * len(right.terms) + j
-
-
 class Product:
     """Tau-edge graph of a parallel composition, as a view of its two graphs.
 
-    A state is a pair code (`code`) and its edges are its `moves`.  `built`
-    holds the codes built so far, the root and each expanded state's
-    successors, up to the state cap, the smaller of the two graphs' caps.  A
-    product is filled by the call that made it; only its graphs are shared.
+    A state is a pair code under the product's `width` (`moves`), and its
+    edges are its `moves`.  `built` holds the codes built so far, the root
+    and each expanded state's successors, up to the state cap, the smaller
+    of the two graphs' caps.  A product is filled by the call that made it;
+    only its graphs are shared.
     """
 
     def __init__(self, left: Lts, right: Lts):
         self.left_lts = left
         self.right_lts = right
         self.cap = min(left.cap, right.cap)
-        self.root = code(left, right, left.root, right.root)
+        self.width = len(right.terms)
+        self.root = left.root * self.width + right.root
         self.built = {self.root}
 
     def build(self, codes: list[int]) -> list[int]:
@@ -376,7 +481,7 @@ class Product:
 
     def succ(self, k: int) -> tuple[int, ...]:
         """Successors of state k: its `moves`, in that order, without repeats."""
-        return tuple(dict.fromkeys(self.build(moves(self.left_lts, self.right_lts, k))))
+        return tuple(dict.fromkeys(self.build(moves(self.left_lts, self.right_lts, k, self.width))))
 
     def _numbering(self) -> dict[int, int]:
         """Every reachable state, expanded, numbered in breadth-first order."""
@@ -394,7 +499,7 @@ class Product:
 
     def pair(self, k: int) -> tuple[int, int]:
         """The left and the right state of state k."""
-        return divmod(k, len(self.right_lts.terms))
+        return divmod(k, self.width)
 
     def flags(self, k: int) -> tuple[bool, bool]:
         """Whether the left and the right state of state k can report success."""
@@ -403,7 +508,7 @@ class Product:
 
     def succeeded(self, side: str) -> Callable[[int], bool]:
         """Whether the `side` ("left" or "right") state of a code can report success."""
-        left, right, w = self.left_lts, self.right_lts, len(self.right_lts.terms)
+        left, right, w = self.left_lts, self.right_lts, self.width
         return (lambda k: right.ok[k % w]) if side == "right" else (lambda k: left.ok[k // w])
 
     def pretty_state(self, k: int) -> tuple[str, str]:
@@ -429,13 +534,15 @@ class Product:
 
 def cached_lts(t: Term, env: Env = EMPTY_ENV) -> Lts:
     """The graph of `t` under `env`, built on first use and kept in
-    `env.graphs` until that table passes 200,000 graphs; sharing is safe
-    because a graph is complete once built and its memo tables fill
+    `env.graphs` until that table passes 200,000 graphs, when the state
+    table goes too and the next graph starts a fresh one; sharing is safe
+    because a graph is complete once built and its table's memos fill
     idempotently."""
     graphs = env.graphs
     got = graphs.get(t)
     if got is None:
         if len(graphs) > 200_000:
             graphs.clear()
+            object.__setattr__(env, "table", None)
         got = graphs[t] = Lts(t, env)
     return got

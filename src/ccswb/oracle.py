@@ -140,8 +140,8 @@ def search_satisfying_server(r: Term, env: Env = EMPTY_ENV,
     co_alpha = sorted({a.complement() for a in lts.alphabet()}, key=label_key)
     if max_depth is None:
         max_depth = min(4, visible_depth(r)) if is_ccsf(r) else 4
-    if all(ok + len(taus) + sum(map(len, vis.values())) <= 1
-           for ok, taus, vis in zip(lts.ok, lts.taus, lts.vis)):
+    if all(lts.ok[i] + len(lts.taus[i]) + sum(map(len, lts.vis[i].values())) <= 1
+           for i in lts.states):
         # a chain client meets one stable state per run; a second server
         # branch can never fire
         max_width = 1

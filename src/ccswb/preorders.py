@@ -95,8 +95,10 @@ class _Side:
     `usb` (None until decided), the ready sets of w and of x in
     `label_set_key` order, the successor row `after` (action to the key of
     the side it leads to) and the row `usable_after` (action to whether the
-    left process is usable after it, for relaxed matches).  A side holds
-    neither its graph nor another side, so sides make no reference cycle."""
+    process is usable after it, read on the left for relaxed matches).  All
+    of it depends on the residuals alone, so every graph of a state table
+    shares the side.  A side holds neither a graph nor another side, so
+    sides make no reference cycle."""
 
     __slots__ = ("w", "x", "conv", "usb", "ready_w", "ready_x", "after", "usable_after")
 
@@ -178,11 +180,13 @@ class _Engine:
     usability is decided exactly, or cut off at `bound` levels when one is
     given.  The walk computes what `_plan(walk)` derives from its groups: a
     residual it does not compute stays empty and a guard it does not decide
-    stays true.  Its sides live in each graph's table for the plan (weak,
-    unsuccessful, bound), keyed by the closed residuals: w, x, or (w, x)
-    when both are computed, and the root's side also under None; the tables
-    outlive the walk, so every walk over a graph under the same plan shares
-    them.  The walk's alphabet merges the two graphs' sorted alphabets."""
+    stays true.  Its sides live in the state table of each graph, in one
+    table per plan (weak, unsuccessful, bound), keyed by the closed
+    residuals: w, x, or (w, x) when both are computed, and a root's side
+    also under the root's id.  The tables outlive the walk, so every walk
+    under the same plan over graphs of one state table shares them, and the
+    two sides of a walk share one when their graphs do.  The walk's
+    alphabet merges the two graphs' sorted alphabets."""
 
     def __init__(self, lts1: Lts, lts2: Lts, depth_cap: int, bound: Optional[int], walk: str):
         self.lts1 = lts1
@@ -193,17 +197,17 @@ class _Engine:
         self.conv, self.usb, self.weak, self.unsuccessful, self.conv_guard, self.usb_guard = \
             _plan(walk)
         plan = (self.weak, self.unsuccessful, bound)
-        self.sides1 = lts1.sides.setdefault(plan, {})
-        self.sides2 = lts2.sides.setdefault(plan, {})
+        self.sides1 = lts1.table.sides.setdefault(plan, {})
+        self.sides2 = lts2.table.sides.setdefault(plan, {})
         a1, a2 = lts1.sorted_alphabet(), lts2.sorted_alphabet()
         self.alphabet = a1 if a1 == a2 else tuple(sorted({*a1, *a2}, key=label_key))
 
     def root_side(self, lts: Lts, sides: dict) -> _Side:
-        """The side of the graph's root, kept in its plan table under None."""
-        side = sides.get(None)
+        """The side of the graph's root, kept in its plan table under the root's id."""
+        side = sides.get(lts.root)
         if side is None:
             r = frozenset({lts.root})
-            side = sides.setdefault(None, sides[self.side(lts, sides, r, r)])
+            side = sides.setdefault(lts.root, sides[self.side(lts, sides, r, r)])
         return side
 
     def side(self, lts: Lts, sides: dict, w: frozenset[int], x: frozenset[int]) -> object:

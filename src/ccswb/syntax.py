@@ -444,9 +444,11 @@ class _Defs:
 @dataclass(frozen=True, eq=False)
 class Env:
     """Named recursive definitions and the cap on graph size every decider
-    builds under, both fixed, and `graphs`, the graphs `lts.cached_lts` built
-    under them.  An environment is the scope of one definition file, so it is
-    compared and hashed by identity, never by its contents.
+    builds under, both fixed; `table`, the state table (`lts.StateTable`)
+    every graph built under them is a view of, made on first use; and
+    `graphs`, the graphs `lts.cached_lts` built.  An environment is the
+    scope of one definition file, so it is compared and hashed by identity,
+    never by its contents.
 
     `defs` may be given as (name, body) pairs; it is kept as a `_Defs`,
     whose bodies `parse_defs` leaves unbuilt until first looked up.
@@ -455,6 +457,7 @@ class Env:
     defs: Iterable[tuple[str, Term]] = ()
     state_cap: int = DEFAULT_STATE_CAP
     graphs: dict = field(init=False, repr=False)
+    table: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.state_cap <= 0:

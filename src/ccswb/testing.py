@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import Lts, Product, StateCapExceeded, cached_lts, code, moves, on_cycle
+from .lts import Lts, Product, StateCapExceeded, cached_lts, moves, on_cycle
 from .syntax import EMPTY_ENV, Env, Term
 
 #: longest maximal computation the enumeration oracle walks
@@ -78,14 +78,14 @@ def find_unsuccessful_maximal(product: Product, side: str) -> Optional[Counterex
     expands each once, keeping by visit position its parent and its region
     successors.  It stops at the nearest deadlock; without one, the lasso
     entry c is the first cyclic position, and a search from c finds the loop."""
-    left, right = product.left_lts, product.right_lts
+    left, right, w = product.left_lts, product.right_lts, product.width
     won = product.succeeded(side)
     if won(product.root):
         return None
     pos = {product.root: 0}  # -1 for a state where `side` has succeeded
     order, parent, rows = [product.root], [0], []
     for p, k in enumerate(order):  # the order grows as states are found
-        nxt = product.build(moves(left, right, k))
+        nxt = product.build(moves(left, right, k, w))
         if not nxt:
             return Counterexample(product, tuple(order[q] for q in _path(parent, p)), "deadlock")
         row = []
@@ -132,8 +132,8 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
     if ok[client.root]:
         return False
     cap = min(server.cap, client.cap)
-    root = code(server, client, server.root, client.root)
-    nxt = moves(server, client, root)
+    root = server.root * w + client.root
+    nxt = moves(server, client, root, w)
     if not nxt:
         return True
     entered = {root: True}  # True while the pair is on the stack
@@ -147,7 +147,7 @@ def has_unsuccessful_maximal(server: Lts, client: Lts) -> bool:
             if state is None:
                 if len(entered) >= cap:
                     raise StateCapExceeded(cap)
-                nxt = moves(server, client, there)
+                nxt = moves(server, client, there, w)
                 if not nxt:
                     return True
                 entered[there] = True

@@ -60,15 +60,15 @@ def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) ->
     `VisibleCycle`; a bounded one cannot, since each visible step lowers
     `depth`.
 
-    The graph keeps one entry per closed set: its exact answer, the
-    smallest depth known usable and the largest depth known unusable.
-    Bounded usability only grows with the depth (by induction on
-    `_usable_closed`: the cut answers no, and `nonok_tau_cyclic` does not
-    depend on the depth), so a set usable at depth d is usable at every
-    larger depth and one unusable at d at every smaller one.  A bounded
-    answer never stands in for an exact one, nor the other way round.
+    The graph's state table keeps one entry per closed set: its exact
+    answer, the smallest depth known usable and the largest depth known
+    unusable.  Bounded usability only grows with the depth (by induction on
+    `_usable_closed`: the cut answers no, and tau cycles do not depend on
+    the depth), so a set usable at depth d is usable at every larger depth
+    and one unusable at d at every smaller one.  A bounded answer never
+    stands in for an exact one, nor the other way round.
     """
-    memo = lts._usable_memo
+    memo = lts.table.usable_memo
     deciding: dict = {}  # (closed set, depth) -> its generator: the stack, innermost last
     while True:
         if all(lts.ok[i] for i in states):
@@ -106,7 +106,7 @@ def usable_set(lts: Lts, states: frozenset[int], depth: Optional[int] = None) ->
             return got
 
 
-# An entry of `Lts._usable_memo`: [exact answer or None, smallest depth
+# An entry of `StateTable.usable_memo`: [exact answer or None, smallest depth
 # known usable, largest depth known unusable].  An entry only gains facts,
 # so a lost update between threads drops a fact and never stores a wrong one.
 _NEVER = sys.maxsize
@@ -129,7 +129,7 @@ def _learn(memo: dict, closed: frozenset[int], depth: Optional[int], answer: boo
 def _usable_closed(lts: Lts, C: frozenset[int], depth: Optional[int]) -> Generator:
     """Decide the closed set `C`: yields each derivative set with its depth,
     is sent that set's answer, and returns the answer for `C`."""
-    if C & lts.nonok_tau_cyclic:
+    if lts.on_tau_cycle(C, True):
         return False
     usable_act: set[Action] = set()
     for a in sorted({a for i in C for a in lts.vis[i]}, key=label_key):
@@ -145,11 +145,12 @@ def usable_witness(lts: Lts, states: frozenset[int], depth: Optional[int]) -> Op
     by one rule: a set with no non-ok state gets `0`; otherwise each action
     a stable state of the closed set offers whose derivative set is usable
     one level down is answered by its complement, followed by that set's
-    witness, summed in key order.  An explicit stack; the graph keeps each
-    witness built, per (closed set, depth), for the next call to ask."""
+    witness, summed in key order.  An explicit stack; the graph's state
+    table keeps each witness built, per (closed set, depth), for the next
+    call to ask."""
     if not usable_set(lts, states, depth):
         return None
-    built = lts._usable_witnesses
+    built = lts.table.usable_witnesses
     steps: dict = {}  # (closed set, depth) -> its usable offered actions with their sets' keys
     root = (lts.unsuccessful_closure(states), depth)
     stack = [root]

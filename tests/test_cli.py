@@ -209,6 +209,7 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["must", "{defs}", "-s", "a", "-c", "1"], {}),
     (["usable", "{defs}", "-c", "R1", "--bound", "-1"], {}),
     (["refines", "{defs}", "--kind", "clt", "-l", "R1", "-r", "R2", "--bound", "-1"], {}),
+    (["refines", "{defs}", "--kind", "clt", "-l", "R1", "-r", "R2", "--precongruence", "--witness"], {}),
     (["parse", "{defs}"], {"CCSWB_STATE_CAP": "0"}),
     (["check-axioms", "--theory", "clt", "--samples", "0"], {}),
     (["check-axioms", "--theory", "clt", "--alphabet", "A"], {}),
@@ -227,7 +228,7 @@ def test_refines_bounded_mode_reported(tmp_path, capsys):
     (["lts", "{defs}", "-p", ""], {}),
 ], ids=["trace-bare-tilde", "trace-dotted", "trace-keyword", "cap-zero", "cap-negative",
         "cap-env-text", "lts-deep-chain", "must-deep-chain", "must-truncated-term", "usable-bound-negative",
-        "refines-bound-negative", "parse-cap-env-zero", "axioms-samples-zero",
+        "refines-bound-negative", "refines-precongruence-witness", "parse-cap-env-zero", "axioms-samples-zero",
         "axioms-alphabet-bad-name", "axioms-alphabet-keyword", "axioms-depth-negative",
         "sweep-alphabet-empty-name", "sweep-alphabet-keyword",
         "sweep-depth-negative", "sweep-pairs-cap-negative", "sweep-test-limit-zero",

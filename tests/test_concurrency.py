@@ -22,7 +22,7 @@ from ccswb.equations import normalize_pnf_info
 from ccswb.preorders import KINDS, leq, leq_plus
 from ccswb.lts import Lts
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
-from ccswb.syntax import Action, Const, parse_defs, parse_term, pretty
+from ccswb.syntax import Action, Const, Prefix, parse_defs, parse_term, pretty
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set, usable_witness
 
@@ -212,12 +212,12 @@ def test_two_threads_make_the_same_new_actions(fast_switching):
 def test_shared_graph_usable_set_from_two_threads(fast_switching):
     # both threads add facts to the same memo entries; the witness is built
     # from the answers the memo gives
-    env, _ = parse_defs(_recursive_client())
-    lts = Lts(Const("P0"), env)
+    text = _recursive_client()
+    lts = Lts(Const("P0"), parse_defs(text)[0])
     expected = (usable_set(lts, frozenset({0}), 5), usable_witness(lts, frozenset({0}), 5))
     assert expected[0] and expected[1] is not None
     for _ in range(20):
-        lts = Lts(Const("P0"), env)
+        lts = Lts(Const("P0"), parse_defs(text)[0])  # a fresh state table: empty memos
         root = frozenset({lts.root})
 
         def ask():
@@ -231,20 +231,22 @@ def test_usability_facts_from_three_threads(fast_switching):
     # more threads than cores ask one graph's sets at every depth, each in
     # its own order, adding facts to the same memo entries at once; a lost
     # update may drop a fact but must never change an answer
-    env, _ = parse_defs(_recursive_client())
+    # P0 is the first graph of each environment, so its states are ids 0 to n - 1
+    text = _recursive_client()
     depths = [0, 1, 2, 3, 4, 6]
-    n = len(Lts(Const("P0"), env))
+    n = len(Lts(Const("P0"), parse_defs(text)[0]))
 
     def answers(lts, order):
         return {(i, d): usable_set(lts, frozenset({i}), d) for d in order for i in range(n)}
 
     expected = {}
     for d in depths:
-        expected.update(answers(Lts(Const("P0"), env), [d]))  # a fresh graph per depth
+        # a fresh state table per depth: empty memos
+        expected.update(answers(Lts(Const("P0"), parse_defs(text)[0]), [d]))
     assert any(expected.values()) and not all(expected.values())
     orders = [depths, depths[::-1], [3, 0, 6, 1, 4, 2]]
     for _ in range(5):
-        lts = Lts(Const("P0"), env)
+        lts = Lts(Const("P0"), parse_defs(text)[0])
         got = _run_together(*[functools.partial(answers, lts, order) for order in orders])
         assert got == [expected] * 3
 
@@ -326,3 +328,82 @@ def test_pass_tables_over_shared_graphs_from_three_threads(fast_switching):
             shared, _ = parse_defs(text)
             got = _run_together(*[lambda: pass_table(kind, terms, terms, shared)] * 3)
             assert got == [expected] * 3
+
+
+def _views(env, roots):
+    """Each root's graph as its root-local state ids, with every state's
+    term and rows spelled in terms.  The graphs are all built first, so two
+    threads calling this at once build them at once."""
+    graphs = [Lts(root, env) for root in roots]
+    out = []
+    for root, g in zip(roots, graphs):
+        term = g.terms.__getitem__
+        out.append((root, tuple(g.states), [
+            (term(i), g.ok[i], tuple(map(term, g.taus[i])),
+             {a: tuple(map(term, js)) for a, js in g.vis[i].items()}, g.ready[i]) for i in g.states]))
+    return out
+
+
+def _one_id_per_term(table):
+    assert len(table.index) == len(table.terms) == len(table.taus)
+    assert all(table.index[x] == i for i, x in enumerate(table.terms))
+
+
+def test_two_threads_build_views_of_one_state_table(fast_switching):
+    # interning allocates ids under the table's lock: however the threads
+    # interleave, each term gets one id, both threads see the same rows, and
+    # verdicts and walks are the single-threaded ones
+    text = _recursive_client() + "\n" + _SERVERS
+    consts = [Const(n) for n in parse_defs(text)[1]]
+    pairs = [(Const(p), Const(q)) for p in ("S", "T", "P0", "P4") for q in ("U", "P5", "P17")]
+
+    def answers(env, roots):
+        views = _views(env, roots)
+        verdicts = [(must(p, q, env).to_json(), leq("p2p", p, q, env, bound=2).to_json(),
+                     leq_plus("clt", p, q, env, bound=2).to_json()) for p, q in pairs]
+        return sorted(views, key=lambda view: consts.index(view[0])), verdicts
+
+    expected_views, expected = answers(parse_defs(text)[0], consts)
+    start = threading.Barrier(2)
+    for r in range(10):
+        shared, _ = parse_defs(text)
+
+        def job(order):
+            start.wait()
+            return answers(shared, order)
+
+        # the threads start together and explore the constants in one order,
+        # or each from its own end: either way their graphs overlap
+        got = _run_together(lambda: job(consts), lambda: job(consts[::(-1) ** r]))
+        _one_id_per_term(shared.table)
+        assert got[0] == got[1]
+        views, verdicts = got[0]
+        assert [(root, rows) for root, _, rows in views] == [(root, rows) for root, _, rows in expected_views]
+        assert verdicts == expected
+
+
+def test_two_threads_build_precongruence_roots_in_the_empty_environment(fast_switching):
+    # the roots f.1 + p of `leq_plus` are new terms whose successors are
+    # known, or new too when p has a fresh action; two threads make them at
+    # once in the process's table
+    table = Lts(syntax.NIL).table
+    start = threading.Barrier(2)
+    for r in range(6):
+        spec = EnumSpec((f"thread{r}", "b"), 2, max_width=2)
+        corpus = list(itertools.islice(enumerate_terms(spec), 0, 3000, 5))
+        f = Prefix(Action(f"thread{r}f"), syntax.UNIT)
+        roots = [syntax.mk_sum([f, p]) for p in corpus]
+        pairs = list(zip(corpus[:40], corpus[1:]))
+
+        def job(order):
+            start.wait()
+            views = sorted(_views(syntax.EMPTY_ENV, order), key=lambda view: roots.index(view[0]))
+            return views, [leq_plus(kind, p, q).to_json() for kind in KINDS for p, q in pairs]
+
+        got = _run_together(lambda: job(roots), lambda: job(roots[::(-1) ** r]))
+        _one_id_per_term(table)
+        assert got[0] == got[1]
+        fresh = syntax.Env()
+        assert [(root, rows) for root, _, rows in got[0][0]] == \
+            [(root, rows) for root, _, rows in _views(fresh, roots)]
+        assert got[0][1] == [leq_plus(kind, p, q, fresh).to_json() for kind in KINDS for p, q in pairs]

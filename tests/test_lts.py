@@ -14,7 +14,8 @@ from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cy
 from ccswb.preorders import KINDS, leq
 from ccswb.syntax import (Action, Const, EMPTY_ENV, Env, NIL, OK, TAU, UNIT, Prefix, label_key, mk_sum,
                           parse_defs, pretty)
-from ccswb.testing import find_counterexample, must, must_sc
+from ccswb.testing import find_counterexample, has_unsuccessful_maximal, must, must_sc
+from ccswb.usability import usable
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -52,7 +53,7 @@ def test_one_step_transitions():
 
 
 def test_closures_return_their_input_when_they_add_nothing():
-    lts = Lts(t("b.1 + tau.a.0"))
+    lts = Lts(t("b.1 + tau.a.0"), Env())  # a fresh state table: nothing memoized yet
     root, a0, one = (lts.terms.index(t(text)) for text in ("b.1 + tau.a.0", "a.0", "1"))
     stable = frozenset({a0})
     assert lts.tau_closure(stable) is stable and lts.unsuccessful_closure(stable) is stable
@@ -296,16 +297,18 @@ def test_tau_cycle_sets():
     env, _ = parse_defs("def A = tau.B + a.A\ndef B = tau.A + 1\ndef C = tau.C + tau.A")
     lts = Lts(Const("C"), env)
     named = lambda states: {pretty(lts.terms[i]) for i in states}
-    assert named(lts.tau_cyclic) == {"A", "B", "C"}
-    assert named(lts.nonok_tau_cyclic) == {"C"}
+    states = frozenset(lts.states)
+    assert named(lts.on_tau_cycle(states, False)) == {"A", "B", "C"}
+    assert named(lts.on_tau_cycle(states, True)) == {"C"}
     assert not lts.converges() and lts.diverges_unsuccessfully()
 
 
 def test_visible_edges_are_kept_in_label_order(small_corpus):
     """`Product` reads each `Lts.vis[i]` in this order without re-sorting it."""
     for term in small_corpus + [t("c.0 + ~b.0 + tau.a.0 + ~a.(b.0 + ~c.0 + a.1) + b.1 + a.0")]:
-        for vis in cached_lts(term).vis:
-            assert list(vis) == sorted(vis, key=label_key)
+        lts = cached_lts(term)
+        for i in lts.states:
+            assert list(lts.vis[i]) == sorted(lts.vis[i], key=label_key)
 
 
 def test_cached_lts_keys_environments_by_identity():
@@ -324,23 +327,59 @@ def test_cached_lts_keys_environments_by_identity():
     assert calls == []
 
 
+def test_clearing_the_graph_table_starts_a_fresh_state_table():
+    env = Env()
+    p, q = t("a.(b.1 + tau.0)"), t("~a.~b.0 + tau.~a.0")
+    old = cached_lts(p, env)
+    table = old.table
+    env.graphs.update(dict.fromkeys(range(200_001)))  # past the bound: the next miss clears
+    server = cached_lts(q, env)
+    assert list(env.graphs.values()) == [server] and env.table is server.table is not table
+    new = cached_lts(p, env)
+    assert new is not old and new.table is env.table and old.table is table
+    assert [new.terms[i] for i in new.states] == [old.terms[i] for i in old.states]
+    # views of the two tables still compose: each reads its own table's rows
+    assert Product(server, old).width == len(table.terms)
+    assert has_unsuccessful_maximal(server, old) is has_unsuccessful_maximal(server, new) is True
+    assert explore(Product(server, old)).to_dot() == explore(Product(server, new)).to_dot()
+
+
+class _Tracked(dict):
+    """A memo table a weakref can follow; a table `setdefault` makes in it is
+    one too."""
+
+    def setdefault(self, key, default=None):
+        return super().setdefault(key, _Tracked(default) if type(default) is dict else default)
+
+
 def test_graphs_live_and_die_with_their_environment():
     env = replace(parse_defs("def P = a.P + tau.b.0\ndef Q = a.Q + b.0 + tau.Q\n")[0], state_cap=50)
     graph = weakref.ref(cached_lts(Const("P"), env))
     assert graph() is env.graphs[Const("P")] and graph().cap == 50
-    # walks leave side records with successor rows on the graphs they walk
+    table = env.table
+    memos = ("tau_closures", "unsuccessful_closures", "usable_memo", "usable_witnesses", "sides")
+    for name in memos:
+        setattr(table, name, _Tracked())
+    # walks leave side records in the environment's state table, one side
+    # table per walk plan, and usability its witnesses
     for kind in KINDS:
         for left, right in ((Const("P"), Const("Q")), (Const("Q"), Const("P"))):
             leq(kind, left, right, env, bound=4)
-    walked = [weakref.ref(g) for g in env.graphs.values()]
-    assert len(walked) == 2 and all(g().sides for g in walked)
+    assert usable(mk_sum([Prefix(a, Const("P")), Prefix(b, UNIT)]), env, depth=3).usable
+    walked = [weakref.ref(g) for g in env.graphs.values()]  # P, Q, the client and its witness
+    assert len(walked) == 4 and all(g().table is table for g in walked)
+    plans = list(table.sides.values())
+    assert len(plans) == 3 and all(plans) and all(getattr(table, name) for name in memos)
+    kept = [weakref.ref(x) for x in [table, *map(table.__getattribute__, memos), *plans]]
+    del table, plans
     capped = replace(env, state_cap=7)
-    assert capped.graphs == {} and capped.state_cap == 7
+    assert capped.graphs == {} and capped.table is None and capped.state_cap == 7
     was_enabled = gc.isenabled()
-    gc.disable()  # the graphs must go by reference counting alone
+    gc.disable()  # the graphs and the state table must go by reference counting alone
     try:
         del env, capped
         assert graph() is None and all(g() is None for g in walked)
+        assert all(x() is None for x in kept)
     finally:
         if was_enabled:
             gc.enable()

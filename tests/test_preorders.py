@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TERMS, t
-from ccswb import preorders
+from ccswb import lts, preorders, usability
 from ccswb.equations import erase_units
 from ccswb.lts import Lts, cached_lts
 from ccswb.oracle import EnumSpec, enumerate_terms, refute_by_search
@@ -29,7 +29,7 @@ from ccswb.preorders import (
     passes,
     synthesize_witness,
 )
-from ccswb.syntax import EMPTY_ENV, Const, Env, parse_defs, pretty
+from ccswb.syntax import EMPTY_ENV, UNIT, Action, Const, Env, Prefix, fresh_action, mk_sum, parse_defs, pretty
 from ccswb.testing import must, must_sc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -352,14 +352,46 @@ def test_client_walk_decides_no_convergence(monkeypatch):
 
 
 def test_walks_step_only_the_residual_pairs_they_read(monkeypatch):
-    # each walk runs under a fresh environment, on graphs no earlier walk
-    # has filled side records for, so every side is stepped afresh
+    # each walk runs under a fresh environment, whose state table no earlier
+    # walk has filled side records in, so every side is stepped afresh, and
+    # once: the side of {0}, which both graphs reach, is shared
     calls = _count_calls(monkeypatch, Lts, "step")
     assert leq("clt", t("a.(~b.1 + c.0)"), t("a.~b.1"), Env()).holds
     assert calls and all(states for _, states, _ in calls)
     calls.clear()
     assert leq("svr", t("a.(b.0 + c.1) + tau.a.b.0"), t("a.b.0"), Env()).holds
-    assert len(calls) == 24  # the weak pairs only; the unsuccessful ones would double it
+    assert len(calls) == 21  # the weak sides only; the unsuccessful ones would double it
+
+
+def test_graphs_of_one_environment_share_states_and_memos(monkeypatch):
+    # a state's moves, a set's closures and usability and a walk's side
+    # records belong to the environment's state table, not to one graph, so
+    # the precongruence's root f.1 + p reads what the graph of p filled
+    env = Env()
+    p = t("a.(b.1 + tau.c.0) + tau.d.1")
+    first = cached_lts(p, env)
+    explored = _count_calls(monkeypatch, lts, "transitions")
+    fp = mk_sum([Prefix(fresh_action([p, p], env), UNIT), p])
+    second = cached_lts(fp, env)
+    assert [args[0] for args in explored] == [fp]  # only the new root is unfolded
+    assert set(second.states) - set(first.states) == {second.root}
+    after = first.step(frozenset({first.root}), Action("a"))
+    closed = first.tau_closure(after), first.unsuccessful_closure(after)
+    assert len(closed[0]) == 2 and closed[0] is not after
+    after = second.step(frozenset({second.root}), Action("a"))
+    assert (second.tau_closure(after), second.unsuccessful_closure(after)) == closed
+    assert all(x is y for x, y in zip(closed, (second.tau_closure(after), second.unsuccessful_closure(after))))
+    decided = _count_calls(monkeypatch, usability, "_usable_closed")
+    answer = usability.usable_set(first, after)
+    n = len(decided)
+    assert n and usability.usable_set(second, after) == answer and len(decided) == n
+    # the walk over f.1 + p steps only its root's side: every side below it is p's
+    assert leq("clt", p, p, env).holds
+    steps = _count_calls(monkeypatch, Lts, "step")
+    decided.clear()
+    assert leq_plus("clt", p, p, env).holds
+    assert steps and all(second.root in states for _, states, _ in steps)
+    assert len(decided) == 1  # the root's closed set; every set below it is decided
 
 
 # Each summand of the left term is a stable state offering one usable
@@ -467,4 +499,4 @@ def test_bounded_walk_keeps_one_usability_entry_per_set():
         env, _ = parse_defs("def P = " + "a." * depth + "1\n")
         p = env.lookup("P")
         assert leq("clt", p, p, env, bound=depth).holds
-        assert len(cached_lts(p, env)._usable_memo) <= depth + 1
+        assert len(env.table.usable_memo) <= depth + 1

@@ -140,7 +140,7 @@ class _DenseProduct:
         if self.rows[k] is None:
             w = len(self.right.terms)
             i, j = self.states[k]
-            codes = lts.moves(self.left, self.right, i * w + j)
+            codes = lts.moves(self.left, self.right, i * w + j, w)
             self.rows[k] = tuple(dict.fromkeys(self.intern(divmod(c, w)) for c in codes))
         return self.rows[k]
 

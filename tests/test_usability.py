@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -137,7 +138,7 @@ def test_negative_depth_is_rejected():
 
 def test_usable_set_answers_sets_with_nothing_left_to_satisfy():
     lts = cached_lts(t("a.1 + b.0"))
-    ok_states = frozenset(i for i in range(len(lts)) if lts.ok[i])
+    ok_states = frozenset(i for i in lts.states if lts.ok[i])
     assert ok_states and not lts.ok[lts.root]
     for depth in (None, 0, 2, -1):
         assert usable_set(lts, frozenset(), depth) is True
@@ -161,7 +162,7 @@ def _reference(lts, states, depth, open_sets=frozenset()):
     C = key[0]
     if key in open_sets:
         raise VisibleCycle("cycle")
-    if C & lts.nonok_tau_cyclic:
+    if lts.on_tau_cycle(C, True):
         return False, None
     usable_act = {}
     for x in sorted({x for i in C for x in lts.vis[i]}, key=label_key):
@@ -199,15 +200,17 @@ _DEEP = [t(x) for x in ("a.b.c.1", "a.(b.~c.1 + c.0) + tau.b.a.1", "tau.a.b.1 + 
        st.permutations([None, 0, 1, 2, 3, 5]))
 def test_one_memo_answers_every_depth_as_a_fresh_graph(term, depths):
     # one graph is asked at every depth, exact included, in a shuffled order;
-    # each answer must be a fresh graph's, and each witness the rule's
+    # each answer must be a fresh graph's, on a fresh state table with its
+    # own ids, and each witness the rule's
     shared = Lts(term, _RECURSIVE)
-    sets = [frozenset({i}) for i in range(len(shared))] + [frozenset(range(len(shared)))]
+    sets = [frozenset({i}) for i in shared.states] + [frozenset(shared.states)]
     for depth in depths:
         for states in sets:
-            fresh = Lts(term, _RECURSIVE)
-            want = _outcome(lambda: usable_set(fresh, states, depth))
+            fresh = Lts(term, replace(_RECURSIVE))
+            own = frozenset(fresh.table.index[shared.terms[i]] for i in states)
+            want = _outcome(lambda: usable_set(fresh, own, depth))
             assert _outcome(lambda: usable_set(shared, states, depth)) == want
-            rule = _outcome(lambda: _reference(fresh, states, depth))
+            rule = _outcome(lambda: _reference(fresh, own, depth))
             assert want == (rule if rule == "cycle" else rule[0])
             assert _outcome(lambda: usable_witness(shared, states, depth)) == (
                 rule if rule == "cycle" else rule[1])
