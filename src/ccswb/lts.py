@@ -171,27 +171,34 @@ class StateTable:
         exploration reaches it.  More than `cap` states raise
         `StateCapExceeded`."""
         index, terms, ok, taus, vis, ready = self.index, self.terms, self.ok, self.taus, self.vis, self.ready
-        rows = (ok, taus, vis, ready)
         with self.lock:
             i = index.get(root)
             if i is None:
                 i = index[root] = len(terms)
                 terms.append(root)
-                for row in rows:
-                    row.append(None)
+                ok.append(None)
+                taus.append(None)
+                vis.append(None)
+                ready.append(None)
             order, seen = [i], {i}
             for i in order:  # the order grows as states are found
-                nxt = []
                 if taus[i] is None:
+                    # fill the rows, meeting the successors in edge order
                     o, ts, vs = False, [], {}
                     for lab, tgt in sorted(transitions(terms[i], env), key=_edge_key):
                         j = index.get(tgt)
                         if j is None:
                             j = index[tgt] = len(terms)
                             terms.append(tgt)
-                            for row in rows:
-                                row.append(None)
-                        nxt.append(j)
+                            ok.append(None)
+                            taus.append(None)
+                            vis.append(None)
+                            ready.append(None)
+                        if j not in seen:
+                            if len(order) >= cap:
+                                raise StateCapExceeded(cap)
+                            seen.add(j)
+                            order.append(j)
                         if lab is TAU:
                             ts.append(j)
                         elif lab is OK:
@@ -203,12 +210,12 @@ class StateTable:
                     r = frozenset(vs)
                     ready[i] = self.readies.setdefault(r, r)
                     taus[i] = tuple(ts)
-                else:
-                    nxt += taus[i]
-                    if ok[i]:
-                        nxt.append(index[NIL])  # every ok move ends in 0
-                    for js in vis[i].values():
-                        nxt += js
+                    continue
+                nxt = list(taus[i])
+                if ok[i]:
+                    nxt.append(index[NIL])  # every ok move ends in 0
+                for js in vis[i].values():
+                    nxt += js
                 for j in nxt:
                     if j not in seen:
                         if len(order) >= cap:
