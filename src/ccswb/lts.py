@@ -228,18 +228,22 @@ class StateTable:
         """Classify, once each, the strongly connected components of tau
         moves, through non-ok states only when `unsuccessful`, that hold
         `states`: `cycles[unsuccessful]` gains them, and their states on a
-        cycle."""
+        cycle.  A state with no such move is a component off every cycle."""
         done, cyclic = self.cycles[unsuccessful]
         ok, taus = self.ok, self.taus
-        # a classified state's component is complete: no edge into it closes a cycle
-        if unsuccessful:
-            succ = lambda i: () if ok[i] else [j for j in taus[i] if not ok[j] and j not in done]
-        else:
-            succ = lambda i: [j for j in taus[i] if j not in done]
+        succ = (lambda i: [j for j in taus[i] if not ok[j]]) if unsuccessful else taus.__getitem__
         with self.lock:
-            for comp in sccs([i for i in states if i not in done], succ):
+            roots = []
+            for i in states:
+                if i not in done:
+                    if taus[i] and not (unsuccessful and ok[i]):
+                        roots.append(i)
+                    else:
+                        done.add(i)
+            # a component met again is classified again, to the same flags
+            for comp in sccs(roots, succ):
                 v = comp[0]
-                if len(comp) > 1 or v in taus[v] and not (unsuccessful and ok[v]):
+                if len(comp) > 1 or v in taus[v]:
                     cyclic.update(comp)
                 done.update(comp)  # after `cyclic`, so a classified state has its flag
 
@@ -386,12 +390,17 @@ class Lts:
 
     def on_tau_cycle(self, states: frozenset[int], unsuccessful: bool) -> frozenset[int]:
         """The states of `states` on a cycle of tau moves, through non-ok
-        states only when `unsuccessful`.  The first set to hold a state not
-        yet classified classifies the rest of the graph with it."""
-        done, cyclic = self.table.cycles[unsuccessful]
-        if not states <= done:
-            self.table.classify(itertools.chain(states, self.states), unsuccessful)
-        return states & cyclic
+        states only when `unsuccessful`, which are looked for among the
+        states on a tau cycle alone.  The first set to hold a state not yet
+        classified classifies the rest of the graph with it."""
+        for kind in (False, True) if unsuccessful else (False,):
+            done, cyclic = self.table.cycles[kind]
+            if not states <= done:
+                self.table.classify(itertools.chain(states, self.states), kind)
+            states &= cyclic
+            if not states:
+                break
+        return states
 
     def converges_state_set(self, states: frozenset[int]) -> bool:
         """No infinite tau run from any of the states."""
