@@ -225,10 +225,11 @@ class StateTable:
             return order
 
     def classify(self, states: Iterable[int], unsuccessful: bool) -> None:
-        """Classify, once each, the strongly connected components of tau
-        moves, through non-ok states only when `unsuccessful`, that hold
-        `states`: `cycles[unsuccessful]` gains them, and their states on a
-        cycle.  A state with no such move is a component off every cycle."""
+        """Classify the strongly connected components of tau moves, through
+        non-ok states only when `unsuccessful`, that hold the states of
+        `states` not yet classified: `cycles[unsuccessful]` gains them, and
+        their states on a cycle.  A state with no such move is a component
+        off every cycle."""
         done, cyclic = self.cycles[unsuccessful]
         ok, taus = self.ok, self.taus
         succ = (lambda i: [j for j in taus[i] if not ok[j]]) if unsuccessful else taus.__getitem__
