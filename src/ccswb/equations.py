@@ -1,8 +1,9 @@
 """Axiom systems with two-sorted instantiation, saturation closure, and
 constructive normalization of finite terms to peer and client normal forms.
 
-Normalization is a constructive recursion (pairwise merging with derivative
-unification, then saturation) rather than generic rewriting; its output is
+Normalization is a constructive fold over the term (pairwise merging with
+derivative unification, then saturation) rather than generic rewriting; each
+interned subterm is normalized once and keeps its form.  Its output is
 validated semantically by the test suite, never assumed.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .lts import can_ok
 from .oracle import EnumSpec, enumerate_terms
@@ -37,12 +38,14 @@ from .syntax import (
     label_set_key,
     mk_sum,
     pretty,
+    shared_set,
 )
 from .usability import usable
 
 #: ready-set members: visible actions plus the success marker
 FamLabel = Union[Action, Ok]
 Family = frozenset[frozenset]
+_N = TypeVar("_N")
 _V = TypeVar("_V")
 
 
@@ -85,18 +88,20 @@ def is_saturated(family: Family) -> bool:
 
 
 class Pnf:
-    """Base class of peer normal forms; `unit` is the optional +1 summand."""
+    """Base class of peer normal forms; `unit` is the optional +1 summand.
+    A `PnfTau`'s family and its members are the shared objects of
+    `syntax.shared_set`, so equal families of any two forms are one object."""
 
     __slots__ = ()
     unit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PnfDiv(Pnf):
     unit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PnfExt(Pnf):
     branches: tuple[tuple[Action, Pnf], ...]
     unit: bool
@@ -105,7 +110,7 @@ class PnfExt(Pnf):
         return dict(self.branches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PnfTau(Pnf):
     family: Family
     leaves: tuple[tuple[Action, Pnf], ...]
@@ -127,7 +132,7 @@ def okify(n: Pnf) -> Pnf:
     if isinstance(n, PnfExt):
         return PnfExt(_sorted_items({a: okify(c) for a, c in n.branches}), True)
     if isinstance(n, PnfTau):
-        fam = frozenset(A | {OK} for A in n.family)
+        fam = shared_set(frozenset(A | {OK} for A in n.family))
         return PnfTau(fam, _sorted_items({a: okify(c) for a, c in n.leaves}), True)
     raise TypeError(n)
 
@@ -139,7 +144,7 @@ def make_ext(branches: dict[Action, Pnf], unit: bool) -> PnfExt:
 
 
 def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf]) -> PnfTau:
-    fam = saturate(family)
+    fam = shared_set(saturate(family))
     labels = {a for A in fam for a in A if isinstance(a, Action)}
     leaves = {a: c for a, c in leaves.items() if a in labels}
     return PnfTau(fam, _sorted_items(leaves), False)
@@ -147,6 +152,7 @@ def make_tau(family: Iterable[Iterable[FamLabel]], leaves: dict[Action, Pnf]) ->
 
 _ZERO = PnfExt((), False)
 _ONE = PnfExt((), True)
+_LEAF_FORMS = {Nil: (_ZERO, True), Unit: (_ONE, True), Div: (PnfDiv(False), True)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def tau_single(n: Pnf) -> tuple[Pnf, bool]:
         if n.unit:
             labels.add(OK)
         # an internal commitment to deadlock keeps an explicit empty branch
-        return PnfTau(frozenset({frozenset(labels)}), n.branches, False), True
+        return PnfTau(shared_set(frozenset({frozenset(labels)})), n.branches, False), True
     if isinstance(n, PnfTau):
         return (_strip(n) if n.unit else n), True
     raise TypeError(n)
@@ -249,46 +255,93 @@ def normalize_pnf(t: Term) -> Pnf:
     return normalize_pnf_info(t)[0]
 
 
+# a form is stored past the frozen `__setattr__`, as `syntax` stores fields
+_set_pnf = Term._pnf.__set__
+
+
 def normalize_pnf_info(t: Term) -> tuple[Pnf, bool]:
     """Normal form plus an exactness flag: False when the merge had to shield
     an unsuccessful visible step under a success-capable internal branch, or
     an internal step led to a success-carrying divergence (`tau.(1 + div)`);
-    in both cases the form can sit strictly above the source."""
+    in both cases the form can sit strictly above the source.
+
+    One post-order fold over the term on an explicit stack, so any nesting
+    depth is normalized.  Each subterm keeps its (form, flag) on first use,
+    as its action names are kept, so an interned subterm is normalized once
+    however many terms share it, and its form goes with it when the term
+    table drops it.  A thread racing for a subterm stores an equal pair."""
     if not is_ccsf(t):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
-
-    def go(t: Term) -> tuple[Pnf, bool]:
-        if isinstance(t, Nil):
-            return _ZERO, True
-        if isinstance(t, Unit):
-            return _ONE, True
-        if isinstance(t, Div):
-            return PnfDiv(False), True
-        if isinstance(t, Prefix):
-            body, exact = go(t.body)
-            if isinstance(t.guard, Action):
-                return make_ext({t.guard: body}, False), exact
-            stepped, ok = tau_single(body)
-            return stepped, exact and ok
-        if isinstance(t, Sum):
-            acc, exact = go(t.parts[0])
-            for p in t.parts[1:]:
-                part, ok1 = go(p)
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if s._pnf is not None:
+            stack.pop()
+            continue
+        cls = type(s)
+        if cls is Prefix:
+            below = s.body._pnf
+            if below is None:
+                stack.append(s.body)
+                continue
+            body, exact = below
+            if s.guard is TAU:
+                stepped, ok = tau_single(body)
+                info = stepped, exact and ok
+            else:
+                info = PnfExt(((s.guard, body),), False), exact
+        elif cls is Sum:
+            missing = [p for p in s.parts if p._pnf is None]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc, exact = s.parts[0]._pnf
+            for p in s.parts[1:]:
+                part, ok1 = p._pnf
                 acc, ok2 = plus_pnf(acc, part)
                 exact = exact and ok1 and ok2
-            return acc, exact
-        raise NotCCSf(f"not a finite term: {pretty(t)}")
+            info = acc, exact
+        else:
+            info = _LEAF_FORMS[cls]
+        _set_pnf(s, info)
+        stack.pop()
+    return t._pnf
 
-    return go(t)
+
+def _postorder(root: _N, kids: Callable[[_N], Iterable[_N]], make: Callable[[_N, dict], _V]) -> _V:
+    """`make(n, done)` of `root`, where `done` maps the `id` of each of n's
+    `kids` to what `make` made of it: one post-order pass over the distinct
+    nodes below `root`, on an explicit stack, so any nesting depth is
+    walked.  The ids stay valid since `root` holds every node below it."""
+    done: dict[int, _V] = {}
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if id(n) in done:
+            stack.pop()
+            continue
+        missing = [c for c in kids(n) if id(c) not in done]
+        if missing:
+            stack.extend(missing)
+            continue
+        done[id(n)] = make(n, done)
+        stack.pop()
+    return done[id(root)]
 
 
-def pnf_to_term(n: Pnf) -> Term:
-    """Render a normal form back into the term syntax; the success marker in
-    a branch set renders as a 1 summand of that branch."""
+def _form_kids(n: Pnf) -> Iterable[Pnf]:
+    if isinstance(n, PnfExt):
+        return [c for _, c in n.branches]
+    if isinstance(n, PnfTau):
+        return [c for _, c in n.leaves]
+    return ()
+
+
+def _render(n: Pnf, done: dict[int, Term]) -> Term:
     if isinstance(n, PnfDiv):
         return mk_sum([DIV, UNIT]) if n.unit else DIV
     if isinstance(n, PnfExt):
-        parts: list[Term] = [Prefix(a, pnf_to_term(c)) for a, c in n.branches]
+        parts: list[Term] = [Prefix(a, done[id(c)]) for a, c in n.branches]
         if n.unit:
             parts.append(UNIT)
         return mk_sum(parts)
@@ -296,7 +349,7 @@ def pnf_to_term(n: Pnf) -> Term:
         lm = n.leaf_map()
         parts = []
         for A in sorted(n.family, key=label_set_key):
-            branch = [UNIT if isinstance(lab, Ok) else Prefix(lab, pnf_to_term(lm[lab]))
+            branch = [UNIT if isinstance(lab, Ok) else Prefix(lab, done[id(lm[lab])])
                       for lab in sorted(A, key=label_key)]
             parts.append(Prefix(TAU, mk_sum(branch)))
         if n.unit:
@@ -305,13 +358,24 @@ def pnf_to_term(n: Pnf) -> Term:
     raise TypeError(n)
 
 
+def pnf_to_term(n: Pnf) -> Term:
+    """Render a normal form back into the term syntax; the success marker in
+    a branch set renders as a 1 summand of that branch."""
+    return _postorder(n, _form_kids, _render)
+
+
 def _check(n: Pnf, client: bool) -> list[str]:
     """Structural validity report under the peer grammar, or under the client
     grammar, where success stands only as the whole form 1 or as the
-    one-member branch {ok}; empty means well formed."""
+    one-member branch {ok}; empty means well formed.  The nodes are checked
+    in pre-order on an explicit stack, each with its path and the error its
+    parent found on the way to it, if any."""
     errors: list[str] = []
-
-    def go(n: Pnf, path: str) -> None:
+    stack: list[tuple[Pnf, str, Optional[str]]] = [(n, "nf", None)]
+    while stack:
+        n, path, above = stack.pop()
+        if above is not None:
+            errors.append(above)
         if isinstance(n, PnfDiv):
             children: tuple[tuple[Action, Pnf], ...] = ()
         elif isinstance(n, PnfExt):
@@ -334,15 +398,13 @@ def _check(n: Pnf, client: bool) -> list[str]:
             children = n.leaves
         else:
             errors.append(f"{path}: not a normal form node")
-            return
+            continue
         if client and n.unit and n != _ONE:
             errors.append(f"{path}: success summand beside siblings")
-        for a, c in children:
-            if not client and n.unit and not c.unit:
-                errors.append(f"{path}: success summand without success under {a}")
-            go(c, f"{path}.{a}")
-
-    go(n, "nf")
+        for a, c in reversed(children):
+            lost = not client and n.unit and not c.unit
+            stack.append((c, f"{path}.{a}",
+                          f"{path}: success summand without success under {a}" if lost else None))
     return errors
 
 
@@ -356,28 +418,44 @@ def check_pnf(n: Pnf) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def pnf_to_cnf(n: Pnf) -> Pnf:
-    """Client normal form of a peer normal form: every sibling of an
-    immediate success is absorbed (x + 1 = 1), so success is left only as
-    the whole form 1 or as the one-member branch {ok}."""
+def _cnf_kids(n: Pnf) -> Iterable[Pnf]:
+    if n.unit:
+        return ()
+    if isinstance(n, PnfExt):
+        return [c for _, c in n.branches]
+    if isinstance(n, PnfTau):
+        lm = n.leaf_map()
+        return [lm[a] for a in {a for A in n.family if OK not in A for a in A}]
+    return ()
+
+
+def _cnf(n: Pnf, done: dict[int, Pnf]) -> Pnf:
     if n.unit:
         return _ONE
     if isinstance(n, PnfDiv):
         return n
     if isinstance(n, PnfExt):
-        return PnfExt(tuple((a, pnf_to_cnf(c)) for a, c in n.branches), False)
+        return PnfExt(tuple((a, done[id(c)]) for a, c in n.branches), False)
     assert isinstance(n, PnfTau)
     plain = frozenset(A for A in n.family if OK not in A)
     # the members holding success collapse to the one-member branch {ok}
-    family = plain if plain == n.family else plain | {frozenset({OK})}
+    family = n.family if plain == n.family else shared_set(plain | {frozenset({OK})})
     lm = n.leaf_map()
     labels = {a for A in plain for a in A}
-    return PnfTau(family, _sorted_items({a: pnf_to_cnf(lm[a]) for a in labels}), False)
+    return PnfTau(family, _sorted_items({a: done[id(lm[a])] for a in labels}), False)
+
+
+def pnf_to_cnf(n: Pnf) -> Pnf:
+    """Client normal form of a peer normal form: every sibling of an
+    immediate success is absorbed (x + 1 = 1), so success is left only as
+    the whole form 1 or as the one-member branch {ok}."""
+    return _postorder(n, _cnf_kids, _cnf)
 
 
 def normalize_cnf(t: Term) -> Pnf:
     """Client normal form: the peer normal form simplified by absorbing every
-    sibling of an immediate success (x + 1 = 1)."""
+    sibling of an immediate success (x + 1 = 1); the peer form is the one
+    kept on the term."""
     return pnf_to_cnf(normalize_pnf(t))
 
 
@@ -395,22 +473,34 @@ def check_cnf(n: Pnf) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def erase_units(t: Term) -> Term:
-    """1 = 0 for servers; the success operator plays no server role."""
+def _term_kids(t: Term) -> Iterable[Term]:
+    if isinstance(t, Prefix):
+        return (t.body,)
+    if isinstance(t, Sum):
+        return t.parts
+    return ()
+
+
+def _erase(t: Term, done: dict[int, Term]) -> Term:
     if isinstance(t, Unit):
         return NIL
     if isinstance(t, Prefix):
-        return Prefix(t.guard, erase_units(t.body))
+        return Prefix(t.guard, done[id(t.body)])
     if isinstance(t, Sum):
-        return mk_sum(erase_units(p) for p in t.parts)
+        return mk_sum(done[id(p)] for p in t.parts)
     return t
+
+
+def erase_units(t: Term) -> Term:
+    """1 = 0 for servers; the success operator plays no server role."""
+    return _postorder(t, _term_kids, _erase)
 
 
 def normalize_snf(t: Term) -> Pnf:
     """Server normal form: erase success (it plays no server role), then
     apply the shared normalizer; deadlock commitments stay explicit empty
     branch sets, so nothing client-specific is assumed."""
-    return normalize_pnf_info(erase_units(t))[0]
+    return normalize_pnf(erase_units(t))
 
 
 # ---------------------------------------------------------------------------

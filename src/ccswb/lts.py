@@ -8,6 +8,7 @@ import threading
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
+    DIV,
     OK,
     TAU,
     Action,
@@ -229,24 +230,29 @@ class StateTable:
         non-ok states only when `unsuccessful`, that hold the states of
         `states` not yet classified: `cycles[unsuccessful]` gains them, and
         their states on a cycle.  A state with no such move is a component
-        off every cycle."""
+        off every cycle.  A term with no constant moves by tau only to
+        proper subterms, but `div` to itself, so its state is on a cycle of
+        either kind exactly when it is `div`, which is not ok; only states
+        holding a constant start a component search."""
         done, cyclic = self.cycles[unsuccessful]
-        ok, taus = self.ok, self.taus
+        terms, ok, taus = self.terms, self.ok, self.taus
         succ = (lambda i: [j for j in taus[i] if not ok[j]]) if unsuccessful else taus.__getitem__
         with self.lock:
             roots = []
             for i in states:
                 if i not in done:
-                    if taus[i] and not (unsuccessful and ok[i]):
+                    if terms[i]._depth < 0 and taus[i] and not (unsuccessful and ok[i]):
                         roots.append(i)
-                    else:
-                        done.add(i)
+                        continue
+                    if terms[i] is DIV:
+                        cyclic.add(i)
+                    done.add(i)  # after `cyclic`, so a classified state has its flag
             # a component met again is classified again, to the same flags
-            for comp in sccs(roots, succ):
+            for comp in sccs(roots, succ) if roots else ():
                 v = comp[0]
                 if len(comp) > 1 or v in taus[v]:
                     cyclic.update(comp)
-                done.update(comp)  # after `cyclic`, so a classified state has its flag
+                done.update(comp)
 
 
 _NEW_TABLE = threading.Lock()

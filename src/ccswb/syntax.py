@@ -146,10 +146,12 @@ class Term(_Interned):
     hash-consing", 2006): every node is built through one unique table, so
     two terms are equal exactly when they are the same object.  Each node
     computes once, from its children, its `term_key` and its visible depth
-    (-1 when a constant occurs); its action names are computed on first use.
+    (-1 when a constant occurs); its action names, and for a finite term its
+    peer normal form with its exactness flag (`equations.normalize_pnf_info`),
+    are computed on first use and kept on the node.
     """
 
-    __slots__ = ("_depth", "_names")
+    __slots__ = ("_depth", "_names", "_pnf")
 
     def __str__(self) -> str:
         return pretty(self)
@@ -161,6 +163,7 @@ _NO_NAMES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
 _set_key = Term._key.__set__
 _set_depth = Term._depth.__set__
 _set_names = Term._names.__set__
+_set_pnf = Term._pnf.__set__
 _depth_of = operator.attrgetter("_depth")
 
 
@@ -169,6 +172,7 @@ def _node(cls: type, key: tuple, depth: int, names: object) -> Term:
     _set_key(t, key)
     _set_depth(t, depth)
     _set_names(t, names)
+    _set_pnf(t, None)
     return t
 
 
@@ -179,6 +183,10 @@ def _node(cls: type, key: tuple, depth: int, names: object) -> Term:
 # doubled since the last sweep, `_sweep` drops those only the table refers to.
 _SUMS: dict[tuple[Term, ...], "Sum"] = {}
 _CONSTS: dict[str, "Const"] = {}
+# Label sets that normal forms keep (branch families and their members), one
+# object per distinct set, with the same locking; the sweep drops a set that
+# only the table refers to, as key and value of its entry.
+_LABEL_SETS: dict[frozenset, frozenset] = {}
 _MIN_SWEEP = 4096
 _size = 0
 _limit = _MIN_SWEEP
@@ -230,6 +238,19 @@ def _sweep() -> None:
             work.append(t.body)
         key = None  # hold no child: its count is read next
     t = None  # a dropped prefix would hold its guard
+    # the terms dropped took their normal forms along, so the sets only
+    # those forms held go too: a family first, then its members
+    work = [s for s in _LABEL_SETS if getrc(s) == alone + 2]
+    while work:
+        s = work.pop()
+        if getrc(s) > alone + 2:
+            continue
+        del _LABEL_SETS[s]
+        if getrc(s) > alone:
+            _LABEL_SETS[s] = s
+            continue
+        work.extend(m for m in s if type(m) is frozenset and _LABEL_SETS.get(m) is m)
+    s = None  # a dropped set would hold its labels
     # a name whose two actions guard no prefix goes, by the same rule, unless
     # more than the pair and each other hold its actions
     for name in [n for n, (a, co_a) in _ACTIONS.items() if not a._prefixes and not co_a._prefixes]:
@@ -373,6 +394,18 @@ def mk_sum(parts: Iterable[Term]) -> Term:
     if len(flat) < 2:
         return flat[0] if flat else NIL
     return Sum(tuple(flat))
+
+
+def shared_set(s: frozenset) -> frozenset:
+    """The one object equal to `s`, a set of labels or a set of such sets;
+    the members of a set of sets are shared too."""
+    t = _LABEL_SETS.get(s)
+    if t is None:
+        if any(type(m) is frozenset for m in s):
+            s = frozenset(map(shared_set, s))
+        with _LOCK:
+            t = _LABEL_SETS.setdefault(s, s)
+    return t
 
 
 def internal_choice(left: Term, right: Term) -> Term:

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from ccswb.cli import run
+from ccswb.equations import (check_cnf, check_pnf, cnf_to_term, erase_units, normalize_cnf,
+                             normalize_pnf_info, normalize_snf, pnf_to_term)
 from ccswb.lts import Lts
 from ccswb.preorders import KINDS, leq, leq_plus
 from ccswb.syntax import Action, parse_defs, pretty
@@ -282,6 +284,19 @@ def test_deep_chains_run_end_to_end(tmp_path, capsys):
     assert run(["must", str(path), "-s", "P", "-c", "C"]) == 0
     assert run(["usable", str(path), "-c", "P"]) == 0
     assert run(["refines", str(path), "--kind", "p2p", "-l", "P", "-r", "P"]) == 0
+    # normalization folds, converts, checks and renders on explicit stacks
+    pnf, exact = normalize_pnf_info(p)
+    cnf = normalize_cnf(p)
+    assert exact and check_pnf(pnf) == [] and check_cnf(cnf) == []
+    assert pnf_to_term(pnf) is p and cnf_to_term(cnf) is p
+    assert pnf_to_term(normalize_snf(p)) is erase_units(p)
+    assert pretty(erase_units(p)) == "a." * depth + "0"
+    capsys.readouterr()
+    for theory in ("svr", "clt", "p2p"):
+        assert run(["--json", "normalize", str(path), "-p", "P", "--theory", theory]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] and out["exact"]
+        assert out["normal_form"] == "a." * depth + ("0" if theory == "svr" else "1")
     # ordering two chains that share a prefix past the recursion limit
     # compares nested order keys
     shared = tmp_path / "shared.ccs"

@@ -18,11 +18,11 @@ import pytest
 
 from conftest import t
 from ccswb import syntax
-from ccswb.equations import normalize_pnf_info
+from ccswb.equations import cnf_to_term, normalize_cnf, normalize_pnf_info, pnf_to_term
 from ccswb.preorders import KINDS, leq, leq_plus
 from ccswb.lts import Lts
 from ccswb.oracle import EnumSpec, enumerate_terms, pass_table
-from ccswb.syntax import Action, Const, Prefix, parse_defs, parse_term, pretty
+from ccswb.syntax import Action, Const, Prefix, parse_defs, parse_term, pretty, subterms
 from ccswb.testing import must, must_sc
 from ccswb.usability import usable_set, usable_witness
 
@@ -263,6 +263,31 @@ def test_normalize_flags_from_two_threads(fast_switching):
     got_shielded, got_exact = _run_together(lambda: flags(shielded), lambda: flags(exact))
     assert got_shielded == [False] * 3000
     assert got_exact == [True] * 3000
+
+
+def test_two_threads_normalize_overlapping_corpora(fast_switching):
+    # both threads normalize the shared subterms at once: each stores its
+    # own form on a subterm, and a lost race leaves an equal one
+    def forms(term):
+        pnf, exact = normalize_pnf_info(term)
+        return pretty(pnf_to_term(pnf)), pretty(cnf_to_term(normalize_cnf(term))), exact
+
+    start = threading.Barrier(2)
+    for r in range(4):
+        spec = EnumSpec((f"nfthread{r}", "b"), 2, max_width=2)
+        corpus = list(itertools.islice(enumerate_terms(spec), 0, 3000, 3))
+
+        def job(terms):
+            start.wait(timeout=60)
+            return [forms(term) for term in terms]
+
+        first, second = _run_together(lambda: job(corpus[:700]), lambda: job(corpus[300:][::-1]))
+        # forget every kept form, then normalize in this thread alone
+        for sub in {sub for term in corpus for sub in subterms(term)}:
+            syntax.Term._pnf.__set__(sub, None)
+        expected = [forms(term) for term in corpus]
+        assert first == expected[:700]
+        assert second == expected[300:][::-1]
 
 
 _SERVERS = "def S = a.S + b.T\ndef T = c.S + tau.T + d.1\ndef U = tau.U + a.0 + b.U"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FINITE_TERMS, t
+from ccswb import equations
 from ccswb.equations import (
     GroundInstance,
     NotCCSf,
@@ -23,13 +24,14 @@ from ccswb.equations import (
     normalize_pnf,
     normalize_pnf_info,
     normalize_snf,
+    plus_pnf,
     pnf_to_term,
     saturate,
     simplify_unusable,
 )
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import leq_plus
-from ccswb.syntax import Action, Const, OK, pretty
+from ccswb.syntax import Action, Const, OK, Term, pretty, subterms
 
 a, b, c = Action("a"), Action("b"), Action("c")
 
@@ -114,6 +116,31 @@ def test_criterion_3_rule_on_div_terms():
 def test_normalize_rejects_recursive_terms():
     with pytest.raises(NotCCSf):
         normalize_pnf(Const("A"))
+
+
+def test_the_fold_normalizes_each_distinct_subterm_once(monkeypatch):
+    # names no other test uses, so no subterm that holds them has a form yet
+    corpus = list(itertools.islice(enumerate_terms(EnumSpec(("foldx", "foldy"), 2, max_width=2)), 2000))
+    distinct = {s for term in corpus for s in subterms(term)}
+    fresh = {s for s in distinct if s._pnf is None}
+    assert fresh >= {s for s in distinct if "fold" in pretty(s)}
+    steps = []
+    monkeypatch.setattr(equations, "_set_pnf", lambda s, info: steps.append(s) or Term._pnf.__set__(s, info))
+    forms = [normalize_pnf_info(term) for term in corpus]
+    assert len(steps) == len(fresh) and set(steps) == fresh
+    assert all(s._pnf is not None for s in distinct)
+    # a second pass reads the kept forms
+    assert [normalize_pnf_info(term) for term in corpus] == forms and len(steps) == len(fresh)
+
+
+def test_client_form_reads_the_kept_peer_form(monkeypatch):
+    term = t("a.(b.0 (+) c.1) + a.(b.1 (+) c.0) + tau.(a.1 + b.0) + tau.keptx.0")
+    pnf, _ = normalize_pnf_info(term)
+    merges = []
+    monkeypatch.setattr(equations, "plus_pnf", lambda n, m: merges.append((n, m)) or plus_pnf(n, m))
+    cnf = normalize_cnf(term)
+    assert merges == [] and normalize_pnf(term) is pnf
+    assert check_cnf(cnf) == [] and normalize_snf(term) is normalize_pnf(erase_units(term))
 
 
 def test_pnf_idempotent_on_rendering(small_corpus):

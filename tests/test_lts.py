@@ -9,10 +9,12 @@ import pytest
 from conftest import explore, t
 from hypothesis import given, strategies as st
 
+from ccswb import lts as lts_module
 from ccswb.lts import (Lts, Product, StateCapExceeded, cached_lts, can_ok, on_cycle, sccs,
                        transitions)
-from ccswb.preorders import KINDS, leq
-from ccswb.syntax import (Action, Const, EMPTY_ENV, Env, NIL, OK, TAU, UNIT, Prefix, label_key, mk_sum,
+from ccswb.oracle import EnumSpec, enumerate_terms
+from ccswb.preorders import KINDS, leq, leq_plus
+from ccswb.syntax import (Action, Const, DIV, EMPTY_ENV, Env, NIL, OK, TAU, UNIT, Prefix, label_key, mk_sum,
                           parse_defs, pretty)
 from ccswb.testing import find_counterexample, has_unsuccessful_maximal, must, must_sc
 from ccswb.usability import usable
@@ -301,6 +303,31 @@ def test_tau_cycle_sets():
     assert named(lts.on_tau_cycle(states, False)) == {"A", "B", "C"}
     assert named(lts.on_tau_cycle(states, True)) == {"C"}
     assert not lts.converges() and lts.diverges_unsuccessfully()
+
+
+def test_finite_terms_find_tau_cycles_without_a_component_search(monkeypatch):
+    # a term with no constant moves by tau only to proper subterms, but div
+    # to itself, so its states on a tau cycle of either kind are its div states
+    corpus = list(itertools.islice(enumerate_terms(EnumSpec(("a",), 2, allow_div=True, max_width=2)), 3000))
+    pairs = list(zip(corpus[::37], corpus[1::37]))
+    expected = []
+    for term in corpus:
+        g = Lts(term, Env())
+        nonok = [i for i in g.states if not g.ok[i]]
+        found = (on_cycle(g.states, g.taus.__getitem__),
+                 on_cycle(nonok, lambda i: [j for j in g.taus[i] if not g.ok[j]]))
+        assert found[0] == found[1] == {i for i in g.states if g.terms[i] is DIV}
+        expected.append([{g.terms[i] for i in ids} for ids in found])
+    verdicts = [leq_plus(kind, p, q, Env()).to_json() for kind in KINDS for p, q in pairs]
+    searches = []
+    monkeypatch.setattr(lts_module, "sccs", lambda *args: searches.append(args) or sccs(*args))
+    env = Env()  # one table for the corpus
+    for term, cyclic in zip(corpus, expected):
+        g = Lts(term, env)
+        states = frozenset(g.states)
+        assert [{g.terms[i] for i in g.on_tau_cycle(states, kind)} for kind in (False, True)] == cyclic
+    assert [leq_plus(kind, p, q, Env()).to_json() for kind in KINDS for p, q in pairs] == verdicts
+    assert searches == []
 
 
 def test_visible_edges_are_kept_in_label_order(small_corpus):

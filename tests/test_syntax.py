@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TERMS, t
 from ccswb import syntax
+from ccswb.equations import normalize_pnf_info
 from ccswb.oracle import EnumSpec, enumerate_terms, term_size
 from ccswb.syntax import (
     Action,
@@ -445,6 +446,15 @@ def test_one_off_action_names_leave_nothing_behind():
         tracemalloc.stop()
     assert kept < 5 * 2**20
     assert not any(name.startswith("oneoff") for name in syntax._ACTIONS)
+    # a normal form keeps its label sets in a table of its own, swept with
+    # the terms whose forms hold them
+    term = parse_term("tau.(oneoffnf.0 + tau.1) + tau.(b.oneoffnf.1 + tau.0)")
+    form, _ = normalize_pnf_info(term)
+    assert any(Action("oneoffnf") in s for s in syntax._LABEL_SETS)
+    del term, form
+    with syntax._LOCK:
+        syntax._sweep()
+    assert "oneoffnf" not in syntax._ACTIONS
 
 
 def test_sums_that_differ_in_one_leaf_stay_distinct():
