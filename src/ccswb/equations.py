@@ -14,7 +14,7 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Optional, TypeVar, Union
 
-from .lts import can_ok
+from .lts import cached_lts, can_ok
 from .oracle import EnumSpec, enumerate_terms
 from .preorders import leq_plus
 from .syntax import (
@@ -40,7 +40,7 @@ from .syntax import (
     pretty,
     shared_set,
 )
-from .usability import usable
+from .usability import usable_set
 
 #: ready-set members: visible actions plus the success marker
 FamLabel = Union[Action, Ok]
@@ -689,18 +689,22 @@ def check_instances(kind: str, instances: Iterable[GroundInstance],
 
 def simplify_unusable(t: Term, env: Env = EMPTY_ENV) -> Term:
     """Rewrite prefixed subterms that no partner can satisfy toward 0; under a
-    prefix the unusable continuation is interchangeable with deadlock."""
+    prefix the unusable continuation is interchangeable with deadlock.  One
+    post-order pass over the distinct subterms, so any depth is walked; each
+    continuation's usability is decided exactly, with no witness built."""
     if not is_ccsf(t):
         raise NotCCSf(f"not a finite term: {pretty(t)}")
 
-    def go(t: Term) -> Term:
+    def simplify(t: Term, done: dict[int, Term]) -> Term:
         if isinstance(t, Prefix):
-            body = go(t.body)
-            if not isinstance(body, Nil) and not usable(body, env).usable:
-                return Prefix(t.guard, NIL)
+            body = done[id(t.body)]
+            if not isinstance(body, Nil):
+                lts = cached_lts(body, env)
+                if not usable_set(lts, frozenset({lts.root})):
+                    body = NIL
             return Prefix(t.guard, body)
         if isinstance(t, Sum):
-            return mk_sum(go(p) for p in t.parts)
+            return mk_sum(done[id(p)] for p in t.parts)
         return t
 
-    return go(t)
+    return _postorder(t, _term_kids, simplify)

@@ -127,6 +127,7 @@ def on_cycle(nodes: Iterable[Node], succ: Callable[[Node], Iterable[Node]]) -> f
 
 
 _SERIALS = itertools.count()
+_NO_STATES: frozenset[int] = frozenset()  # shared by every graph with no cycle of a kind
 
 
 def _edge_key(edge: tuple[Label, Term]) -> tuple:
@@ -141,11 +142,11 @@ class StateTable:
     per action, in label order) and `ready` stay None until an exploration
     first reaches it, which fills them, once, under `lock`.
 
-    A state's moves and tau cycles, and a set's closures, usability and walk
-    side records, depend only on the terms and the environment, never on the
-    root that reached them, so the memo tables are keyed by sets of ids and
-    shared by every graph of the table.  They fill idempotently, from any
-    thread.  The table holds neither a graph nor its environment."""
+    A state's moves, and a set's closures, usability and walk side records,
+    depend only on the terms and the environment, never on the root that
+    reached them, so the memo tables are keyed by sets of ids and shared by
+    every graph of the table.  They fill idempotently, from any thread.  The
+    table holds neither a graph nor its environment."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -158,9 +159,6 @@ class StateTable:
         self.readies: dict[frozenset[Action], frozenset[Action]] = {}  # one object per ready set
         self.tau_closures: dict[frozenset[int], frozenset[int]] = {}
         self.unsuccessful_closures: dict[frozenset[int], frozenset[int]] = {}
-        # per kind of tau cycle (any, through non-ok states only): the states
-        # classified so far and those of them on a cycle
-        self.cycles: tuple[tuple[set[int], set[int]], ...] = ((set(), set()), (set(), set()))
         self.usable_memo: dict = {}  # closed set -> what `usability.usable_set` knows of it
         self.usable_witnesses: dict = {}  # (closed set, depth) -> `usability.usable_witness`
         self.sides: dict = {}  # walk plan -> its side records (`preorders._Side`) by key
@@ -225,35 +223,6 @@ class StateTable:
                         order.append(j)
             return order
 
-    def classify(self, states: Iterable[int], unsuccessful: bool) -> None:
-        """Classify the strongly connected components of tau moves, through
-        non-ok states only when `unsuccessful`, that hold the states of
-        `states` not yet classified: `cycles[unsuccessful]` gains them, and
-        their states on a cycle.  A state with no such move is a component
-        off every cycle.  A term with no constant moves by tau only to
-        proper subterms, but `div` to itself, so its state is on a cycle of
-        either kind exactly when it is `div`, which is not ok; only states
-        holding a constant start a component search."""
-        done, cyclic = self.cycles[unsuccessful]
-        terms, ok, taus = self.terms, self.ok, self.taus
-        succ = (lambda i: [j for j in taus[i] if not ok[j]]) if unsuccessful else taus.__getitem__
-        with self.lock:
-            roots = []
-            for i in states:
-                if i not in done:
-                    if terms[i]._depth < 0 and taus[i] and not (unsuccessful and ok[i]):
-                        roots.append(i)
-                        continue
-                    if terms[i] is DIV:
-                        cyclic.add(i)
-                    done.add(i)  # after `cyclic`, so a classified state has its flag
-            # a component met again is classified again, to the same flags
-            for comp in sccs(roots, succ) if roots else ():
-                v = comp[0]
-                if len(comp) > 1 or v in taus[v]:
-                    cyclic.update(comp)
-                done.update(comp)
-
 
 _NEW_TABLE = threading.Lock()
 
@@ -277,8 +246,8 @@ class Lts:
     root-local breadth-first order.  They are explored when the graph is
     made, and at most `cap`, the environment's state cap, are allowed.  The
     rows `terms`, `ok`, `taus`, `vis` and `ready` are the table's, indexed
-    by id, and the closures and cycle flags are memoized in the table.  The
-    graph keeps the cap and its table, and no reference to the environment.
+    by id, and the closures are memoized in the table.  The graph keeps the
+    cap and its table, and no reference to the environment.
 
     Constants are kept folded: a state is the term as written, and its moves
     come from unfolding the definition on demand.
@@ -298,6 +267,8 @@ class Lts:
             table.terms, table.ok, table.taus, table.vis, table.ready)
         self._alphabet: Optional[frozenset[Action]] = None
         self._sorted_alphabet: Optional[tuple[Action, ...]] = None
+        self._tau_cyclic: Optional[frozenset[int]] = None
+        self._nonok_cyclic: Optional[frozenset[int]] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -397,17 +368,38 @@ class Lts:
 
     def on_tau_cycle(self, states: frozenset[int], unsuccessful: bool) -> frozenset[int]:
         """The states of `states` on a cycle of tau moves, through non-ok
-        states only when `unsuccessful`, which are looked for among the
-        states on a tau cycle alone.  The first set to hold a state not yet
-        classified classifies the rest of the graph with it."""
-        for kind in (False, True) if unsuccessful else (False,):
-            done, cyclic = self.table.cycles[kind]
-            if not states <= done:
-                self.table.classify(itertools.chain(states, self.states), kind)
-            states &= cyclic
-            if not states:
-                break
-        return states
+        states only when `unsuccessful`.  Each kind's cyclic states are found
+        for the whole graph the first time it is asked, and a non-ok cycle
+        is looked for among the states on a tau cycle alone, since it is
+        one.  A racing thread finds the same set."""
+        cyclic = self._tau_cyclic
+        if cyclic is None:
+            cyclic = self._tau_cyclic = self._cyclic(self.states, self.taus.__getitem__)
+        if unsuccessful and cyclic:
+            if self._nonok_cyclic is None:
+                ok, taus = self.ok, self.taus
+                self._nonok_cyclic = self._cyclic([i for i in cyclic if not ok[i]],
+                                                  lambda i: [j for j in taus[i] if not ok[j]])
+            cyclic = self._nonok_cyclic
+        return states & cyclic
+
+    def _cyclic(self, states: Iterable[int], succ: Callable[[int], Iterable[int]]) -> frozenset[int]:
+        """The states of `states` that lie on a cycle of `succ` moves.  A term
+        with no constant moves by tau only to proper subterms, but `div` to
+        itself, so its state is on a cycle exactly when it is `div`; only
+        states holding a constant with a tau move start an `on_cycle`
+        search."""
+        terms, taus = self.terms, self.taus
+        out, roots = set(), []
+        for i in states:
+            term = terms[i]
+            if term is DIV:
+                out.add(i)
+            elif term._depth < 0 and taus[i]:
+                roots.append(i)
+        if roots:
+            out.update(on_cycle(roots, succ))
+        return frozenset(out) if out else _NO_STATES
 
     def converges_state_set(self, states: frozenset[int]) -> bool:
         """No infinite tau run from any of the states."""

@@ -178,31 +178,20 @@ def fails(server: Lts, client: Lts) -> bool:
     return bad
 
 
-def _product_of(p: Term, r: Term, env: Env) -> Product:
-    return Product(cached_lts(p, env), cached_lts(r, env))
-
-
-def find_counterexample(product: Product, symmetric: bool) -> Optional[Counterexample]:
-    """Evidence that some maximal computation of `product` never lets the
-    client (right) succeed, or, when `symmetric`, never lets the server
-    (left) succeed; None when there is none.  Each search computes the
-    moves of every state it visits; sharing the product only pools their
-    count against the cap in `built`."""
-    ce = find_unsuccessful_maximal(product, side="right")
-    if ce is None and symmetric:
-        ce = find_unsuccessful_maximal(product, side="left")
-    return ce
-
-
 def must(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
     """Every maximal computation of p || r lets the client r report success."""
-    ce = find_counterexample(_product_of(p, r, env), symmetric=False)
+    ce = find_unsuccessful_maximal(Product(cached_lts(p, env), cached_lts(r, env)), "right")
     return Verdict(ce is None, ce)
 
 
 def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
-    """Every maximal computation lets both peers report success (not necessarily together)."""
-    ce = find_counterexample(_product_of(p, r, env), symmetric=True)
+    """Every maximal computation lets both peers report success (not
+    necessarily together).  Both side searches run on one product, so its
+    cap pools the states they build."""
+    product = Product(cached_lts(p, env), cached_lts(r, env))
+    ce = find_unsuccessful_maximal(product, "right")
+    if ce is None:
+        ce = find_unsuccessful_maximal(product, "left")
     return Verdict(ce is None, ce)
 
 
@@ -214,7 +203,7 @@ def must_sc(p: Term, r: Term, env: Env = EMPTY_ENV) -> Verdict:
 def enumerate_computations(p: Term, r: Term,
                            env: Env = EMPTY_ENV) -> tuple[Product, list[tuple[int, ...]]]:
     """All maximal computations of an acyclic product, as paths of state codes."""
-    product = _product_of(p, r, env)
+    product = Product(cached_lts(p, env), cached_lts(r, env))
     if on_cycle([product.root], product.succ):
         raise NotAcyclic("product graph has a cycle")
     paths: list[tuple[int, ...]] = []

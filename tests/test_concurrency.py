@@ -227,6 +227,42 @@ def test_shared_graph_usable_set_from_two_threads(fast_switching):
         assert results == [expected, expected]
 
 
+def test_tau_cycle_flags_from_two_threads(fast_switching):
+    # four rings of silent moves, joined by visible ones: ring 0 passes an ok
+    # state, ring 1 none, ring 2 is broken and ring 3 passes an ok state; one
+    # state also reaches div
+    lines = []
+    for i in range(40):
+        parts = [f"a.Q{(3 * i + 7) % 40}"]
+        if i != 29:
+            parts.append(f"tau.Q{i // 10 * 10 + (i + 1) % 10}")
+        if i in (0, 35):
+            parts.append("1")
+        if i == 1:
+            parts.append("b.div")
+        lines.append(f"def Q{i} = " + " + ".join(parts))
+    text = "\n".join(lines)
+
+    def ask(lts, kinds, barrier=None):
+        if barrier is not None:
+            barrier.wait()
+        return {(kind, i): lts.on_tau_cycle(frozenset({i}), kind)
+                for kind in kinds for i in lts.states}
+
+    lts = Lts(Const("Q0"), parse_defs(text)[0])
+    expected = ask(lts, (False, True))
+    cyclic = [{pretty(lts.terms[i]) for (kind, i), found in expected.items() if kind is k and found}
+              for k in (False, True)]
+    assert cyclic[0] == {f"Q{i}" for i in range(40) if i // 10 != 2} | {"div"}
+    assert cyclic[1] == {f"Q{i}" for i in range(10, 20)} | {"div"}
+    for _ in range(20):
+        lts = Lts(Const("Q0"), parse_defs(text)[0])  # a fresh state table and graph
+        barrier = threading.Barrier(2)
+        results = _run_together(functools.partial(ask, lts, (False, True), barrier),
+                                functools.partial(ask, lts, (True, False), barrier))
+        assert results == [expected, expected]
+
+
 def test_usability_facts_from_three_threads(fast_switching):
     # more threads than cores ask one graph's sets at every depth, each in
     # its own order, adding facts to the same memo entries at once; a lost

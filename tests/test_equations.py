@@ -31,7 +31,7 @@ from ccswb.equations import (
 )
 from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import leq_plus
-from ccswb.syntax import Action, Const, OK, Term, pretty, subterms
+from ccswb.syntax import Action, Const, Env, OK, Term, pretty, subterms
 
 a, b, c = Action("a"), Action("b"), Action("c")
 
@@ -280,3 +280,10 @@ def test_simplify_unusable():
     reduced = simplify_unusable(t("a.(b.d.0 + b.1)"))
     assert leq_plus("p2p", t("a.(b.d.0 + b.1)"), reduced).holds
     assert leq_plus("p2p", reduced, t("a.(b.d.0 + b.1)")).holds
+
+
+def test_simplify_unusable_walks_deep_chains():
+    # one fold over the chain, deeper than the recursion limit
+    usable = t("a." * 3000 + "1")
+    assert simplify_unusable(usable, Env()) is usable
+    assert simplify_unusable(t("a." * 3000 + "b.0"), Env()) is t("a.0")

@@ -16,7 +16,7 @@ from ccswb.oracle import EnumSpec, enumerate_terms
 from ccswb.preorders import KINDS, leq, leq_plus
 from ccswb.syntax import (Action, Const, DIV, EMPTY_ENV, Env, NIL, OK, TAU, UNIT, Prefix, label_key, mk_sum,
                           parse_defs, pretty)
-from ccswb.testing import find_counterexample, has_unsuccessful_maximal, must, must_sc
+from ccswb.testing import find_unsuccessful_maximal, has_unsuccessful_maximal, must, must_sc
 from ccswb.usability import usable
 
 a, b, c, d = Action("a"), Action("b"), Action("c"), Action("d")
@@ -109,7 +109,7 @@ def test_state_cap_bounds_the_states_a_search_builds():
         must_sc(t("tau.tau.0"), t("1 + tau.tau.0"), env)
     # the search expands no state where the client has succeeded
     product = Product(cached_lts(t("~a.tau.tau.0")), cached_lts(t("a.1")))
-    assert find_counterexample(product, symmetric=False) is None and len(product) == 2
+    assert find_unsuccessful_maximal(product, "right") is None and len(product) == 2
 
 
 def test_product_expands_on_demand():
@@ -303,6 +303,27 @@ def test_tau_cycle_sets():
     assert named(lts.on_tau_cycle(states, False)) == {"A", "B", "C"}
     assert named(lts.on_tau_cycle(states, True)) == {"C"}
     assert not lts.converges() and lts.diverges_unsuccessfully()
+
+
+def test_tau_cycle_flags_of_overlapping_graphs():
+    # graphs of one environment share states; each answers, whichever graph
+    # and kind is asked first, as `on_cycle` over its own tau rows (non-ok
+    # rows for a non-ok cycle)
+    text = "def A = tau.B + a.A\ndef B = tau.A + 1\ndef C = tau.C + tau.A"
+    expected = {("C", False): {"A", "B", "C"}, ("C", True): {"C"},
+                ("A", False): {"A", "B"}, ("A", True): set()}
+    for names in (("C", "A"), ("A", "C")):
+        for kinds in ((False, True), (True, False)):
+            env, _ = parse_defs(text)
+            graphs = {name: Lts(Const(name), env) for name in names}
+            for kind in kinds:
+                for name, g in graphs.items():
+                    nonok = lambda i: [j for j in g.taus[i] if not g.ok[j]]
+                    want = (on_cycle([i for i in g.states if not g.ok[i]], nonok) if kind
+                            else on_cycle(g.states, g.taus.__getitem__))
+                    assert g.on_tau_cycle(frozenset(g.states), kind) == want
+                    assert {pretty(g.terms[i]) for i in want} == expected[name, kind]
+                    assert all(g.on_tau_cycle(frozenset({i}), kind) == want & {i} for i in g.states)
 
 
 def test_finite_terms_find_tau_cycles_without_a_component_search(monkeypatch):
