@@ -296,16 +296,6 @@ def test_graph_kernel_does_not_recurse():
 
 
 def test_tau_cycle_sets():
-    env, _ = parse_defs("def A = tau.B + a.A\ndef B = tau.A + 1\ndef C = tau.C + tau.A")
-    lts = Lts(Const("C"), env)
-    named = lambda states: {pretty(lts.terms[i]) for i in states}
-    states = frozenset(lts.states)
-    assert named(lts.on_tau_cycle(states, False)) == {"A", "B", "C"}
-    assert named(lts.on_tau_cycle(states, True)) == {"C"}
-    assert not lts.converges() and lts.diverges_unsuccessfully()
-
-
-def test_tau_cycle_flags_of_overlapping_graphs():
     # graphs of one environment share states; each answers, whichever graph
     # and kind is asked first, as `on_cycle` over its own tau rows (non-ok
     # rows for a non-ok cycle)
@@ -324,6 +314,8 @@ def test_tau_cycle_flags_of_overlapping_graphs():
                     assert g.on_tau_cycle(frozenset(g.states), kind) == want
                     assert {pretty(g.terms[i]) for i in want} == expected[name, kind]
                     assert all(g.on_tau_cycle(frozenset({i}), kind) == want & {i} for i in g.states)
+            assert not graphs["C"].converges() and graphs["C"].diverges_unsuccessfully()
+            assert not graphs["A"].converges() and not graphs["A"].diverges_unsuccessfully()
 
 
 def test_finite_terms_find_tau_cycles_without_a_component_search(monkeypatch):
